@@ -79,33 +79,37 @@ def _log_r_power(params: ModelParams, r: float) -> float:
     return math.log(r) ** delta_exp
 
 
-def _phi_single(params: ModelParams, r: float, seed: int, delta: float,
-                memory_cap_bytes: int) -> ExperimentRecord:
+def _replica(args) -> list:
+    """One replica of a beta ladder: one coupled sample, one record per rung.
+
+    A record's wall_time is the replica's shared set-up and sampling time
+    plus that rung's own BFS and median.
+    """
+    params_list, r, seed, delta, memory_cap_bytes = args
     t0 = time.perf_counter()
-    box = Box(params.d, int(math.ceil(r)))
-    mask = _annulus_mask(box, params.norm, r, delta)
+    box = Box(params_list[0].d, int(math.ceil(r)))
+    mask = _annulus_mask(box, params_list[0].norm, r, delta)
     n_points = int(np.count_nonzero(mask))
     if n_points < 100:
         raise ValueError(
             f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices at r={r}; "
             "need at least 100"
         )
-    sample = sample_graph(params, box, seed, memory_cap_bytes=memory_cap_bytes)
-    field = distances_from(sample, np.zeros(params.d, dtype=np.int64))
-    med = float(np.median(field.dist[mask]))
-    return ExperimentRecord(
-        params=params,
-        r=float(r),
-        seed=int(seed),
-        phi_hat=med / _log_r_power(params, r),
-        n_points=n_points,
-        annulus_fraction=n_points / box.n_vertices,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
-def _phi_record(args) -> ExperimentRecord:
-    return _phi_single(*args)
+    samples = sample_graph_coupled(params_list, box, seed, memory_cap_bytes=memory_cap_bytes)
+    shared = time.perf_counter() - t0
+    records = []
+    for pm, sample in zip(params_list, samples):
+        t1 = time.perf_counter()
+        field = distances_from(sample, np.zeros(pm.d, dtype=np.int64))
+        med = float(np.median(field.dist[mask]))
+        records.append(ExperimentRecord(
+            params=pm, r=float(r), seed=int(seed),
+            phi_hat=med / _log_r_power(pm, r),
+            n_points=n_points,
+            annulus_fraction=n_points / box.n_vertices,
+            wall_time=shared + time.perf_counter() - t1,
+        ))
+    return records
 
 
 def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
@@ -118,6 +122,27 @@ def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
     return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
 
 
+def _estimate_ladder(params_list: list, r: float, n_replicas: int, seed0: int, delta: float,
+                     n_bootstrap: int, executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
+    """One PhiEstimate per rung; rung i's bootstrap is seeded by bootstrap_keys[i]."""
+    if not r > 1:
+        raise ValueError(f"r must be > 1, got {r}")
+    if n_replicas < 1:
+        raise ValueError("n_replicas must be >= 1")
+    args = [(params_list, r, seed0 + i, delta, memory_cap_bytes) for i in range(n_replicas)]
+    mapper = map if executor is None else executor.map
+    per_replica = list(mapper(_replica, args))
+    out = []
+    for bi, (pm, key) in enumerate(zip(params_list, bootstrap_keys)):
+        records = tuple(rep[bi] for rep in per_replica)
+        phis = np.array([rec.phi_hat for rec in records])
+        ci_low, ci_high = _bootstrap_ci(phis, np.random.default_rng(key), n_bootstrap)
+        out.append(PhiEstimate(params=pm, r=float(r), n_replicas=n_replicas, seed0=int(seed0),
+                               phi_hat=float(phis.mean()), ci_low=ci_low, ci_high=ci_high,
+                               records=records))
+    return out
+
+
 def estimate_phi(params: ModelParams, r: float, n_replicas: int, seed0: int,
                  delta: float = 0.1, n_bootstrap: int = 1000, executor=None,
                  memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> PhiEstimate:
@@ -126,46 +151,11 @@ def estimate_phi(params: ModelParams, r: float, n_replicas: int, seed0: int,
     Each replica samples its own graph on the box of radius ceil(r) and
     takes the median distance over the annulus.  ``executor`` may be a
     concurrent.futures executor; replica order (and hence output) is
-    deterministic either way.
+    deterministic either way.  This is a ladder of one: its phi_hat and
+    records equal those of ``estimate_phi_ladder([params], ...)``.
     """
-    if not r > 1:
-        raise ValueError(f"r must be > 1, got {r}")
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    args = [(params, r, seed0 + i, delta, memory_cap_bytes) for i in range(n_replicas)]
-    mapper = map if executor is None else executor.map
-    records = tuple(mapper(_phi_record, args))
-    phis = np.array([rec.phi_hat for rec in records])
-    ci_low, ci_high = _bootstrap_ci(phis, np.random.default_rng([seed0, _BOOTSTRAP_TAG]), n_bootstrap)
-    return PhiEstimate(params=params, r=float(r), n_replicas=n_replicas, seed0=int(seed0),
-                       phi_hat=float(phis.mean()), ci_low=ci_low, ci_high=ci_high,
-                       records=records)
-
-
-def _ladder_replica(args) -> list:
-    params_list, r, seed, delta, memory_cap_bytes = args
-    box = Box(params_list[0].d, int(math.ceil(r)))
-    mask = _annulus_mask(box, params_list[0].norm, r, delta)
-    n_points = int(np.count_nonzero(mask))
-    if n_points < 100:
-        raise ValueError(
-            f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices at r={r}; "
-            "need at least 100"
-        )
-    samples = sample_graph_coupled(params_list, box, seed, memory_cap_bytes=memory_cap_bytes)
-    records = []
-    for pm, sample in zip(params_list, samples):
-        t0 = time.perf_counter()
-        field = distances_from(sample, np.zeros(pm.d, dtype=np.int64))
-        med = float(np.median(field.dist[mask]))
-        records.append(ExperimentRecord(
-            params=pm, r=float(r), seed=int(seed),
-            phi_hat=med / _log_r_power(pm, r),
-            n_points=n_points,
-            annulus_fraction=n_points / box.n_vertices,
-            wall_time=time.perf_counter() - t0,
-        ))
-    return records
+    return _estimate_ladder([params], r, n_replicas, seed0, delta, n_bootstrap, executor,
+                            memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0]
 
 
 def estimate_phi_ladder(params_list, r: float, n_replicas: int, seed0: int,
@@ -173,28 +163,15 @@ def estimate_phi_ladder(params_list, r: float, n_replicas: int, seed0: int,
                         memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> list:
     """estimate_phi along an ascending beta ladder with monotone coupling.
 
-    Replica i samples the whole ladder once with shared per-pair
-    randomness (seed0 + i), so phi_hat is non-increasing in beta exactly,
-    replica by replica.  Returns one PhiEstimate per beta.
+    Replica i samples the whole ladder once (seed0 + i): the top rung is
+    ``sample_graph`` at the largest beta and lower rungs thin it, so
+    phi_hat is non-increasing in beta exactly, replica by replica.
+    Returns one PhiEstimate per beta.
     """
     params_list = list(params_list)
-    if not r > 1:
-        raise ValueError(f"r must be > 1, got {r}")
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    args = [(params_list, r, seed0 + i, delta, memory_cap_bytes) for i in range(n_replicas)]
-    mapper = map if executor is None else executor.map
-    per_replica = list(mapper(_ladder_replica, args))
-    out = []
-    for bi, pm in enumerate(params_list):
-        records = tuple(rep[bi] for rep in per_replica)
-        phis = np.array([rec.phi_hat for rec in records])
-        ci_low, ci_high = _bootstrap_ci(phis, np.random.default_rng([seed0, _BOOTSTRAP_TAG, bi]),
-                                        n_bootstrap)
-        out.append(PhiEstimate(params=pm, r=float(r), n_replicas=n_replicas, seed0=int(seed0),
-                               phi_hat=float(phis.mean()), ci_low=ci_low, ci_high=ci_high,
-                               records=records))
-    return out
+    keys = [[seed0, _BOOTSTRAP_TAG, bi] for bi in range(len(params_list))]
+    return _estimate_ladder(params_list, r, n_replicas, seed0, delta, n_bootstrap, executor,
+                            memory_cap_bytes, keys)
 
 
 def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: float) -> float:

@@ -16,11 +16,14 @@ Randomness layout (counter-based, splittable):
   fixed-width packing of its components; the per-class streams are
   independent by key construction, so class-level work may run in any
   order or in parallel without changing the output.
-* coupled sampling draws one uniform per admissible pair from the class
-  stream as ``(raw_word >> 11) * 2**-53``; this uses raw Philox output
-  only and is reproducible across numpy versions.  The plain sampler's
-  binomial/choice draws ride numpy Generator methods, which numpy pins
-  per version; within one environment both paths are bit-stable.
+* coupled sampling over an ascending beta ladder draws the top rung
+  (largest beta) exactly as ``sample_graph`` does, so the top rung is
+  ``sample_graph``'s output.  After a class's selection draws, its stream
+  gives one more word per selected pair, in ascending pair-index order,
+  read as the uniform ``U = (raw_word >> 11) * 2**-53``; the pair stays
+  at rung i iff ``U < p_i(v) / p_top(v)``.  A ladder of one draws no such
+  words.  The binomial/choice draws ride numpy Generator methods, which
+  numpy pins per version; within one environment the output is bit-stable.
 
 Pair indices within a class enumerate the admissible tail vertices (the
 lexicographically smaller endpoints) in row-major order over the rectangle
@@ -269,6 +272,47 @@ def _finalize_edges(chunks: list) -> np.ndarray:
     return edges[order]
 
 
+def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int) -> list:
+    """Long-edge arrays of every rung of an already validated ascending beta ladder.
+
+    The top rung is drawn by displacement class: a binomial count vector
+    from the reserved counts stream, then a uniform choice of pairs from
+    each class's keyed stream.  Lower rungs thin it: each top-rung pair
+    takes one more uniform U from its class stream and stays at rung i iff
+    U < p_i(v) / p_top(v), so every rung is Bernoulli(p_i) per pair,
+    independent across pairs, and the rungs are nested.
+    """
+    classes = _displacement_classes(box, memory_cap_bytes)
+    N = _class_pair_counts(box, classes)
+    P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
+    expected = float((N * P[:, -1]).sum())
+    _check_memory(_edge_stage_memory(box, len(classes), expected * len(params_list), float(N.max(initial=0))),
+                  memory_cap_bytes, "graph sampling")
+
+    counts_gen = np.random.Generator(np.random.Philox(key=np.array([seed, _COUNTS_STREAM], dtype=np.uint64)))
+    K = counts_gen.binomial(N, P[:, -1])
+    nz = np.flatnonzero(K)
+    codes = _class_codes(box, classes)
+    thin = len(params_list) > 1
+
+    chunks, words = [np.empty((0, 2), dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
+    for ci in nz:
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, codes[ci]], dtype=np.uint64)))
+        sel = _select_without_replacement(int(N[ci]), int(K[ci]), gen)
+        tail, head = _decode_pairs(box, classes[ci], sel)
+        chunks.append(np.stack([tail, head], axis=1))
+        if thin:
+            words.append(gen.bit_generator.random_raw(sel.size))
+    edges = np.concatenate(chunks, axis=0)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    top = edges[order]
+    if not thin:
+        return [top]
+    u = (np.concatenate(words)[order] >> np.uint64(11)) * 2.0**-53
+    edge_class = np.repeat(nz, K[nz])[order]
+    return [top[u < P[edge_class, i] / P[edge_class, -1]] for i in range(len(params_list) - 1)] + [top]
+
+
 def sample_graph(params: ModelParams, box: Box, seed: int,
                  memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> GraphSample:
     """Sample one percolation graph by displacement-grouped generation.
@@ -283,25 +327,8 @@ def sample_graph(params: ModelParams, box: Box, seed: int,
     seed = _validate_seed(seed)
     if params.d != box.d:
         raise ValueError(f"params dimension {params.d} does not match box dimension {box.d}")
-    classes = _displacement_classes(box, memory_cap_bytes)
-    p = connection_probabilities(params, classes)
-    N = _class_pair_counts(box, classes)
-    expected = float((N * p).sum())
-    _check_memory(_edge_stage_memory(box, len(classes), expected, float(N.max(initial=0))),
-                  memory_cap_bytes, "graph sampling")
-
-    counts_gen = np.random.Generator(np.random.Philox(key=np.array([seed, _COUNTS_STREAM], dtype=np.uint64)))
-    K = counts_gen.binomial(N, p)
-    nz = np.flatnonzero(K)
-    codes = _class_codes(box, classes)
-
-    chunks = []
-    for ci in nz:
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, codes[ci]], dtype=np.uint64)))
-        sel = _select_without_replacement(int(N[ci]), int(K[ci]), gen)
-        tail, head = _decode_pairs(box, classes[ci], sel)
-        chunks.append(np.stack([tail, head], axis=1))
-    return GraphSample(params=params, box=box, seed=seed, long_edges=_finalize_edges(chunks))
+    (edges,) = _sample_rungs([params], box, seed, memory_cap_bytes)
+    return GraphSample(params=params, box=box, seed=seed, long_edges=edges)
 
 
 def sample_graph_coupled(params_list, box: Box, seed: int,
@@ -309,13 +336,13 @@ def sample_graph_coupled(params_list, box: Box, seed: int,
     """Sample monotone-coupled graphs for an ascending beta ladder.
 
     All parameter sets must share (d, s, norm, kernel) and be sorted by
-    beta.  Each admissible pair gets one uniform from its class stream
-    (raw counter-based output, portable), and the edge at level beta is
-    present iff that uniform is below the connection probability at beta;
-    edge sets are therefore nested along the ladder by construction.
+    beta.  The top rung is ``sample_graph`` at the largest beta, bit for
+    bit; each of its edges then takes one uniform U from its class stream
+    and is kept at rung i iff U < p_i(v) / p_top(v).  Every rung is thus
+    an exact sample at its own beta, and edge sets are nested along the
+    ladder by construction.
 
-    Cost is O(#pairs), unlike sample_graph's O(#classes + #edges); intended
-    for moderate boxes where coupled comparisons are wanted.
+    Cost is O(#classes + #top-rung edges), as for sample_graph.
     """
     params_list = list(params_list)
     if not params_list:
@@ -330,29 +357,9 @@ def sample_graph_coupled(params_list, box: Box, seed: int,
     betas = [pm.beta for pm in params_list]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError(f"betas must be sorted ascending, got {betas}")
-
-    classes = _displacement_classes(box, memory_cap_bytes)
-    N = _class_pair_counts(box, classes)
-    P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
-    expected = float((N * P[:, -1]).sum())
-    _check_memory(_edge_stage_memory(box, len(classes), expected * len(params_list), float(N.max(initial=0))),
-                  memory_cap_bytes, "coupled graph sampling")
-    codes = _class_codes(box, classes)
-
-    chunks = [[] for _ in params_list]
-    for ci in range(len(classes)):
-        n = int(N[ci])
-        words = np.random.Philox(key=np.array([seed, codes[ci]], dtype=np.uint64)).random_raw(n)
-        u = (words >> np.uint64(11)) * 2.0**-53
-        for bi in range(len(params_list)):
-            sel = np.flatnonzero(u < P[ci, bi])
-            if sel.size:
-                tail, head = _decode_pairs(box, classes[ci], sel)
-                chunks[bi].append(np.stack([tail, head], axis=1))
-    return [
-        GraphSample(params=pm, box=box, seed=seed, long_edges=_finalize_edges(ch))
-        for pm, ch in zip(params_list, chunks)
-    ]
+    rungs = _sample_rungs(params_list, box, seed, memory_cap_bytes)
+    return [GraphSample(params=pm, box=box, seed=seed, long_edges=edges)
+            for pm, edges in zip(params_list, rungs)]
 
 
 def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = None) -> GraphSample:

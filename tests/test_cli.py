@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from lrplab import (
     sample_graph,
     theta_recursive,
 )
-from lrplab.cli import main
+from lrplab.cli import _OPTIONS, ConfigError, _resolve, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def read_csv(path):
@@ -331,3 +335,40 @@ class TestManifest:
         ha = json.loads((a / "manifest.json").read_text())["config_hash"]
         hb = json.loads((b / "manifest.json").read_text())["config_hash"]
         assert ha != hb
+
+
+def readme_commands():
+    """argv (after ``lrplab``) of every lrplab line in README's sh blocks,
+    with backslash continuations joined and comments dropped."""
+    commands, in_sh, pending = [], False, ""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+            continue
+        if not in_sh:
+            continue
+        pending += line
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+            continue
+        argv = shlex.split(pending, comments=True)
+        pending = ""
+        if argv and argv[0] == "lrplab":
+            commands.append(argv[1:])
+    return commands
+
+
+class TestReadme:
+    def test_every_command_line_resolves(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == set(_OPTIONS)
+        for argv in commands:
+            try:
+                _resolve(argv)
+            except ConfigError as exc:
+                pytest.fail(f"README line `lrplab {' '.join(argv)}`: {exc}")
+
+    def test_outdir_default_documented(self, monkeypatch):
+        monkeypatch.delenv("LRPLAB_OUTDIR", raising=False)
+        outdir = _resolve(["selfcheck"])[3]
+        assert f"(default `./{outdir}`" in README.read_text(encoding="utf-8")

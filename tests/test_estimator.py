@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,11 +103,13 @@ class TestLadder:
         assert np.all(np.diff(per_replica, axis=0) <= 0)
 
     def test_single_beta_ladder_structure(self):
-        # The coupled sampler uses its own stream layout, so values are not
-        # required to match the standalone estimator; the bookkeeping is.
+        # A ladder of one is estimate_phi: same phi_hat and the same records
+        # (wall times aside); only the bootstrap key differs.
         a = estimate_phi_ladder([PM], 300.0, n_replicas=3, seed0=5)[0]
-        b = estimate_phi_ladder([PM], 300.0, n_replicas=3, seed0=5)[0]
+        b = estimate_phi(PM, 300.0, n_replicas=3, seed0=5)
         assert a.phi_hat == b.phi_hat
+        assert [replace(r, wall_time=0.0) for r in a.records] == \
+            [replace(r, wall_time=0.0) for r in b.records]
         assert [r.seed for r in a.records] == [5, 6, 7]
         assert a.phi_hat > 0 and a.ci_low <= a.phi_hat <= a.ci_high
 

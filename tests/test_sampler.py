@@ -200,6 +200,30 @@ class TestCoupledSampling:
         var_one = sum(p * (1 - p) for p in brute_force_pairs(PM, box).values())
         assert abs(np.mean(totals) - expected) <= 4 * math.sqrt(var_one / 300)
 
+    def test_top_rung_is_sample_graph(self):
+        # The top rung is sample_graph at the largest beta, byte for byte.
+        cases = [(Box(d=1, radius=400), [ModelParams(d=1, s=1.5, beta=b) for b in (1.0, 2.0, 5.0)], 4),
+                 (Box(d=2, radius=15), [ModelParams(d=2, s=3.0, beta=b) for b in (0.5, 2.0)], 9)]
+        for box, ladder, seed in cases:
+            top = sample_graph_coupled(ladder, box, seed=seed)[-1].long_edges
+            alone = sample_graph(ladder[-1], box, seed=seed).long_edges
+            assert top.dtype == alone.dtype and top.shape == alone.shape
+            assert top.tobytes() == alone.tobytes()
+
+    def test_rung_counts_match_naive_per_pair(self):
+        # Every rung of the thinned ladder against per-pair Bernoulli draws
+        # at its own beta: two-sample test on total edge counts at 0.001.
+        radius, n_seeds, betas = 50, 2000, (1.0, 2.0, 5.0)
+        box = Box(d=1, radius=radius)
+        ladder = [ModelParams(d=1, s=1.5, beta=b) for b in betas]
+        counts = np.array([[g.n_long_edges for g in sample_graph_coupled(ladder, box, seed=s)]
+                           for s in range(n_seeds)])
+        for i, pm in enumerate(ladder):
+            probs = oracles.naive_pair_probabilities(1, radius, pm.s, pm.beta, norm=pm.norm)
+            naive = oracles.naive_edge_counts(probs, n_seeds, seed0=70_000 + 10_000 * i)
+            res = stats.ks_2samp(counts[:, i], naive)
+            assert res.pvalue > 0.001, (pm.beta, res.pvalue)
+
     def test_decreasing_betas_rejected(self):
         box = Box(d=1, radius=10)
         with pytest.raises(ValueError):
