@@ -49,6 +49,7 @@ from .limits import (
     tail_envelope,
 )
 from .sampler import (
+    GENERATOR_TAG,
     Box,
     C0Estimate,
     GraphSample,

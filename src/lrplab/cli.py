@@ -42,7 +42,8 @@ from .exponents import (
     vartheta,
 )
 from .limits import lambda_of_t, lower_curve, psi_limit
-from .sampler import Box, compute_c0, graph_from_edges, sample_graph, sample_graph_coupled, sample_z
+from .sampler import (GENERATOR_TAG, Box, compute_c0, graph_from_edges, sample_graph,
+                      sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import collapse_report, estimate_phi, theorem1_fraction
 
@@ -384,7 +385,7 @@ def _config_hash(command: str, raw: dict) -> str:
 
 def _cmd_exponents(cfg, config_hash, outdir, created):
     params, n_max = cfg["params"], cfg["n_max"]
-    theta = theta_recursive(params, n_max)
+    theta = theta_fast(params, n_max)
     vth = vartheta(params, n_max)
     rows = [
         (n, theta[n], theta_closed_form(params, n), vth[n], block_index(n))
@@ -439,7 +440,7 @@ def _cmd_sample(cfg, config_hash, outdir, created):
                  "nearest-neighbor edges are implicit)\n")
         fh.write(f"# params: d={params.d} s={_fmt(params.s)} beta={_fmt(params.beta)} "
                  f"norm={params.norm} kernel={params.kernel.kind}; "
-                 f"box_radius={box.radius}; seed={cfg['seed']}; generator=philox4x64-v1\n")
+                 f"box_radius={box.radius}; seed={cfg['seed']}; generator={GENERATOR_TAG}\n")
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_coord_header("x", params.d) + _coord_header("y", params.d))

@@ -5,30 +5,37 @@ class v (one binomial count for the number of edges at displacement v, then
 a uniform without-replacement choice of which pairs), which costs
 O(#classes + #edges) instead of O(#pairs).
 
-Randomness layout (counter-based, splittable):
+Randomness layout ``philox4x64-v2`` (counter-based, splittable):
 
 * generator: numpy Philox 4x64, keyed with two 64-bit words
   ``(seed, stream)``.
-* stream ``2**63`` is reserved for the vectorized binomial count vector,
-  drawn once over all displacement classes in canonical (lexicographic)
-  order.
-* every displacement class v gets stream ``class_code(v)`` < 2**63, a
-  fixed-width packing of its components; the per-class streams are
-  independent by key construction, so class-level work may run in any
-  order or in parallel without changing the output.
-* coupled sampling over an ascending beta ladder draws the top rung
-  (largest beta) exactly as ``sample_graph`` does, so the top rung is
-  ``sample_graph``'s output.  After a class's selection draws, its stream
-  gives one more word per selected pair, in ascending pair-index order,
-  read as the uniform ``U = (raw_word >> 11) * 2**-53``; the pair stays
-  at rung i iff ``U < p_i(v) / p_top(v)``.  A ladder of one draws no such
-  words.  The binomial/choice draws ride numpy Generator methods, which
-  numpy pins per version; within one environment the output is bit-stable.
+* stream ``2**63`` (counts) gives the binomial count vector K, drawn once
+  over all displacement classes in canonical (lexicographic) order.
+* stream ``2**63 + 1`` (sparse) chooses the pairs of every sparse class
+  (``K * 64 <= N``, N the class's pair count) in one pass.  Round 0 takes
+  K raw words per class, classes in canonical order; each word's upper 32
+  bits map to [0, N) by Lemire's multiply-shift with rejection.  Each
+  later round takes, classes again in order, one word per slot still
+  missing (a rejected word or an in-class duplicate), and appends to the
+  same stream until every class holds K distinct pairs.  N < 2**32 holds
+  for every class, since boxes need n_vertices**2 < 2**63.
+* every dense class v (``K * 64 > N``) gets stream ``class_code(v)`` <
+  2**63, a fixed-width packing of its components, and a partial shuffle
+  on it through numpy's ``Generator.choice``.
+* stream ``2**63 + 2`` (thinning) serves coupled sampling over an
+  ascending beta ladder: the top rung (largest beta) is drawn exactly as
+  ``sample_graph`` does, so it is ``sample_graph``'s output; then every
+  top-rung edge, in sorted order, takes one word read as the uniform
+  ``U = (raw_word >> 11) * 2**-53`` and stays at rung i iff
+  ``U < p_i(v) / p_top(v)``.  A ladder of one draws no such words.
 
-Pair indices within a class enumerate the admissible tail vertices (the
-lexicographically smaller endpoints) in row-major order over the rectangle
-of tails; edge lists are finally sorted by (tail, head) vertex index, so
-the output is independent of construction order.
+The binomial and partial-shuffle draws ride numpy Generator methods,
+which numpy pins per version; within one environment the output is
+bit-stable.  Pair indices within a class enumerate the admissible tail
+vertices (the lexicographically smaller endpoints) in row-major order over
+the rectangle of tails; edges are finally sorted by the int64 key
+``tail * n_vertices + head``, i.e. by (tail, head), so the output is
+independent of construction order.
 """
 
 from __future__ import annotations
@@ -51,7 +58,12 @@ from .model import (
 DEFAULT_MEMORY_CAP = 2 * 2**30
 Z_REJECTION_CAP = 10**6
 
+GENERATOR_TAG = "philox4x64-v2"
+
+# Reserved Philox stream keys; per-class streams use class codes below 2**63.
 _COUNTS_STREAM = np.uint64(1) << np.uint64(63)
+_SPARSE_STREAM = _COUNTS_STREAM + np.uint64(1)
+_THIN_STREAM = _COUNTS_STREAM + np.uint64(2)
 
 
 class MemoryCapExceeded(RuntimeError):
@@ -215,101 +227,151 @@ def _class_codes(box: Box, classes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _select_without_replacement(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
-    """k distinct uniform indices from range(n), sorted ascending.
+def _stream(seed: int, key) -> np.random.Philox:
+    """The Philox 4x64 stream keyed (seed, key)."""
+    return np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
 
-    Sparse case (k <= n/64): draw with replacement and deduplicate until k
-    distinct values are collected — the resulting set is uniform over
-    k-subsets by symmetry.  Dense case: partial-shuffle selection.
-    """
+
+def _select_dense(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
+    """k distinct uniform indices from range(n) by partial shuffle (dense classes)."""
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    if k * 64 <= n:
-        chosen = np.unique(gen.integers(0, n, size=k))
-        while chosen.size < k:
-            extra = gen.integers(0, n, size=k - chosen.size)
-            chosen = np.union1d(chosen, extra)
-        return chosen.astype(np.int64)
-    return np.sort(gen.choice(n, size=k, replace=False)).astype(np.int64)
+    return gen.choice(n, size=k, replace=False).astype(np.int64)
 
 
-def _decode_pairs(box: Box, v: np.ndarray, sel: np.ndarray):
-    """Map pair indices within class v to (tail, head) vertex index arrays.
+def _bounded(words: np.ndarray, n: np.ndarray):
+    """Uniform integers in [0, n) from raw 64-bit words, n < 2**32 per word.
 
-    Pair index j enumerates tails row-major over the rectangle of
-    admissible tail coordinates x_i in [-L + max(0, -v_i), L - max(0, v_i)].
+    Lemire's multiply-shift on the upper 32 bits x of each word: the value
+    is (x * n) >> 32, and a word is rejected when the low half of x * n is
+    below 2**32 mod n, which leaves every value exactly floor(2**32 / n)
+    accepted preimages.  Returns (values, accepted).
     """
-    L = box.radius
-    counts = box.side - np.abs(v)
-    los = -L + np.maximum(0, -v)
-    tail = np.zeros(sel.size, dtype=np.int64)
-    rem = sel.astype(np.int64, copy=True)
+    prod = (words >> np.uint64(32)) * n
+    accepted = (prod & np.uint64(0xFFFFFFFF)) >= np.uint64(2**32) % n
+    return (prod >> np.uint64(32)).astype(np.int64), accepted
+
+
+def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
+    """Distinct uniform pair indices for many classes at once: K[i] of range(N[i]) for row i.
+
+    Round 0 takes K[i] raw words for row i, rows in order, from
+    ``bit_generator``; every later round takes, again in row order, one
+    word per slot still missing (a rejected or an in-class duplicate draw).
+    Each row's set is thus the first K[i] distinct values of an i.i.d.
+    uniform sequence, hence uniform over K[i]-subsets.  Requires N < 2**32.
+    Returns (row, index) arrays sorted by (row, index).
+    """
+    n = N.astype(np.uint64)
+    keys = np.empty(0, dtype=np.int64)  # row << 32 | index, sorted and distinct
+    missing = K.astype(np.int64)
+    while (total := int(missing.sum())) > 0:
+        rows = np.repeat(np.arange(len(n)), missing)
+        values, accepted = _bounded(bit_generator.random_raw(total), n[rows])
+        keys = np.concatenate([keys, (rows[accepted] << 32) | values[accepted]])
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        missing = K - np.bincount(keys >> 32, minlength=len(n))
+    return keys >> 32, keys & 0xFFFFFFFF
+
+
+def _pair_keys(box: Box, classes: np.ndarray, cls: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Edge keys tail * n + head of pair indices ``sel`` in class rows ``cls``.
+
+    Pair index j enumerates the admissible tails of class v row-major over
+    the rectangle of tail coordinates x_i in [-L + max(0, -v_i), L - max(0, v_i)],
+    and head = tail + v @ strides.  ``sel`` is overwritten.
+    """
     strides = box.strides
-    for i in range(box.d - 1, -1, -1):
-        digit = rem % counts[i]
-        rem //= counts[i]
-        tail += (los[i] + digit + L) * strides[i]
-    head = tail + int(v @ strides)
-    return tail, head
+    tail = (np.maximum(0, -classes) @ strides)[cls]
+    for i in range(box.d - 1, 0, -1):
+        width = (box.side - np.abs(classes[:, i]))[cls]
+        tail += (sel % width) * strides[i]
+        sel //= width
+    tail += sel * strides[0]
+    tail *= box.n_vertices + 1
+    tail += (classes @ strides)[cls]
+    return tail
 
 
-def _edge_stage_memory(box: Box, n_classes: int, expected_edges: float, max_class_pairs: float) -> float:
-    per_vertex = 32.0 * box.n_vertices
-    per_class = 48.0 * n_classes
-    # Edge columns plus sort workspace, plus the adjacency arrays any
-    # consumer builds while the sample is still alive.
-    per_edge = 96.0 * expected_edges
-    return per_vertex + per_class + per_edge + 8.0 * max_class_pairs
+def _edges_from_keys(keys: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Sort edge keys tail * n + head in place; the (m, 2) (tail, head) array in that order."""
+    keys.sort()
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n_vertices, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
-def _finalize_edges(chunks: list) -> np.ndarray:
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    edges = np.concatenate(chunks, axis=0)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[order]
+def _check_edge_keys(box: Box):
+    n = box.n_vertices
+    if n * n >= 2**63:
+        raise ValueError(f"box too large: {n} vertices, and edge keys tail * n + head need n**2 < 2**63")
+
+
+def _edge_classes(box: Box, edges: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Class row of every edge, from its endpoints' displacement (codes ascend with the rows)."""
+    disp = box.coords_of(edges[:, 1]) - box.coords_of(edges[:, 0])
+    return np.searchsorted(codes, _class_codes(box, disp))
+
+
+def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
+                       max_class_pairs: float) -> float:
+    """Peak bytes of sampling plus the adjacency a consumer builds on each rung.
+
+    Per class: the class rows, pair counts, codes, edge counts and one
+    probability per rung.  Per expected top-rung edge, the largest of the
+    stages that hold int64 arrays at once: decoding (class row and pair
+    index of every draw, the key and two temporaries: 40 bytes), the sorted
+    key beside the edge array (24), and a consumer's adjacency build
+    (edges, both endpoint columns, the argsort order and the neighbour
+    list: 80).  Each lower rung keeps its edges and cached neighbour list
+    (32 per edge) and row pointers (8 per vertex) alive; every vertex also
+    has degree counts, the BFS distances and frontier (32).  The dense
+    classes' partial shuffle holds a permutation of at most the largest
+    class.
+    """
+    per_vertex = (32.0 + 8.0 * (n_rungs - 1)) * box.n_vertices
+    per_class = (8.0 * box.d + 32.0 + 8.0 * n_rungs) * n_classes
+    per_edge = 80.0 + 32.0 * (n_rungs - 1)
+    return per_vertex + per_class + per_edge * expected_edges + 8.0 * max_class_pairs
 
 
 def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int) -> list:
     """Long-edge arrays of every rung of an already validated ascending beta ladder.
 
     The top rung is drawn by displacement class: a binomial count vector
-    from the reserved counts stream, then a uniform choice of pairs from
-    each class's keyed stream.  Lower rungs thin it: each top-rung pair
-    takes one more uniform U from its class stream and stays at rung i iff
-    U < p_i(v) / p_top(v), so every rung is Bernoulli(p_i) per pair,
-    independent across pairs, and the rungs are nested.
+    from the counts stream, then a uniform choice of pairs per class, from
+    the sparse stream for every sparse class at once and from the class's
+    keyed stream for each dense one.  Lower rungs thin it: each top-rung
+    edge, in sorted order, takes one uniform U from the thinning stream and
+    stays at rung i iff U < p_i(v) / p_top(v), so every rung is
+    Bernoulli(p_i) per pair, independent across pairs, and the rungs are
+    nested.
     """
+    _check_edge_keys(box)  # n**2 < 2**63 also bounds every class's N below 2**32
     classes = _displacement_classes(box, memory_cap_bytes)
     N = _class_pair_counts(box, classes)
     P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
     expected = float((N * P[:, -1]).sum())
-    _check_memory(_edge_stage_memory(box, len(classes), expected * len(params_list), float(N.max(initial=0))),
+    _check_memory(_edge_stage_memory(box, len(classes), len(params_list), expected, float(N.max(initial=0))),
                   memory_cap_bytes, "graph sampling")
 
-    counts_gen = np.random.Generator(np.random.Philox(key=np.array([seed, _COUNTS_STREAM], dtype=np.uint64)))
-    K = counts_gen.binomial(N, P[:, -1])
-    nz = np.flatnonzero(K)
+    K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, P[:, -1])
+    sparse = np.flatnonzero((K > 0) & (K * 64 <= N))
+    dense = np.flatnonzero(K * 64 > N)
     codes = _class_codes(box, classes)
-    thin = len(params_list) > 1
-
-    chunks, words = [np.empty((0, 2), dtype=np.int64)], [np.empty(0, dtype=np.uint64)]
-    for ci in nz:
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, codes[ci]], dtype=np.uint64)))
-        sel = _select_without_replacement(int(N[ci]), int(K[ci]), gen)
-        tail, head = _decode_pairs(box, classes[ci], sel)
-        chunks.append(np.stack([tail, head], axis=1))
-        if thin:
-            words.append(gen.bit_generator.random_raw(sel.size))
-    edges = np.concatenate(chunks, axis=0)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    top = edges[order]
-    if not thin:
+    cls, sel = _select_sparse(N[sparse], K[sparse], _stream(seed, _SPARSE_STREAM))
+    dense_sel = [_select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, codes[c])))
+                 for c in dense]
+    cls = np.concatenate([sparse[cls], np.repeat(dense, K[dense])])
+    sel = np.concatenate([sel, *dense_sel])
+    del dense_sel
+    top = _edges_from_keys(_pair_keys(box, classes, cls, sel), box.n_vertices)
+    del cls, sel
+    if len(params_list) == 1:
         return [top]
-    u = (np.concatenate(words)[order] >> np.uint64(11)) * 2.0**-53
-    edge_class = np.repeat(nz, K[nz])[order]
+    u = (_stream(seed, _THIN_STREAM).random_raw(len(top)) >> np.uint64(11)) * 2.0**-53
+    edge_class = _edge_classes(box, top, codes)
     return [top[u < P[edge_class, i] / P[edge_class, -1]] for i in range(len(params_list) - 1)] + [top]
 
 
@@ -320,8 +382,10 @@ def sample_graph(params: ModelParams, box: Box, seed: int,
     Per displacement class v: the number of present edges is Binomial(N_v,
     p_v) with N_v the pair count and p_v the connection probability, and
     the chosen pairs are uniform without replacement.  The binomial count
-    vector comes from the reserved counts stream; each class's selection
-    uses its own keyed stream.  Raises MemoryCapExceeded before any large
+    vector comes from the reserved counts stream, the sparse classes'
+    pairs from one shared stream, and each dense class's pairs from its
+    own keyed stream (module docstring).  Raises ValueError for boxes of
+    2**31.5 vertices or more, and MemoryCapExceeded before any large
     allocation if the plan exceeds ``memory_cap_bytes``.
     """
     seed = _validate_seed(seed)
@@ -337,10 +401,10 @@ def sample_graph_coupled(params_list, box: Box, seed: int,
 
     All parameter sets must share (d, s, norm, kernel) and be sorted by
     beta.  The top rung is ``sample_graph`` at the largest beta, bit for
-    bit; each of its edges then takes one uniform U from its class stream
-    and is kept at rung i iff U < p_i(v) / p_top(v).  Every rung is thus
-    an exact sample at its own beta, and edge sets are nested along the
-    ladder by construction.
+    bit; each of its edges, in sorted order, then takes one uniform U from
+    the thinning stream and is kept at rung i iff U < p_i(v) / p_top(v).
+    Every rung is thus an exact sample at its own beta, and edge sets are
+    nested along the ladder by construction.
 
     Cost is O(#classes + #top-rung edges), as for sample_graph.
     """
@@ -370,6 +434,7 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
     Validates box membership, rejects self-loops, nearest-neighbor pairs
     (implicit edges), and duplicates; normalizes orientation and order.
     """
+    _check_edge_keys(box)
     e = np.asarray(edges, dtype=np.int64)
     if e.size == 0:
         e = np.empty((0, 2), dtype=np.int64)
@@ -381,14 +446,11 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
         raise ValueError("edge endpoint outside the box")
     if np.any(e[:, 0] == e[:, 1]):
         raise ValueError("self-loops are not allowed")
-    swap = e[:, 0] > e[:, 1]
-    e[swap] = e[swap][:, ::-1]
-    coords = box.coords_of(e)
-    disp = coords[:, 1, :] - coords[:, 0, :]
-    if np.any(np.abs(disp).sum(axis=1) == 1):
+    if np.any(np.abs(box.coords_of(e[:, 1]) - box.coords_of(e[:, 0])).sum(axis=1) == 1):
         raise ValueError("nearest-neighbor pairs are implicit and must not be listed")
-    edges_sorted = _finalize_edges([e])
-    if len(edges_sorted) > 1 and np.any(np.all(edges_sorted[1:] == edges_sorted[:-1], axis=1)):
+    keys = e.min(axis=1) * box.n_vertices + e.max(axis=1)
+    edges_sorted = _edges_from_keys(keys, box.n_vertices)
+    if np.any(keys[1:] == keys[:-1]):
         raise ValueError("duplicate edges")
     return GraphSample(params=params, box=box, seed=seed, long_edges=edges_sorted)
 

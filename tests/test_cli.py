@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from lrplab import (
+    GENERATOR_TAG,
     Box,
     ModelParams,
     derived_constants,
     distances_from,
     estimate_phi,
     sample_graph,
+    theta_fast,
     theta_recursive,
 )
 from lrplab.cli import _OPTIONS, ConfigError, _resolve, main
@@ -68,9 +70,11 @@ class TestExponentsCommand:
         run(tmp_path, "exponents", "--d", "1", "--s", "1.5", "--n-max", "64")
         _, rows = read_csv(tmp_path / "exponents.csv")
         pm = ModelParams(d=1, s=1.5, beta=1.0)
-        th = theta_recursive(pm, 64)
+        th = theta_fast(pm, 64)  # the command's route
+        ref = theta_recursive(pm, 64)
         for row in rows:
             assert float(row[1]) == th[int(row[0])]  # exact repr round trip
+            assert float(row[1]) == pytest.approx(ref[int(row[0])], rel=1e-12)
 
 
 class TestLimitCurveCommand:
@@ -106,7 +110,7 @@ class TestSampleCommand:
         lines = comments(tmp_path / "edges.csv")
         joined = "\n".join(lines)
         assert "d=2" in joined and "s=3.0" in joined and "beta=2.0" in joined
-        assert "seed=1" in joined and "generator=philox4x64-v1" in joined
+        assert "seed=1" in joined and f"generator={GENERATOR_TAG}" in joined
         header, rows = read_csv(tmp_path / "edges.csv")
         assert header == ["x_1", "x_2", "y_1", "y_2"]
 

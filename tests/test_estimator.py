@@ -51,7 +51,7 @@ class TestEstimatePhi:
         cov = phis.std(ddof=1) / phis.mean()
         assert cov < 0.5
         # Frozen on first execution; deterministic given (params, r, seeds).
-        assert est.phi_hat == pytest.approx(0.062005597703819325, rel=1e-12)
+        assert est.phi_hat == pytest.approx(0.062241360432731194, rel=1e-12)
 
     def test_record_bookkeeping(self):
         est = estimate_phi(PM, 300.0, n_replicas=3, seed0=42)

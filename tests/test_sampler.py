@@ -23,6 +23,7 @@ from lrplab import (
     unit_ball_volume,
 )
 
+import lrplab.sampler as sampler
 import oracles
 
 PM = ModelParams(d=1, s=1.5, beta=1.0)
@@ -175,6 +176,106 @@ class TestSampleGraph:
             sample_graph(PM, Box(d=1, radius=5), seed=-1)
 
 
+class _CountingWords:
+    """A bit generator proxy that counts the raw words it hands out."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+        self.words = 0
+
+    def random_raw(self, size):
+        self.words += size
+        return self.bit_generator.random_raw(size)
+
+
+class TestGeneratorV2:
+    def test_bounded_draws_unbiased(self):
+        # n = 3 * 2**30: without rejection, x * n >> 32 = floor(3x / 4) hits
+        # multiples of 3 from two of every four x, so residues mod 3 would
+        # come out 1/2, 1/4, 1/4 instead of 1/3 each.
+        n = 3 * 2**30
+        words = np.random.Philox(key=[5, 6]).random_raw(300_000)
+        values, accepted = sampler._bounded(words, np.full(words.size, n, dtype=np.uint64))
+        kept = values[accepted]
+        assert kept.min() >= 0 and kept.max() < n
+        assert abs(accepted.mean() - 0.75) < 0.01  # rejection rate (2**32 mod n) / 2**32 = 1/4
+        res = stats.chisquare(np.bincount(kept % 3, minlength=3))
+        assert res.pvalue > 0.001
+        res = stats.chisquare(np.bincount(kept * 8 // n, minlength=8))
+        assert res.pvalue > 0.001
+
+    def test_sparse_selection_distinct_and_uniform(self):
+        # k = N/64, the sparse limit: in-class duplicates are frequent and
+        # must be redrawn until each class holds k distinct indices.
+        k = np.repeat([2, 5, 40], [4000, 1000, 100])
+        n = 64 * k
+        words = _CountingWords(np.random.Philox(key=[1, 2]))
+        rows, sel = sampler._select_sparse(n, k, words)
+        assert words.words > k.sum()  # some slots were redrawn
+        np.testing.assert_array_equal(np.bincount(rows, minlength=len(k)), k)
+        assert np.all((sel >= 0) & (sel < n[rows]))
+        key = rows * 2**32 + sel
+        assert np.all(np.diff(key) > 0)  # sorted by (row, index) and distinct
+        res = stats.chisquare(np.bincount(sel[k[rows] == 2], minlength=128))
+        assert res.pvalue > 0.001
+
+    def test_mostly_sparse_box_matches_naive(self, monkeypatch):
+        # d=2, L=12, beta=2: about 97% of classes are sparse and a graph has
+        # about one in-class duplicate draw on average.
+        radius, n_seeds = 12, 800
+        pm = ModelParams(d=2, s=3.0, beta=2.0)
+        box = Box(d=2, radius=radius)
+        extra = []
+        select = sampler._select_sparse
+
+        def spy(N, K, bit_generator):
+            counted = _CountingWords(bit_generator)
+            out = select(N, K, counted)
+            extra.append(counted.words - int(K.sum()))
+            return out
+
+        monkeypatch.setattr(sampler, "_select_sparse", spy)
+        totals = []
+        for seed in range(n_seeds):
+            e = sample_graph(pm, box, seed=seed).long_edges
+            assert len(np.unique(e[:, 0] * box.n_vertices + e[:, 1])) == len(e)
+            totals.append(len(e))
+        assert sum(extra) > n_seeds / 4
+        probs = oracles.naive_pair_probabilities(2, radius, pm.s, pm.beta, norm=pm.norm)
+        naive = oracles.naive_edge_counts(probs, n_seeds, seed0=90_000)
+        res = stats.ks_2samp(totals, naive)
+        assert res.pvalue > 0.001
+
+    def test_sparse_classes_share_one_stream(self, monkeypatch):
+        # Only dense classes open a keyed stream of their own; every sparse
+        # class draws from the one sparse stream.
+        opened = []
+        philox = np.random.Philox
+
+        class Recorded(philox):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(np.random, "Philox", Recorded)
+        box = Box(d=1, radius=2**13)
+        g = sample_graph(ModelParams(d=1, s=1.5, beta=5.0), box, seed=3)
+        nonzero = len(np.unique(g.long_edges[:, 1] - g.long_edges[:, 0]))
+        assert nonzero > 2500
+        assert len(opened) <= 2 + 50
+
+    def test_oversized_box_refused_before_class_enumeration(self, monkeypatch):
+        def enumerate_classes(*args):
+            raise AssertionError("class enumeration reached")
+
+        monkeypatch.setattr(sampler, "_displacement_classes", enumerate_classes)
+        box = Box(1, 2**31)  # n = 2**32 + 1 vertices, n**2 >= 2**63
+        with pytest.raises(ValueError, match="n\\*\\*2"):
+            sample_graph(PM, box, seed=0)
+        with pytest.raises(ValueError, match="n\\*\\*2"):
+            sample_graph_coupled([PM], box, seed=0)
+
+
 class TestCoupledSampling:
     def test_nested_edge_sets(self):
         box = Box(d=1, radius=300)
@@ -259,6 +360,13 @@ class TestGraphFromEdges:
             graph_from_edges(PM, box, np.array([[[0], [25]]]))  # outside box
         with pytest.raises(ValueError):
             graph_from_edges(PM, box, np.array([[[0], [5]], [[5], [0]]]))  # duplicate
+
+    def test_input_array_left_unchanged(self):
+        box = Box(d=1, radius=20)
+        e = np.array([[25, 20], [20, 32]], dtype=np.int64)
+        g = graph_from_edges(PM, box, e)
+        np.testing.assert_array_equal(e, [[25, 20], [20, 32]])
+        np.testing.assert_array_equal(g.long_edges, [[20, 25], [20, 32]])
 
     def test_empty_edge_list(self):
         g = graph_from_edges(PM, Box(d=1, radius=5), np.empty((0, 2), dtype=int))
