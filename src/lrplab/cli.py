@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -33,14 +34,7 @@ import scipy
 
 from . import __version__
 from .model import NORMS, ModelParams, derived_constants, norm_value
-from .exponents import (
-    block_index,
-    ratio_report,
-    theta_closed_form,
-    theta_fast,
-    theta_recursive,
-    vartheta,
-)
+from .exponents import exponent_table, ratio_report, theta_closed_form, theta_fast, theta_recursive
 from .limits import lambda_of_t, lower_curve, psi_limit
 from .sampler import (GENERATOR_TAG, Box, compute_c0, graph_from_edges, sample_graph,
                       sample_graph_coupled, sample_z)
@@ -74,9 +68,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns_doc: str, config_hash: str, header, rows, created: list) -> None:
+def _write_csv(path: Path, columns_doc: str, config_hash: str, header, rows, created: list,
+               params_doc: str | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# columns: {columns_doc}\n")
+        if params_doc is not None:
+            fh.write(f"# params: {params_doc}\n")
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -385,12 +382,9 @@ def _config_hash(command: str, raw: dict) -> str:
 
 def _cmd_exponents(cfg, config_hash, outdir, created):
     params, n_max = cfg["params"], cfg["n_max"]
-    theta = theta_fast(params, n_max)
-    vth = vartheta(params, n_max)
-    rows = [
-        (n, theta[n], theta_closed_form(params, n), vth[n], block_index(n))
-        for n in range(n_max + 1)
-    ]
+    table = exponent_table(params, n_max)
+    rows = zip(table.n.tolist(), table.theta.tolist(), table.theta_closed_form.tolist(),
+               table.vartheta.tolist(), table.block_index.tolist())
     _write_csv(outdir / "exponents.csv",
                "n (index), theta (hop exponent), theta_closed_form (block formula), "
                "vartheta (shrink exponent), block (dyadic block index of n)",
@@ -431,22 +425,15 @@ def _cmd_sample(cfg, config_hash, outdir, created):
     params = cfg["params"]
     box = Box(params.d, cfg["L"])
     sample = sample_graph(params, box, cfg["seed"])
-    heads = box.coords_of(sample.long_edges[:, 0])
-    tails = box.coords_of(sample.long_edges[:, 1])
-    rows = ((*heads[k].tolist(), *tails[k].tolist()) for k in range(sample.n_long_edges))
-    path = outdir / "edges.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# columns: x_1..x_d, y_1..y_d (endpoints of one long edge; "
-                 "nearest-neighbor edges are implicit)\n")
-        fh.write(f"# params: d={params.d} s={_fmt(params.s)} beta={_fmt(params.beta)} "
-                 f"norm={params.norm} kernel={params.kernel.kind}; "
-                 f"box_radius={box.radius}; seed={cfg['seed']}; generator={GENERATOR_TAG}\n")
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_coord_header("x", params.d) + _coord_header("y", params.d))
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    created.append(path)
+    tails = box.coords_of(sample.long_edges[:, 0])
+    heads = box.coords_of(sample.long_edges[:, 1])
+    _write_csv(outdir / "edges.csv",
+               "x_1..x_d, y_1..y_d (endpoints of one long edge; nearest-neighbor edges are implicit)",
+               config_hash, _coord_header("x", params.d) + _coord_header("y", params.d),
+               ((*x.tolist(), *y.tolist()) for x, y in zip(tails, heads)), created,
+               params_doc=f"d={params.d} s={_fmt(params.s)} beta={_fmt(params.beta)} "
+                          f"norm={params.norm} kernel={params.kernel.kind}; "
+                          f"box_radius={box.radius}; seed={cfg['seed']}; generator={GENERATOR_TAG}")
     if cfg["z_draws"] > 0:
         rng = np.random.default_rng([cfg["seed"], _Z_STREAM_TAG])
         draws = sample_z(params, cfg["eta"], rng, size=cfg["z_draws"])
@@ -471,10 +458,9 @@ def _cmd_distances(cfg, config_hash, outdir, created):
         sample, sample2 = sample_graph_coupled([params, params2], box, cfg["seed"])
         extra_fields = [distances_from(sample2, source)]
     field = distances_from(sample, source)
-    coords = box.coords_of(np.arange(box.n_vertices))
-    dist_cols = [field.dist] + [f.dist for f in extra_fields]
-    rows = ((i, *coords[i].tolist(), *(int(col[i]) for col in dist_cols))
-            for i in range(box.n_vertices))
+    coords = itertools.product(range(-L, L + 1), repeat=params.d)  # index order
+    dist_cols = [f.dist.tolist() for f in [field, *extra_fields]]
+    rows = ((i, *x, *dists) for i, (x, *dists) in enumerate(zip(coords, *dist_cols)))
     doc = "index (vertex index); x_* (lattice coordinates); dist (chemical distance from the source)"
     header = ["index"] + _coord_header("x", params.d) + ["dist"]
     if extra_fields:
@@ -482,8 +468,7 @@ def _cmd_distances(cfg, config_hash, outdir, created):
         header.append("dist_beta2")
     _write_csv(outdir / "distances.csv", doc, config_hash, header, rows, created)
 
-    nrm = norm_value(coords - source, params.norm)
-    ball = nrm <= L
+    ball = box.norm_field(source, params.norm) <= L
     ball_dists = field.dist[ball].astype(np.float64)
     median = float(np.median(ball_dists))
     summary = {
@@ -526,8 +511,7 @@ def _cmd_figure1(cfg, config_hash, outdir, created):
     samples = sample_graph_coupled(params_list, box, cfg["seed"])
     origin = np.zeros(d, dtype=np.int64)
     fields = [distances_from(sm, origin) for sm in samples]
-    xs = box.coords_of(np.arange(box.n_vertices))[:, 0]
-    rows = zip(xs.tolist(), fields[0].dist.tolist(), fields[1].dist.tolist())
+    rows = zip(range(-L, L + 1), fields[0].dist.tolist(), fields[1].dist.tolist())
     _write_csv(outdir / "figure1.csv",
                "x (lattice coordinate); dist_beta1, dist_beta5 (chemical distance from 0; "
                "coupled seeds, so dist_beta5 <= dist_beta1)",

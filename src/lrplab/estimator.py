@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .model import ModelParams, derived_constants, norm_value
+from .model import ModelParams, derived_constants
 from .sampler import (
     DEFAULT_MEMORY_CAP,
     Box,
@@ -68,12 +68,6 @@ class PhiEstimate:
     records: tuple
 
 
-def _annulus_mask(box: Box, norm_kind: str, r: float, delta: float) -> np.ndarray:
-    coords = box.coords_of(np.arange(box.n_vertices))
-    nrm = norm_value(coords, norm_kind)
-    return (nrm >= delta * r) & (nrm < r)
-
-
 def _log_r_power(params: ModelParams, r: float) -> float:
     _, delta_exp = derived_constants(params)
     return math.log(r) ** delta_exp
@@ -88,7 +82,9 @@ def _replica(args) -> list:
     params_list, r, seed, delta, memory_cap_bytes = args
     t0 = time.perf_counter()
     box = Box(params_list[0].d, int(math.ceil(r)))
-    mask = _annulus_mask(box, params_list[0].norm, r, delta)
+    nrm = box.norm_field((0,) * box.d, params_list[0].norm)
+    mask = (nrm >= delta * r) & (nrm < r)
+    del nrm
     n_points = int(np.count_nonzero(mask))
     if n_points < 100:
         raise ValueError(
@@ -112,14 +108,23 @@ def _replica(args) -> list:
     return records
 
 
-def _bootstrap_ci(values: np.ndarray, rng: np.random.Generator,
-                  n_bootstrap: int) -> tuple:
-    if values.size == 1:
-        v = float(values[0])
+def _bootstrap_ci(rng: np.random.Generator, n_bootstrap: int, stat, *samples) -> tuple:
+    """Percentile-bootstrap 95% CI of ``stat`` of the replica means of ``samples``.
+
+    Every sample holds the same replicas on its last axis.  Per sample, in
+    order, one (n_bootstrap, n) matrix of replica indices is drawn from
+    ``rng``; ``stat`` gets each sample's resampled means (its replica axis
+    replaced by a bootstrap axis) and the CI is their 2.5 and 97.5
+    percentiles.  With one replica both ends are ``stat`` of the plain
+    means, and ``rng`` is not touched.
+    """
+    n = samples[0].shape[-1]
+    if n == 1:
+        v = float(stat(*(s.mean(axis=-1) for s in samples)))
         return v, v
-    idx = rng.integers(0, values.size, size=(n_bootstrap, values.size))
-    means = values[idx].mean(axis=1)
-    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+    means = [s[..., rng.integers(0, n, size=(n_bootstrap, n))].mean(axis=-1) for s in samples]
+    boot = stat(*means)
+    return float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))
 
 
 def _estimate_ladder(params_list: list, r: float, n_replicas: int, seed0: int, delta: float,
@@ -136,7 +141,7 @@ def _estimate_ladder(params_list: list, r: float, n_replicas: int, seed0: int, d
     for bi, (pm, key) in enumerate(zip(params_list, bootstrap_keys)):
         records = tuple(rep[bi] for rep in per_replica)
         phis = np.array([rec.phi_hat for rec in records])
-        ci_low, ci_high = _bootstrap_ci(phis, np.random.default_rng(key), n_bootstrap)
+        ci_low, ci_high = _bootstrap_ci(np.random.default_rng(key), n_bootstrap, lambda m: m, phis)
         out.append(PhiEstimate(params=pm, r=float(r), n_replicas=n_replicas, seed0=int(seed0),
                                phi_hat=float(phis.mean()), ci_low=ci_low, ci_high=ci_high,
                                records=records))
@@ -177,9 +182,11 @@ def estimate_phi_ladder(params_list, r: float, n_replicas: int, seed0: int,
 def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: float) -> float:
     """Fraction of ball vertices whose distance deviates from ``scale``.
 
-    Counts x in B(source, r) (kernel norm, weak inequality) with
-    |D(source, x)/scale - 1| > epsilon, normalized by the lattice-point
-    count |B(source, r)|.
+    Counts the box vertices x in B(source, r) (kernel norm, weak
+    inequality) with |D(source, x)/scale - 1| > epsilon, normalized by the
+    number of box vertices in B(source, r).  That is the lattice-point
+    count |B(source, r)| only when the ball fits in the box, which an
+    off-centre source can break even for r <= the box radius.
     """
     if not scale > 0:
         raise ValueError("scale must be > 0")
@@ -188,10 +195,7 @@ def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: flo
     box = field.sample.box
     if r > box.radius:
         raise ValueError(f"r={r} exceeds the box radius {box.radius}")
-    coords = box.coords_of(np.arange(box.n_vertices))
-    center = np.asarray(field.source, dtype=np.int64)
-    nrm = norm_value(coords - center, field.sample.params.norm)
-    mask = nrm <= r
+    mask = box.norm_field(field.source, field.sample.params.norm) <= r
     ratios = field.dist[mask].astype(np.float64) / scale
     return float(np.count_nonzero(np.abs(ratios - 1.0) > epsilon) / np.count_nonzero(mask))
 
@@ -226,16 +230,8 @@ def periodicity_diagnostic(params: ModelParams, r: float, n_replicas: int, seed0
     phis1 = np.array([rec.phi_hat for rec in est1.records])
     phis2 = np.array([rec.phi_hat for rec in est2.records])
     gap = (est2.phi_hat - est1.phi_hat) / est1.phi_hat
-    rng = np.random.default_rng([seed0, _GAP_TAG])
-    if n_replicas == 1:
-        lo = hi = gap
-    else:
-        idx1 = rng.integers(0, n_replicas, size=(n_bootstrap, n_replicas))
-        idx2 = rng.integers(0, n_replicas, size=(n_bootstrap, n_replicas))
-        m1 = phis1[idx1].mean(axis=1)
-        m2 = phis2[idx2].mean(axis=1)
-        gaps = (m2 - m1) / m1
-        lo, hi = float(np.percentile(gaps, 2.5)), float(np.percentile(gaps, 97.5))
+    lo, hi = _bootstrap_ci(np.random.default_rng([seed0, _GAP_TAG]), n_bootstrap,
+                           lambda m1, m2: (m2 - m1) / m1, phis1, phis2)
     return PeriodicityDiagnostic(r=float(r), r_next=float(r_next), estimate_r=est1,
                                  estimate_r_next=est2, relative_gap=float(gap),
                                  gap_ci_low=lo, gap_ci_high=hi)
@@ -347,16 +343,8 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
             limits = np.array([c.limit for c in live])
             rank = float(stats.spearmanr(values, limits)[0]) if len(live) > 1 else math.nan
             phi_mat = np.array([c.replica_phis for c in live])  # (cells, replicas)
-            n_rep = phi_mat.shape[1]
-            if n_rep > 1:
-                idx = rng.integers(0, n_rep, size=(n_bootstrap, n_rep))
-                boot = np.empty(n_bootstrap)
-                for b in range(n_bootstrap):
-                    vals_b = phi_mat[:, idx[b]].mean(axis=1) * lb_pow
-                    boot[b] = np.abs(vals_b - limits).mean()
-                ci_lo, ci_hi = float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))
-            else:
-                ci_lo = ci_hi = float(discrepancies.mean())
+            ci_lo, ci_hi = _bootstrap_ci(rng, n_bootstrap,
+                                         lambda m: np.abs(m.T * lb_pow - limits).mean(axis=-1), phi_mat)
             summaries.append(CollapseSummary(
                 beta=pm.beta, n_cells=len(mine), n_missing=len(mine) - len(live),
                 max_abs_discrepancy=float(discrepancies.max()),
@@ -414,8 +402,7 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     if not 0 < shell_halfwidth < 1:
         raise ValueError("shell_halfwidth must be in (0, 1)")
     box = Box(params.d, int(math.ceil(max(radii) * (1 + shell_halfwidth))))
-    coords = box.coords_of(np.arange(box.n_vertices))
-    nrm = norm_value(coords, params.norm)
+    nrm = box.norm_field((0,) * box.d, params.norm)
 
     hits = np.zeros(len(radii), dtype=np.int64)
     points = np.zeros(len(radii), dtype=np.int64)

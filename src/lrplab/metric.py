@@ -72,9 +72,8 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
     """Level-synchronous BFS from src_idx; returns int32 distances, -1 = unreached.
 
     ``until``: stop once this vertex's level is fixed.  ``max_level``: do
-    not expand past this level.  ``allow``: vectorized predicate over
-    candidate index arrays, evaluated on the fly (used for restricted
-    distances; never materialized as a vertex set).
+    not expand past this level.  ``allow``: boolean mask over box vertices;
+    only vertices it admits are entered (used for restricted distances).
     """
     box = sample.box
     indptr, nbrs = _adjacency(sample)
@@ -93,8 +92,8 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
             _long_candidates(indptr, nbrs, frontier),
         ])
         cand = cand[dist[cand] < 0]
-        if allow is not None and cand.size:
-            cand = cand[allow(cand)]
+        if allow is not None:
+            cand = cand[allow[cand]]
         if cand.size == 0:
             break
         frontier = np.unique(cand)
@@ -157,13 +156,6 @@ def _restricted_bfs(sample: GraphSample, x, y, radius: float, strict: bool) -> R
     xi = _as_index(box, x)
     yi = _as_index(box, y)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    kind = sample.params.norm
-
-    def allow(cand):
-        delta = box.coords_of(cand) - x_arr
-        nn = norm_value(delta, kind)
-        nn = np.atleast_1d(nn)
-        return nn < radius if strict else nn <= radius
 
     # extreme admissible coordinate deviation along an axis (unit vectors have
     # norm 1 in every supported norm)
@@ -172,11 +164,11 @@ def _restricted_bfs(sample: GraphSample, x, y, radius: float, strict: bool) -> R
 
     if xi == yi:
         return RestrictedDistanceResult(value=0, constraint_radius=radius, truncated_by_box=truncated)
-    target_norm = norm_value(np.asarray(y, dtype=np.int64) - x_arr, kind)
-    reachable_target = target_norm < radius if strict else target_norm <= radius
-    if not reachable_target:
+    admissible = box.norm_field(x_arr, sample.params.norm)
+    admissible = admissible < radius if strict else admissible <= radius
+    if not admissible[yi]:
         return RestrictedDistanceResult(value=math.inf, constraint_radius=radius, truncated_by_box=truncated)
-    dist = _bfs(sample, xi, until=yi, allow=allow)
+    dist = _bfs(sample, xi, until=yi, allow=admissible)
     value = int(dist[yi]) if dist[yi] >= 0 else math.inf
     return RestrictedDistanceResult(value=value, constraint_radius=radius, truncated_by_box=truncated)
 

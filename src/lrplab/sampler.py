@@ -48,6 +48,7 @@ import numpy as np
 from scipy import integrate
 
 from .model import (
+    NORMS,
     ModelParams,
     connection_probabilities,
     derived_constants,
@@ -64,6 +65,10 @@ GENERATOR_TAG = "philox4x64-v2"
 _COUNTS_STREAM = np.uint64(1) << np.uint64(63)
 _SPARSE_STREAM = _COUNTS_STREAM + np.uint64(1)
 _THIN_STREAM = _COUNTS_STREAM + np.uint64(2)
+
+# Norm kind -> (per-axis term, combining ufunc); ell2 takes a square root at the end.
+_SEPARABLE_NORMS = {"ell1": (np.abs, np.add), "ell2": (np.square, np.add),
+                    "ellinf": (np.abs, np.maximum)}
 
 
 class MemoryCapExceeded(RuntimeError):
@@ -144,6 +149,27 @@ class Box:
     def contains(self, coords):
         arr = np.asarray(coords, dtype=np.int64)
         return np.all(np.abs(arr) <= self.radius, axis=-1)
+
+    def norm_field(self, center, kind: str) -> np.ndarray:
+        """Norm of x - center for every box vertex x, in index order (float64).
+
+        Equals ``norm_value(coords - center, kind)`` with ``coords`` the
+        (n_vertices, d) array of all vertex coordinates, but is built
+        separably from one axis of offsets per dimension, so that array is
+        never materialised.  ``center`` may lie outside the box.
+        """
+        if kind not in _SEPARABLE_NORMS:
+            raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORMS}")
+        c = np.atleast_1d(np.asarray(center, dtype=np.int64))
+        if c.shape != (self.d,):
+            raise ValueError(f"center must be a {self.d}-vector, got {center!r}")
+        term, combine = _SEPARABLE_NORMS[kind]
+        axis = np.arange(-self.radius, self.radius + 1, dtype=np.float64)
+        field = term(axis - c[0])
+        for ci in c[1:]:
+            field = combine.outer(field, term(axis - ci))
+        field = field.reshape(-1)
+        return np.sqrt(field, out=field) if kind == "ell2" else field
 
 
 @dataclass(eq=False)
@@ -384,15 +410,12 @@ def sample_graph(params: ModelParams, box: Box, seed: int,
     the chosen pairs are uniform without replacement.  The binomial count
     vector comes from the reserved counts stream, the sparse classes'
     pairs from one shared stream, and each dense class's pairs from its
-    own keyed stream (module docstring).  Raises ValueError for boxes of
-    2**31.5 vertices or more, and MemoryCapExceeded before any large
+    own keyed stream (module docstring).  This is the ladder of one,
+    ``sample_graph_coupled([params], ...)``.  Raises ValueError for boxes
+    of 2**31.5 vertices or more, and MemoryCapExceeded before any large
     allocation if the plan exceeds ``memory_cap_bytes``.
     """
-    seed = _validate_seed(seed)
-    if params.d != box.d:
-        raise ValueError(f"params dimension {params.d} does not match box dimension {box.d}")
-    (edges,) = _sample_rungs([params], box, seed, memory_cap_bytes)
-    return GraphSample(params=params, box=box, seed=seed, long_edges=edges)
+    return sample_graph_coupled([params], box, seed, memory_cap_bytes)[0]
 
 
 def sample_graph_coupled(params_list, box: Box, seed: int,
@@ -400,9 +423,10 @@ def sample_graph_coupled(params_list, box: Box, seed: int,
     """Sample monotone-coupled graphs for an ascending beta ladder.
 
     All parameter sets must share (d, s, norm, kernel) and be sorted by
-    beta.  The top rung is ``sample_graph`` at the largest beta, bit for
-    bit; each of its edges, in sorted order, then takes one uniform U from
-    the thinning stream and is kept at rung i iff U < p_i(v) / p_top(v).
+    beta.  The top rung is ``sample_graph`` at the largest beta (a ladder
+    of one), bit for bit; each of its edges, in sorted order, then takes
+    one uniform U from the thinning stream and is kept at rung i iff
+    U < p_i(v) / p_top(v).
     Every rung is thus an exact sample at its own beta, and edge sets are
     nested along the ladder by construction.
 
@@ -463,6 +487,14 @@ class C0Estimate:
     budget: int
 
 
+@lru_cache(maxsize=None)
+def _c0_quadrature(d: int, norm_kind: str) -> tuple:
+    """c0 = v_d^2 * Int_0^1 sqrt(1 - u^2) du by quadrature, with its error bound."""
+    vd = unit_ball_volume(d, norm_kind)
+    integral, abserr = integrate.quad(lambda u: math.sqrt(max(0.0, 1.0 - u * u)), 0.0, 1.0)
+    return vd * vd * integral, vd * vd * abserr
+
+
 def compute_c0(params: ModelParams, method: str = "quadrature", budget: int = 10**6,
                seed: int = 0) -> C0Estimate:
     """The volume constant c0 = vol{(z, z') in R^d x R^d : |z|^{2d} + |z'|^{2d} <= 1}.
@@ -475,11 +507,9 @@ def compute_c0(params: ModelParams, method: str = "quadrature", budget: int = 10
     if budget < 10**4:
         raise ValueError("budget must be at least 1e4 evaluations")
     d = params.d
-    vd = unit_ball_volume(d, params.norm)
     if method == "quadrature":
-        integral, abserr = integrate.quad(lambda u: math.sqrt(max(0.0, 1.0 - u * u)), 0.0, 1.0)
-        return C0Estimate(value=vd * vd * integral, standard_error=vd * vd * abserr,
-                          method=method, budget=budget)
+        value, abserr = _c0_quadrature(d, params.norm)
+        return C0Estimate(value=value, standard_error=abserr, method=method, budget=budget)
     if method == "monte_carlo":
         rng = np.random.default_rng(seed)
         hits = 0
@@ -497,13 +527,6 @@ def compute_c0(params: ModelParams, method: str = "quadrature", budget: int = 10
                           standard_error=cube * math.sqrt(max(phat * (1 - phat), 1e-300) / budget),
                           method=method, budget=budget)
     raise ValueError(f"unknown method {method!r}; expected 'quadrature' or 'monte_carlo'")
-
-
-@lru_cache(maxsize=None)
-def _c0_cached(d: int, norm_kind: str) -> float:
-    vd = unit_ball_volume(d, norm_kind)
-    integral, _ = integrate.quad(lambda u: math.sqrt(max(0.0, 1.0 - u * u)), 0.0, 1.0)
-    return vd * vd * integral
 
 
 def _uniform_in_ball(rng: np.random.Generator, m: int, d: int, kind: str) -> np.ndarray:
@@ -538,7 +561,7 @@ def sample_z(params: ModelParams, eta: float, rng: np.random.Generator, size: in
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     d = params.d
-    c0 = _c0_cached(d, params.norm)
+    c0 = _c0_quadrature(d, params.norm)[0]
     alpha = 2 * d
     a = ((d + alpha) / (2 * d * eta * c0)) ** (1.0 / (2 * d))
     target = 1 if size is None else int(size)

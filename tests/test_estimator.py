@@ -52,6 +52,8 @@ class TestEstimatePhi:
         assert cov < 0.5
         # Frozen on first execution; deterministic given (params, r, seeds).
         assert est.phi_hat == pytest.approx(0.062241360432731194, rel=1e-12)
+        # Bootstrap CI bytes, keyed [seed0, _BOOTSTRAP_TAG].
+        assert (est.ci_low, est.ci_high) == (0.06059102133034816, 0.06389169953511421)
 
     def test_record_bookkeeping(self):
         est = estimate_phi(PM, 300.0, n_replicas=3, seed0=42)
@@ -192,6 +194,8 @@ class TestPeriodicityDiagnostic:
         diag = periodicity_diagnostic(pm, 1e4, n_replicas=2, seed0=0)
         assert diag.relative_gap == pytest.approx(-0.2727272727272726, rel=1e-9)
         assert diag.gap_ci_low <= diag.relative_gap <= diag.gap_ci_high
+        # Paired-bootstrap CI bytes, keyed [seed0, _GAP_TAG].
+        assert (diag.gap_ci_low, diag.gap_ci_high) == (-0.33333333333333326, -0.19999999999999987)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +238,13 @@ class TestCollapseReport:
                 float(np.mean(discrepancies)), rel=1e-12)
             assert -1.0 <= summary.rank_correlation <= 1.0
             assert summary.mean_abs_ci_low <= summary.mean_abs_ci_high
+
+    def test_regression_ci(self, small_report):
+        # Bootstrap CI bytes of the beta = e**3 summary, keyed [seed0, _COLLAPSE_TAG].
+        summary = small_report.summaries[0]
+        assert summary.beta == math.e**3
+        assert (summary.mean_abs_ci_low, summary.mean_abs_ci_high) == \
+            (0.39460757335475327, 0.4393767956012719)
 
     def test_missing_cells_on_box_cap(self):
         params_list = [ModelParams(d=1, s=1.5, beta=math.e**3)]

@@ -66,6 +66,26 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(d=1, radius=0)
 
+    @pytest.mark.parametrize("kind", ["ell1", "ell2", "ellinf"])
+    def test_norm_field_equals_norm_of_coordinates(self, kind):
+        for d, radius, centers in [(1, 7, [(0,), (5,), (-9,)]),
+                                   (2, 4, [(0, 0), (3, -4), (-1, 6)]),
+                                   (3, 3, [(0, 0, 0), (2, -3, 1), (-3, 3, 4)])]:
+            box = Box(d=d, radius=radius)
+            coords = box.coords_of(np.arange(box.n_vertices))
+            for center in centers:
+                field = box.norm_field(center, kind)
+                expected = norm_value(coords - np.array(center), kind)
+                assert field.dtype == np.float64 and field.shape == (box.n_vertices,)
+                assert np.array_equal(field, expected), (d, center)
+
+    def test_norm_field_validation(self):
+        box = Box(d=2, radius=3)
+        with pytest.raises(ValueError):
+            box.norm_field((0, 0), "ell3")
+        with pytest.raises(ValueError):
+            box.norm_field((0, 0, 0), "ell2")
+
 
 def brute_force_pairs(params, box):
     """All unordered non-nearest-neighbor pairs with their probabilities."""
