@@ -476,6 +476,9 @@ def _cmd_distances(cfg, config_hash, outdir, created):
         "source": list(cfg["source"]),
         "n_vertices": box.n_vertices,
         "n_long_edges": sample.n_long_edges,
+        "ball_points": int(ball_dists.size),
+        # the ball pokes out of the box (RestrictedDistanceResult.truncated_by_box at weak radius L)
+        "ball_truncated_by_box": bool(np.any(np.abs(source) + L > box.radius)),
         "median_distance_in_ball": median,
         "max_distance": int(field.dist.max()),
     }

@@ -3,8 +3,21 @@
 All edges have unit weight, so single-source distances come from
 breadth-first search.  Nearest-neighbor moves are generated arithmetically
 from the box indexing (never stored); long edges are kept in a compressed
-adjacency built once per sample and cached on it.  The frontier is held as
-flat index arrays, one generation at a time.
+adjacency built once per sample and cached on it.
+
+Adjacency layout: ``indptr`` (int64, n + 1) and ``nbrs`` (uint32, 2m;
+boxes have fewer than 2**31.5 vertices, so every index fits).  Row u holds
+the tails of the edges into u, ascending, then the heads of the edges out
+of u, ascending, so every row is ascending.  Since ``long_edges`` is sorted
+by (tail, head), the out-halves are placed by degree offsets without a
+sort, and only the in-halves' keys ``head * n + tail`` are sorted.
+
+The frontier is held as a flat index array, one generation at a time.  A
+level's candidates are deduplicated by stamping: one n-length buffer per
+search takes ``stamp[cand] = arange(cand.size)``, and the candidates that
+read their own position back are the first occurrence of each vertex.
+The frontier is thus in first-seen order, not sorted; the level sets, and
+so the distances, do not depend on that order.
 """
 
 from __future__ import annotations
@@ -18,19 +31,49 @@ from .model import norm_value, derived_constants
 from .sampler import Box, GraphSample
 
 
+def _check_long_edges(edges: np.ndarray, n: int):
+    """Raise ValueError unless ``edges`` is in the ``GraphSample.long_edges`` order."""
+    if not len(edges):
+        return
+    tail, head = edges[:, 0], edges[:, 1]
+    keys = tail * n
+    keys += head
+    if tail.min() < 0 or head.max() >= n or np.any(tail >= head) or np.any(keys[1:] <= keys[:-1]):
+        raise ValueError("long_edges must be vertex index pairs (i, j) with 0 <= i < j < n_vertices, "
+                         "sorted by strictly increasing i * n_vertices + j")
+
+
 def _adjacency(sample: GraphSample):
-    """Compressed long-edge adjacency (indptr, neighbors), cached on the sample."""
+    """Compressed long-edge adjacency (indptr, neighbors), cached on the sample.
+
+    Raises ValueError if ``sample.long_edges`` breaks its documented order.
+    """
     if sample._adjacency is not None:
         return sample._adjacency
     n = sample.box.n_vertices
     e = sample.long_edges
-    u = np.concatenate([e[:, 0], e[:, 1]])
-    v = np.concatenate([e[:, 1], e[:, 0]])
-    counts = np.bincount(u, minlength=n)
+    _check_long_edges(e, n)
+    m = len(e)
+    tail, head = e[:, 0], e[:, 1]
+    in_end = np.cumsum(np.bincount(head, minlength=n))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(u, kind="stable")
-    nbrs = v[order]
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    indptr[1:] += in_end
+    nbrs = np.empty(2 * m, dtype=np.uint32)
+    # Out-halves: the k-th edge sits after the in-halves of rows <= its tail
+    # and the out-entries of the edges before it.
+    pos = in_end[tail]
+    pos += np.arange(m)
+    nbrs[pos] = head
+    is_in = np.ones(2 * m, dtype=bool)
+    is_in[pos] = False
+    del pos
+    # In-halves fill the remaining slots in (head, tail) order.
+    keys = head * n
+    keys += tail
+    keys.sort()
+    keys %= n
+    nbrs[is_in] = keys
     sample._adjacency = (indptr, nbrs)
     return sample._adjacency
 
@@ -57,14 +100,19 @@ def _nn_candidates(box: Box, frontier: np.ndarray) -> np.ndarray:
 
 
 def _long_candidates(indptr: np.ndarray, nbrs: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Concatenated adjacency rows of the frontier, in frontier order."""
     starts = indptr[frontier]
     cnt = indptr[frontier + 1] - starts
-    total = int(cnt.sum())
-    if total == 0:
+    nonzero = cnt > 0
+    starts, cnt = starts[nonzero], cnt[nonzero]
+    if not cnt.size:
         return np.empty(0, dtype=np.int64)
-    offsets = np.repeat(starts, cnt)
-    within = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    return nbrs[offsets + within]
+    # Ragged arange: unit steps within a row, a jump to the next row's start between rows.
+    idx = np.ones(int(cnt.sum()), dtype=np.int64)
+    idx[0] = starts[0]
+    idx[np.cumsum(cnt[:-1])] = starts[1:] - (starts[:-1] + cnt[:-1] - 1)
+    np.cumsum(idx, out=idx)
+    return nbrs[idx]
 
 
 def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
@@ -79,6 +127,7 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
     indptr, nbrs = _adjacency(sample)
     dist = np.full(box.n_vertices, -1, dtype=np.int32)
     dist[src_idx] = 0
+    stamp = np.empty(box.n_vertices, dtype=np.int64)
     frontier = np.array([src_idx], dtype=np.int64)
     level = 0
     while frontier.size:
@@ -91,12 +140,15 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
             _nn_candidates(box, frontier),
             _long_candidates(indptr, nbrs, frontier),
         ])
-        cand = cand[dist[cand] < 0]
+        keep = dist[cand] < 0
         if allow is not None:
-            cand = cand[allow[cand]]
+            keep &= allow[cand]
+        cand = cand[keep]
         if cand.size == 0:
             break
-        frontier = np.unique(cand)
+        order = np.arange(cand.size)
+        stamp[cand] = order
+        frontier = cand[stamp[cand] == order]
         dist[frontier] = level
     return dist
 

@@ -342,23 +342,28 @@ def _edge_classes(box: Box, edges: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
                        max_class_pairs: float) -> float:
-    """Peak bytes of sampling plus the adjacency a consumer builds on each rung.
+    """Peak bytes of sampling plus the adjacency and BFS a consumer runs on each rung.
 
     Per class: the class rows, pair counts, codes, edge counts and one
     probability per rung.  Per expected top-rung edge, the largest of the
-    stages that hold int64 arrays at once: decoding (class row and pair
-    index of every draw, the key and two temporaries: 40 bytes), the sorted
-    key beside the edge array (24), and a consumer's adjacency build
-    (edges, both endpoint columns, the argsort order and the neighbour
-    list: 80).  Each lower rung keeps its edges and cached neighbour list
-    (32 per edge) and row pointers (8 per vertex) alive; every vertex also
-    has degree counts, the BFS distances and frontier (32).  The dense
-    classes' partial shuffle holds a permutation of at most the largest
-    class.
+    stages that hold arrays at once: decoding (class row and pair index of
+    every draw, the key and two temporaries: 40 bytes), the sorted key
+    beside the edge array (24), a consumer's adjacency build (edges 16, the
+    uint32 neighbour list 8, the int64 out-half positions and their arange
+    16, the in-slot mask 2; the in-half keys are sorted after the positions
+    are freed: 42), and a BFS (edges and neighbour list 24, plus one
+    level's long-edge candidates, their gather index, masks and stamps:
+    24).  Each lower rung keeps its edges and cached neighbour list (24 per
+    edge) and row pointers and distances (12 per vertex) alive.  Every
+    vertex also has the replica's float64 norm field and annulus mask (9),
+    row pointers (8), the BFS distances and int64 stamp buffer (12), and
+    the larger of the build's degree counts and a level's frontier with its
+    nearest-neighbour candidates (35).  The dense classes' partial shuffle
+    holds a permutation of at most the largest class.
     """
-    per_vertex = (32.0 + 8.0 * (n_rungs - 1)) * box.n_vertices
+    per_vertex = (64.0 + 12.0 * (n_rungs - 1)) * box.n_vertices
     per_class = (8.0 * box.d + 32.0 + 8.0 * n_rungs) * n_classes
-    per_edge = 80.0 + 32.0 * (n_rungs - 1)
+    per_edge = 48.0 + 24.0 * (n_rungs - 1)
     return per_vertex + per_class + per_edge * expected_edges + 8.0 * max_class_pairs
 
 

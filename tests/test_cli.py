@@ -139,6 +139,15 @@ class TestDistancesCommand:
         assert summary["n_vertices"] == g.box.n_vertices
         assert summary["max_distance"] == int(field.dist.max())
 
+    @pytest.mark.parametrize("source, points, truncated", [("30,-50", 4111, True),
+                                                           ("0,0", 7321, False)])
+    def test_summary_reports_ball_truncation(self, tmp_path, source, points, truncated):
+        assert run(tmp_path, "distances", "--d", "2", "--s", "3.0", "--beta", "2.0", "--L", "60",
+                   "--seed", "0", "--source", source, "--norm", "ell1") == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["ball_points"] == points
+        assert summary["ball_truncated_by_box"] is truncated
+
     def test_coupled_second_beta_column(self, tmp_path):
         assert run(tmp_path, "distances", "--d", "1", "--s", "1.5", "--beta", "1.0",
                    "--beta2", "5.0", "--L", "60", "--seed", "2") == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from lrplab import (
     Box,
+    GraphSample,
     ModelParams,
     distance_pair,
     distances_from,
@@ -17,6 +19,7 @@ from lrplab import (
     sample_graph_coupled,
     table_kernel,
 )
+from lrplab.metric import _adjacency
 
 import oracles
 
@@ -342,3 +345,141 @@ class TestIntrinsicBall:
         field = distances_from(g, np.array([1, -2]))
         for k in (0, 1, 2, 5):
             assert intrinsic_ball(g, np.array([1, -2]), k) == int(np.sum(field.dist <= k))
+
+
+class TestRegressionPins:
+    """Distance bytes read from the implementation before the CSR and BFS rewrite."""
+
+    CASES = {
+        "d1": (ModelParams(d=1, s=1.5, beta=5.0), 4096, 41,
+               "51f620c8cbd94cb9a9ec7c62e8c07ed33c877ae68c732013b0f1c2fd54d7ee31"),
+        "d2": (ModelParams(d=2, s=3.0, beta=2.0), 60, 42,
+               "4e17d0f20882d98ce1fc1d7b3938e463f77926e6a663597a7426e3acea66436d"),
+        "d3": (ModelParams(d=3, s=4.5, beta=2.0, norm="ellinf"), 12, 43,
+               "75ceefca224c0baa536b6da02df4b29e28a74db30e1032b15141483955954976"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_distance_bytes(self, case):
+        pm, radius, seed, digest = self.CASES[case]
+        g = sample_graph(pm, Box(d=pm.d, radius=radius), seed)
+        dist = distances_from(g, np.zeros(pm.d, dtype=np.int64)).dist
+        assert dist.dtype == np.int32
+        assert hashlib.sha256(dist.tobytes()).hexdigest() == digest
+
+    def test_ball_and_restricted_chain_d2(self):
+        pm, radius, seed, _ = self.CASES["d2"]
+        g = sample_graph(pm, Box(d=2, radius=radius), seed)
+        assert [intrinsic_ball(g, np.array([5, -7]), k) for k in (2, 4)] == [109, 2511]
+        x, y = np.array([3, -4]), np.array([-25, 31])
+        assert distance_pair(g, x, y) == 5
+        chain = [restricted_k_distance(g, x, y, k, 0.9) for k in range(4)]
+        assert [r.value for r in chain] == [5, 5, 5, 5]
+        assert [r.constraint_radius for r in chain] == [
+            89.64373932405988, 136.7788189566785, 218.72906668567165, 368.5091990970064]
+
+
+class TestAdjacency:
+    """CSR rows: tails of the edges into u, then heads of the edges out of u, all ascending."""
+
+    def test_rows_from_shuffled_and_reversed_input(self):
+        pm = ModelParams(d=2, s=3.0, beta=3.0)
+        box = Box(d=2, radius=7)
+        edges = sample_graph(pm, box, seed=5).long_edges
+        assert len(edges) > 100
+        rng = np.random.default_rng(0)
+        given = edges[rng.permutation(len(edges))]
+        flip = rng.random(len(given)) < 0.5
+        given[flip] = given[flip, ::-1]
+        g = graph_from_edges(pm, box, given)
+        np.testing.assert_array_equal(g.long_edges, edges)
+        indptr, nbrs = _adjacency(g)
+        assert nbrs.dtype == np.uint32
+        assert indptr[0] == 0
+        n = box.n_vertices
+        np.testing.assert_array_equal(np.diff(indptr), np.bincount(edges.ravel(), minlength=n))
+        expected = [[] for _ in range(n)]
+        for a, b in edges.tolist():
+            expected[a].append(b)
+            expected[b].append(a)
+        for u in range(n):
+            # Ascending and equal to the sorted neighbour list: every edge once per endpoint.
+            assert nbrs[indptr[u]:indptr[u + 1]].tolist() == sorted(expected[u]), u
+        assert _adjacency(g) is g._adjacency
+
+    def test_empty_edge_set(self):
+        g = line_graph(9, [])
+        indptr, nbrs = _adjacency(g)
+        np.testing.assert_array_equal(indptr, np.zeros(g.box.n_vertices + 1))
+        assert nbrs.dtype == np.uint32 and nbrs.size == 0
+        assert distances_from(g, np.array([-9])).dist.tolist() == list(range(19))
+
+    @pytest.mark.parametrize("edges", [
+        [[12, 5]],                    # i > j
+        [[0, 12], [0, 5]],            # unsorted
+        [[0, 5], [0, 5]],             # duplicate
+        [[3, 10], [2, 15]],           # unsorted tails
+        [[0, 21]],                    # head outside the box
+    ])
+    def test_hand_built_sample_out_of_order_rejected(self, edges):
+        g = GraphSample(params=PM, box=Box(d=1, radius=10), seed=None,
+                        long_edges=np.array(edges, dtype=np.int64))
+        with pytest.raises(ValueError, match="0 <= i < j < n_vertices, sorted by strictly increasing"):
+            distances_from(g, np.array([0]))
+        assert g._adjacency is None
+
+
+def hub_graph(d, radius, hub, seed):
+    """One hub joined to about half the box, so BFS levels repeat candidates."""
+    pm = ModelParams(d=d, s=1.5 * d, beta=1.0, norm="ell1")
+    box = Box(d=d, radius=radius)
+    coords = box.coords_of(np.arange(box.n_vertices))
+    far = np.flatnonzero(np.abs(coords - np.asarray(hub)).sum(axis=1) >= 2)
+    chosen = np.random.default_rng(seed).choice(far, size=box.n_vertices // 2, replace=False)
+    h = int(box.index_of(np.asarray(hub)))
+    return graph_from_edges(pm, box, np.stack([np.full(chosen.size, h), chosen], axis=1))
+
+
+HUBS = [(1, 40, (7,), 0), (2, 6, (2, -3), 1), (3, 3, (1, 0, -2), 2)]
+
+
+class TestHubGraph:
+    @pytest.mark.parametrize("d, radius, hub, seed", HUBS)
+    def test_distances_match_oracle(self, d, radius, hub, seed):
+        g = hub_graph(d, radius, hub, seed)
+        box = g.box
+        pairs = sample_to_oracle_args(g)
+        adj = oracles._adjacency(d, radius, pairs)
+        coords = [tuple(int(v) for v in c) for c in box.coords_of(np.arange(box.n_vertices))]
+        for src in [(0,) * d, hub, (-radius,) * d, (radius,) + (0,) * (d - 1)]:
+            ref = oracles.reference_distances(d, radius, pairs, src)
+            dist = distances_from(g, np.array(src)).dist
+            assert [ref[c] for c in coords] == dist.tolist()
+            # More parent-to-child moves than children: levels carry duplicate candidates.
+            moves = sum(ref[w] == ref[v] + 1 for v in adj for w in adj[v])
+            assert moves > box.n_vertices - 1
+
+    @pytest.mark.parametrize("d, radius, hub, seed", HUBS)
+    def test_until_max_level_allow_match_oracle(self, d, radius, hub, seed):
+        g = hub_graph(d, radius, hub, seed)
+        box = g.box
+        pairs = sample_to_oracle_args(g)
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            i, j = rng.integers(box.n_vertices, size=2)
+            x = box.coords_of(np.array([i]))[0]
+            y = box.coords_of(np.array([j]))[0]
+            xt, yt = tuple(int(v) for v in x), tuple(int(v) for v in y)
+            ref = oracles.reference_distances(d, radius, pairs, xt)
+            assert distance_pair(g, x, y) == ref[yt]
+            for k in range(5):
+                assert intrinsic_ball(g, x, k) == sum(v <= k for v in ref.values())
+            if i == j:
+                continue
+            ell1 = float(np.abs(x - y).sum())
+            assert restricted_distance(g, x, y).value == oracles.reference_restricted(
+                d, radius, pairs, xt, yt, 2 * ell1, "ell1", strict=True)
+            for k in (0, 1):
+                got = restricted_k_distance(g, x, y, k, 0.8)
+                assert got.value == oracles.reference_restricted(
+                    d, radius, pairs, xt, yt, got.constraint_radius, "ell1", strict=False)
