@@ -5,8 +5,10 @@ collapse, selfcheck.  Options come from defaults, then a flat key=value
 config file (--config FILE), then CLI flags, in increasing precedence.
 All validation happens before any computation.
 
-Outputs are CSV ('.' decimal, LF line endings, fixed column order,
-round-trip float formatting) and JSON.  Every output file carries the
+Outputs are CSV and JSON.  CSV tables have a fixed column order, LF line
+endings and one format per column: ints as decimal, floats as their
+shortest round-trip repr ('.' decimal; nan, inf, -inf), bools as 0/1,
+strings quoted by the csv module where needed.  Every output file carries the
 hash of the resolved config that produced it; a manifest.json with the
 config echo, library versions, wall time, and timestamp is written last,
 so its presence marks a completed run.  Partial outputs are removed on
@@ -36,8 +38,8 @@ from . import __version__
 from .model import NORMS, ModelParams, derived_constants, norm_value
 from .exponents import exponent_table, ratio_report, theta_closed_form, theta_fast, theta_recursive
 from .limits import lambda_of_t, lower_curve, psi_limit
-from .sampler import (GENERATOR_TAG, Box, compute_c0, graph_from_edges, sample_graph,
-                      sample_graph_coupled, sample_z)
+from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, compute_c0, graph_from_edges,
+                      sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import collapse_report, estimate_phi, theorem1_fraction
 
@@ -52,24 +54,35 @@ def _one_line(msg: str) -> str:
     return " ".join(str(msg).split())
 
 
-def _fmt(value) -> str:
-    """Round-trip text for one CSV cell."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return repr(f)
-    return str(value)
+_BLOCK_ROWS = 2**15  # rows formatted per write: the writer's memory does not grow with the table
 
 
-def _write_csv(path: Path, columns_doc: str, config_hash: str, header, rows, created: list,
+def _cell_format(column, cells: list) -> str:
+    """The one format of a column's cells: '%d' for ints and bools, '%r' for floats,
+    '%s' (str, then csv quoting) for the rest, such as strings or ints mixed with inf.
+
+    An array's dtype decides; a list or object array (``cells``, its Python
+    values) is numeric only if all its cells are Python ints or all floats.
+    """
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+    if kind == "O":
+        types = set(map(type, cells))
+        kind = "i" if types <= {bool, int} else "f" if types == {float} else "O"
+    return {"b": "%d", "i": "%d", "u": "%d", "f": "%r"}.get(kind, "%s")
+
+
+def _write_csv(path: Path, columns_doc: str, config_hash: str, header, columns, created: list,
                params_doc: str | None = None) -> None:
+    """Write one table given as equal-length columns.
+
+    A column is a numpy array, a list, or any object with ``len`` and row
+    slicing.  Each block of _BLOCK_ROWS rows goes out in one write: with one
+    '%' of the repeated row format when every column is numeric, through
+    csv.writer when some column is text (see _cell_format).
+    """
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError(f"{path.name}: columns differ in length")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# columns: {columns_doc}\n")
         if params_doc is not None:
@@ -77,9 +90,21 @@ def _write_csv(path: Path, columns_doc: str, config_hash: str, header, rows, cre
         fh.write(f"# config_hash={config_hash}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            block = [col[lo:lo + _BLOCK_ROWS] for col in columns]
+            cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in block]
+            formats = [_cell_format(col, c) for col, c in zip(block, cells)]
+            if "%s" in formats:
+                writer.writerows(zip(*(map(f.__mod__, col) for f, col in zip(formats, cells))))
+            else:
+                flat = tuple(itertools.chain.from_iterable(zip(*cells)))
+                fh.write((",".join(formats) + "\n") * len(cells[0]) % flat)
     created.append(path)
+
+
+def _fields(records, *names) -> list:
+    """One column (a list) per attribute name, read across ``records``."""
+    return [[getattr(rec, name) for rec in records] for name in names]
 
 
 def _write_json(path: Path, payload: dict, created: list) -> None:
@@ -285,16 +310,30 @@ def _make_params(cfg: dict, beta: float = 1.0, norm: str = "ell2") -> ModelParam
         raise ConfigError(str(exc)) from exc
 
 
+def _check_table_memory(name: str, rows: int, arrays: int) -> None:
+    """Refuse a table whose ``arrays`` float64 arrays of ``rows`` would pass the memory cap."""
+    need = 8 * arrays * rows
+    if need > DEFAULT_MEMORY_CAP:
+        raise ConfigError(f"{name}: {rows} rows need about {need} bytes, "
+                          f"over the memory cap of {DEFAULT_MEMORY_CAP} bytes")
+
+
 def _finalize_exponents(cfg: dict) -> None:
     cfg["params"] = _make_params(cfg)
     if cfg["n_max"] < 2:
         raise ConfigError("n_max: must be >= 2")
+    # 5 table columns and up to 11 working arrays of exponent_table and
+    # ratio_report (tracemalloc: 104 bytes per row at n_max = 262143)
+    _check_table_memory("n_max", cfg["n_max"] + 1, 16)
 
 
 def _finalize_limit_curve(cfg: dict) -> None:
     cfg["params"] = _make_params(cfg)
     if cfg["n_points"] < 2:
         raise ConfigError("n_points: must be >= 2")
+    # 4 table columns and up to 4 working arrays of psi_limit and lower_curve
+    # (tracemalloc: 56 bytes per row at n_points = 1000001)
+    _check_table_memory("n_points", cfg["n_points"], 8)
 
 
 def _finalize_sample(cfg: dict) -> None:
@@ -383,13 +422,12 @@ def _config_hash(command: str, raw: dict) -> str:
 def _cmd_exponents(cfg, config_hash, outdir, created):
     params, n_max = cfg["params"], cfg["n_max"]
     table = exponent_table(params, n_max)
-    rows = zip(table.n.tolist(), table.theta.tolist(), table.theta_closed_form.tolist(),
-               table.vartheta.tolist(), table.block_index.tolist())
     _write_csv(outdir / "exponents.csv",
                "n (index), theta (hop exponent), theta_closed_form (block formula), "
                "vartheta (shrink exponent), block (dyadic block index of n)",
                config_hash, ["n", "theta", "theta_closed_form", "vartheta", "block_index"],
-               rows, created)
+               [table.n, table.theta, table.theta_closed_form, table.vartheta, table.block_index],
+               created)
     report = ratio_report(params, n_max)
     _write_json(outdir / "ratios.json", {
         "config_hash": config_hash,
@@ -410,15 +448,28 @@ def _cmd_limit_curve(cfg, config_hash, outdir, created):
     psi = psi_limit(params, t)
     lam = lambda_of_t(params, t)
     low = lower_curve(params, t)
-    rows = list(zip(t.tolist(), psi.tolist(), lam.tolist(), low.tolist()))
     _write_csv(outdir / "limit_curve.csv",
                "t (log-log phase in [0,1]), psi (limit curve), "
                "lambda_t (split weight), lower (psi * 2**t)",
-               config_hash, ["t", "psi", "lambda_t", "lower"], rows, created)
+               config_hash, ["t", "psi", "lambda_t", "lower"], [t, psi, lam, low], created)
 
 
 def _coord_header(prefix: str, d: int) -> list:
     return [f"{prefix}_{i + 1}" for i in range(d)]
+
+
+class _VertexCoords:
+    """Coordinate ``axis`` of every box vertex in index order, as a column made per row slice."""
+
+    def __init__(self, box: Box, axis: int):
+        self.box, self.axis = box, axis
+
+    def __len__(self) -> int:
+        return self.box.n_vertices
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        index = np.arange(*rows.indices(len(self)))
+        return index // int(self.box.strides[self.axis]) % self.box.side - self.box.radius
 
 
 def _cmd_sample(cfg, config_hash, outdir, created):
@@ -430,19 +481,17 @@ def _cmd_sample(cfg, config_hash, outdir, created):
     _write_csv(outdir / "edges.csv",
                "x_1..x_d, y_1..y_d (endpoints of one long edge; nearest-neighbor edges are implicit)",
                config_hash, _coord_header("x", params.d) + _coord_header("y", params.d),
-               ((*x.tolist(), *y.tolist()) for x, y in zip(tails, heads)), created,
-               params_doc=f"d={params.d} s={_fmt(params.s)} beta={_fmt(params.beta)} "
+               [*tails.T, *heads.T], created,
+               params_doc=f"d={params.d} s={params.s!r} beta={params.beta!r} "
                           f"norm={params.norm} kernel={params.kernel.kind}; "
                           f"box_radius={box.radius}; seed={cfg['seed']}; generator={GENERATOR_TAG}")
     if cfg["z_draws"] > 0:
         rng = np.random.default_rng([cfg["seed"], _Z_STREAM_TAG])
         draws = sample_z(params, cfg["eta"], rng, size=cfg["z_draws"])
-        rows = [(k, *draws[k].tolist(), float(norm_value(draws[k], params.norm)))
-                for k in range(cfg["z_draws"])]
         _write_csv(outdir / "z_samples.csv",
                    "draw (index); z_* (coordinates); radius (kernel norm of the draw)",
                    config_hash, ["draw"] + _coord_header("z", params.d) + ["radius"],
-                   rows, created)
+                   [np.arange(len(draws)), *draws.T, norm_value(draws, params.norm)], created)
 
 
 def _cmd_distances(cfg, config_hash, outdir, created):
@@ -458,15 +507,14 @@ def _cmd_distances(cfg, config_hash, outdir, created):
         sample, sample2 = sample_graph_coupled([params, params2], box, cfg["seed"])
         extra_fields = [distances_from(sample2, source)]
     field = distances_from(sample, source)
-    coords = itertools.product(range(-L, L + 1), repeat=params.d)  # index order
-    dist_cols = [f.dist.tolist() for f in [field, *extra_fields]]
-    rows = ((i, *x, *dists) for i, (x, *dists) in enumerate(zip(coords, *dist_cols)))
     doc = "index (vertex index); x_* (lattice coordinates); dist (chemical distance from the source)"
     header = ["index"] + _coord_header("x", params.d) + ["dist"]
     if extra_fields:
         doc += "; dist_beta2 (coupled sample at beta2, pointwise <= dist)"
         header.append("dist_beta2")
-    _write_csv(outdir / "distances.csv", doc, config_hash, header, rows, created)
+    columns = [np.arange(box.n_vertices), *(_VertexCoords(box, axis) for axis in range(params.d)),
+               *(f.dist for f in [field, *extra_fields])]
+    _write_csv(outdir / "distances.csv", doc, config_hash, header, columns, created)
 
     ball = box.norm_field(source, params.norm) <= L
     ball_dists = field.dist[ball].astype(np.float64)
@@ -503,7 +551,8 @@ def _cmd_distances(cfg, config_hash, outdir, created):
         _write_csv(outdir / "chain.csv",
                    "name (distance variant); value (hops; inf if unreachable under the constraint)",
                    config_hash, ["name", "value"],
-                   [(name, float(v) if v == math.inf else int(v)) for name, v in chain],
+                   [[name for name, _ in chain],
+                    [float(v) if v == math.inf else int(v) for _, v in chain]],
                    created)
 
 
@@ -514,19 +563,16 @@ def _cmd_figure1(cfg, config_hash, outdir, created):
     samples = sample_graph_coupled(params_list, box, cfg["seed"])
     origin = np.zeros(d, dtype=np.int64)
     fields = [distances_from(sm, origin) for sm in samples]
-    rows = zip(range(-L, L + 1), fields[0].dist.tolist(), fields[1].dist.tolist())
     _write_csv(outdir / "figure1.csv",
                "x (lattice coordinate); dist_beta1, dist_beta5 (chemical distance from 0; "
                "coupled seeds, so dist_beta5 <= dist_beta1)",
-               config_hash, ["x", "dist_beta1", "dist_beta5"], rows, created)
-    edge_rows = []
-    for pm, sm in zip(params_list, samples):
-        coords = box.coords_of(sm.long_edges.reshape(-1)).reshape(-1, 2)
-        for k in range(sm.n_long_edges):
-            edge_rows.append((pm.beta, int(coords[k, 0]), int(coords[k, 1])))
+               config_hash, ["x", "dist_beta1", "dist_beta5"],
+               [np.arange(-L, L + 1), fields[0].dist, fields[1].dist], created)
+    beta = np.repeat([pm.beta for pm in params_list], [sm.n_long_edges for sm in samples])
+    ends = box.coords_of(np.concatenate([sm.long_edges for sm in samples]))[..., 0]
     _write_csv(outdir / "long_edges.csv",
                "beta; u, v (endpoints of one long edge, the arcs of the distance profile)",
-               config_hash, ["beta", "u", "v"], edge_rows, created)
+               config_hash, ["beta", "u", "v"], [beta, ends[:, 0], ends[:, 1]], created)
 
 
 def _cmd_estimate_phi(cfg, config_hash, outdir, created):
@@ -538,23 +584,23 @@ def _cmd_estimate_phi(cfg, config_hash, outdir, created):
     finally:
         if executor is not None:
             executor.shutdown()
-    rows = [
-        (params.beta, est.r, i, rec.seed, rec.phi_hat, rec.n_points, rec.annulus_fraction)
-        for i, rec in enumerate(est.records)
-    ]
+    n = len(est.records)
     _write_csv(outdir / "phi_records.csv",
                "beta; r (outer radius); replica (index); seed; phi_hat (median distance "
                "over the annulus / (log r)**Delta); n_points (annulus size); "
                "annulus_fraction (share of box vertices in the annulus)",
                config_hash,
                ["beta", "r", "replica", "seed", "phi_hat", "n_points", "annulus_fraction"],
-               rows, created)
+               [np.full(n, params.beta), *_fields(est.records, "r"), np.arange(n),
+                *_fields(est.records, "seed", "phi_hat", "n_points", "annulus_fraction")],
+               created)
     _write_csv(outdir / "phi_summary.csv",
                "beta; r; n_replicas; seed0; phi_hat (replica mean); ci_low, ci_high "
                "(percentile bootstrap, 95%)",
                config_hash,
                ["beta", "r", "n_replicas", "seed0", "phi_hat", "ci_low", "ci_high"],
-               [(params.beta, est.r, est.n_replicas, est.seed0, est.phi_hat, est.ci_low, est.ci_high)],
+               [[v] for v in (params.beta, est.r, est.n_replicas, est.seed0,
+                              est.phi_hat, est.ci_low, est.ci_high)],
                created)
 
 
@@ -568,37 +614,32 @@ def _cmd_collapse(cfg, config_hash, outdir, created):
     finally:
         if executor is not None:
             executor.shutdown()
-    record_rows = []
-    for cell in report.cells:
-        for i, phi in enumerate(cell.replica_phis):
-            record_rows.append((cell.beta, cell.t, i, cfg["seed"] + i, phi))
+    live = [c for c in report.cells if not c.missing]
+    n = cfg["n_replicas"]
+    beta, t = _fields(live, "beta", "t")
     _write_csv(outdir / "collapse_records.csv",
                "beta; t (log-log phase); replica (index); seed; phi_hat (single-replica estimate)",
-               config_hash, ["beta", "t", "replica", "seed", "phi_hat"], record_rows, created)
-    cell_rows = [
-        (c.beta, c.t, c.r, c.phi_hat, c.ci_low, c.ci_high, c.value, c.limit, c.missing, c.reason)
-        for c in report.cells
-    ]
+               config_hash, ["beta", "t", "replica", "seed", "phi_hat"],
+               [np.repeat(beta, n), np.repeat(t, n), np.tile(np.arange(n), len(live)),
+                [cfg["seed"] + i for i in range(n)] * len(live),
+                [phi for c in live for phi in c.replica_phis]],
+               created)
+    cell_fields = ["beta", "t", "r", "phi_hat", "ci_low", "ci_high", "value", "limit", "missing",
+                   "reason"]
     _write_csv(outdir / "collapse_cells.csv",
                "beta; t; r (probe radius); phi_hat (replica mean); ci_low, ci_high; "
                "value ((log beta)**Delta * phi_hat); limit (explicit limit curve at t); "
                "missing (1 if the cell was infeasible); reason",
                config_hash,
-               ["beta", "t", "r", "phi_hat", "ci_low", "ci_high", "value", "limit", "missing", "reason"],
-               cell_rows, created)
-    summary_rows = [
-        (sm.beta, sm.n_cells, sm.n_missing, sm.max_abs_discrepancy, sm.mean_abs_discrepancy,
-         sm.mean_abs_ci_low, sm.mean_abs_ci_high, sm.rank_correlation)
-        for sm in report.summaries
-    ]
+               cell_fields, _fields(report.cells, *cell_fields), created)
+    summary_fields = ["beta", "n_cells", "n_missing", "max_abs_discrepancy", "mean_abs_discrepancy",
+                      "mean_abs_ci_low", "mean_abs_ci_high", "rank_correlation"]
     _write_csv(outdir / "collapse_summary.csv",
                "beta; n_cells; n_missing; max_abs_discrepancy, mean_abs_discrepancy "
                "(|value - limit| over non-missing cells); mean_abs_ci_low, mean_abs_ci_high "
                "(bootstrap over replicas); rank_correlation (Spearman of value vs limit)",
                config_hash,
-               ["beta", "n_cells", "n_missing", "max_abs_discrepancy", "mean_abs_discrepancy",
-                "mean_abs_ci_low", "mean_abs_ci_high", "rank_correlation"],
-               summary_rows, created)
+               summary_fields, _fields(report.summaries, *summary_fields), created)
 
 
 # ---------------------------------------------------------------------------

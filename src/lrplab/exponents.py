@@ -193,11 +193,19 @@ def exponent_table(params: ModelParams, n_max: int) -> ExponentTable:
     cancellation).
     """
     ns = np.arange(n_max + 1)
+    # theta_closed_form and block_index over all n at once: the block starts
+    # 2**m - 1 locate each n, and the block ends are computed once per block.
+    m_top = block_index(n_max)
+    starts = 2 ** np.arange(m_top + 2) - 1
+    blocks = np.searchsorted(starts, ns, side="right") - 1
+    ends = np.array([_theta_block_end(params, m) for m in range(m_top + 2)])
+    lo, hi = starts[blocks], starts[blocks + 1]
+    w = (ns - lo) / (hi - lo)
     return ExponentTable(
         params=params,
         n=ns,
         theta=theta_fast(params, n_max),
-        theta_closed_form=np.array([theta_closed_form(params, int(k)) for k in ns]),
+        theta_closed_form=(1.0 - w) * ends[blocks] + w * ends[blocks + 1],
         vartheta=vartheta(params, n_max),
-        block_index=np.array([block_index(int(k)) for k in ns]),
+        block_index=blocks,
     )

@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -6,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrplab import (
     GENERATOR_TAG,
     Box,
     ModelParams,
+    RestrictedDistanceResult,
     derived_constants,
     distances_from,
     estimate_phi,
@@ -18,7 +24,9 @@ from lrplab import (
     theta_fast,
     theta_recursive,
 )
-from lrplab.cli import _OPTIONS, ConfigError, _resolve, main
+import lrplab.cli
+from lrplab.cli import _BLOCK_ROWS, _OPTIONS, ConfigError, _resolve, _write_csv, main
+from lrplab.sampler import DEFAULT_MEMORY_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -385,3 +393,242 @@ class TestReadme:
         monkeypatch.delenv("LRPLAB_OUTDIR", raising=False)
         outdir = _resolve(["selfcheck"])[3]
         assert f"(default `./{outdir}`" in README.read_text(encoding="utf-8")
+
+
+def data_file_digests(outdir):
+    """sha256 of every file a run wrote, except manifest.json (it holds a timestamp)."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+
+
+# The cli-d2 benchmark's commands at tiny sizes, plus the cases the README
+# lines miss: Z draws in d=2 and d=3, a coupled d=3 ellinf distance field
+# off-centre, a collapse run with a missing cell (nan cells, a reason), and
+# replica seeds on both sides of 2**63.
+_CLI_D2_BOX = ["--d", "2", "--s", "3", "--beta", "2", "--L", "12", "--seed", "123"]
+_EXTRA_PIN_ARGV = [
+    ["sample", *_CLI_D2_BOX],
+    ["distances", *_CLI_D2_BOX, "--target=5,-4", "--epsilon", "0.5", "--k-max", "3"],
+    ["exponents", "--n-max", "63"],
+    ["limit-curve", "--n-points", "101"],
+    ["sample", "--z-draws", "20", "--d", "2", "--s", "3", "--L", "4", "--seed", "7"],
+    ["sample", "--z-draws", "20", "--d", "3", "--s", "4.2", "--L", "2", "--norm", "ellinf",
+     "--seed", "8"],
+    ["distances", "--d", "3", "--s", "4.2", "--beta", "2", "--beta2", "6", "--L", "6",
+     "--norm", "ellinf", "--seed", "5", "--source", "1,-2,0", "--target", "3,1,-2"],
+    ["collapse", "--d", "1", "--s", "1.5", "--log-betas", "3", "--t-points", "2",
+     "--n-replicas", "2", "--seed", "0", "--m-offset", "2", "--box-radius-cap", "100"],
+    ["estimate-phi", "--r", "300", "--n-replicas", "3", "--seed", str(2**63 - 2)],
+]
+
+# sha256 of each data file, keyed by the command line; written by the CLI
+# before its CSV writer became column-typed, so they pin the output bytes.
+_OUTPUT_PINS = {
+    'exponents --d 1 --s 1.5 --n-max 64': {
+        'exponents.csv': '60db6cbb28550ac7241e50c3bfd95fccd59323d2d5aed84e2169b3c7ebea68d3',
+        'ratios.json': '4a27d7731434c18df067dcc6a44666a3e279bab832bfba1a60f7748444457e75',
+    },
+    'limit-curve --d 1 --s 1.5 --n-points 101': {
+        'limit_curve.csv': '84c7a6447e6363cb6ef18a130e5b96437e9dd257e3f7c02d6b16a781ea6a6c7f',
+    },
+    'sample --d 1 --s 1.5 --beta 5 --L 1000 --seed 0': {
+        'edges.csv': '0921d849dbff505f61adf3a7e937d54524294241a4217cfab82bc4503b4fafa2',
+    },
+    'sample --z-draws 50 --d 1 --s 1.5 --eta 1.0 --seed 0': {
+        'edges.csv': 'f2a286abbab93f4b9133b230b47178be5d862c0e3d85799db8f9840346653e44',
+        'z_samples.csv': '3a4c9db5f93ecd5985d450644e6d6d9beeeb7e358ca78b5344a507cbc78058c5',
+    },
+    'distances --d 1 --s 1.5 --beta 1 --L 1000 --seed 0 --beta2 5.0': {
+        'distances.csv': '6d78590bfc9c6d68ea6abbbf5f2c5bb687ad338c010ab5e685fe5e46f72068a4',
+        'summary.json': 'b407f7cfd09f29c825d85a550b885c623ed983b9be6c0103cc2e669117ac2873',
+    },
+    'figure1 --seed 0': {
+        'figure1.csv': '4558ecc18eb62a9584cd09016ebdfff53317331f7a380467bf3980c4c2b5167e',
+        'long_edges.csv': '61d4646b512468b46f67a309bbae8c844918bcd6464079da333fd799b6b78b4c',
+    },
+    'estimate-phi --d 1 --s 1.5 --beta 1 --r 2000 --n-replicas 32 --seed 0 --jobs 2': {
+        'phi_records.csv': '83b329a1805741d090f12a6ca12df85558c95fb7c3fe4eb93996bca08a1fa0c9',
+        'phi_summary.csv': '06a3deed4f6f007646bf605631e97e298a8f5d4803a04f0e654a94e3529744da',
+    },
+    'collapse --log-betas 3,4 --t-points 21 --n-replicas 4 --seed 0': {
+        'collapse_cells.csv': '4168e3fcce87f6012d57701532e262e5516bb05699d724760af73dade4549c41',
+        'collapse_records.csv': 'ca45022d85f729b0a89886078c8ba89889aa77e02d42419b75be380604793048',
+        'collapse_summary.csv': 'ebded9bc997c5c7cc8e85d3bf0d5b29f34efb5a22c1d7e5aedc0514446b0f8c9',
+    },
+    'selfcheck': {
+        'selfcheck.json': 'c24cbc4861bc2919081a520efb7d229c15bbb6f70d23c2c693b4810f41ae161d',
+    },
+    'sample --d 2 --s 3 --beta 2 --L 12 --seed 123': {
+        'edges.csv': 'bc882c8b01d7b353316518848d32c13b7926f1441b5defd3ec9bedd77b8818a6',
+    },
+    'distances --d 2 --s 3 --beta 2 --L 12 --seed 123 --target=5,-4 --epsilon 0.5 --k-max 3': {
+        'chain.csv': 'bd602e06938482a5dcd0d6b025cb955e78437db1d85ab9b5b7579ba2cc097fcf',
+        'distances.csv': 'd3c8f3a94532e9ea0d105bd6fe4db3ef90afd55ae23d83a073e513cb47d1fe98',
+        'summary.json': '81fc8101c832a20fae02b281ad67b99cabfa846536d641753ea84a78a2123af8',
+    },
+    'exponents --n-max 63': {
+        'exponents.csv': 'cbe8ae3b295835912728cddf699e51858b9877ce006c8d5bb9ff26e3d7ccf11d',
+        'ratios.json': 'bf598e368e0c6368b9bff7a637ac4acfad6e5c1c27273cdfbf6e63e18023923b',
+    },
+    'limit-curve --n-points 101': {
+        'limit_curve.csv': '84c7a6447e6363cb6ef18a130e5b96437e9dd257e3f7c02d6b16a781ea6a6c7f',
+    },
+    'sample --z-draws 20 --d 2 --s 3 --L 4 --seed 7': {
+        'edges.csv': '95548ce8014def20fd2f0740a4985ab37e73b891147e76fc90c6acf5b63f1d38',
+        'z_samples.csv': 'db6ae732437b3c6617347ee480760a346125bc06e6c8a08df7652cdcd9d9ff1f',
+    },
+    'sample --z-draws 20 --d 3 --s 4.2 --L 2 --norm ellinf --seed 8': {
+        'edges.csv': 'a8399a274058cdfde80a789745269dacabde0df04f6eebad9c654523f41bf6ba',
+        'z_samples.csv': '02532457d3473633f8fe215b2e8aa9e72265dbd3b78e744621e90c5de57df5c9',
+    },
+    'distances --d 3 --s 4.2 --beta 2 --beta2 6 --L 6 --norm ellinf --seed 5 --source 1,-2,0 --target 3,1,-2': {
+        'chain.csv': 'af720eabfdb19a6678baf219accdc668d2207e4c84ec6f1ab14c722e4a836b50',
+        'distances.csv': 'e5f61ec0ad8501c5eaf66d8247541e55c931aefcf4c2f7e01b84f8bd0e0ea43e',
+        'summary.json': 'f2eb9cf7bde8e6a56def26b8aab8b0c340986308f412963db54166804d1da52d',
+    },
+    'collapse --d 1 --s 1.5 --log-betas 3 --t-points 2 --n-replicas 2 --seed 0 --m-offset 2 --box-radius-cap 100': {
+        'collapse_cells.csv': 'e8a548abacc28c09ac8ef4f66104b8f0d6e6be2b3874d6ac6f571ac3c356086f',
+        'collapse_records.csv': 'c1c40f19b67e9b573be528f50e4a6c21483323ca744bc66fd70cdff798cafe8b',
+        'collapse_summary.csv': '61ea17ecaca86fa751e99d96149b3534ccea2ec75599b603def05089b2f60c99',
+    },
+    'estimate-phi --r 300 --n-replicas 3 --seed 9223372036854775806': {
+        'phi_records.csv': '753bc1b5b0fe33ddd0558b42875093fa77b97875005775fbd9634879db41fff7',
+        'phi_summary.csv': '5c4ad1db90aabbaefe3c6278f78d5e33ef85f55c5670b7457035132fb4531869',
+    },
+}
+
+# chain.csv of the second extra command line with every D_restricted_k* unreachable
+_CHAIN_INF_PIN = "85f500b2d8eb6f7e227a73bbbc0ee33ec4532c91debb4d193483a797192cd468"
+
+
+class TestOutputPins:
+    @pytest.mark.parametrize("argv", readme_commands() + _EXTRA_PIN_ARGV, ids=" ".join)
+    def test_data_files_pinned(self, tmp_path, argv):
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        assert data_file_digests(tmp_path) == _OUTPUT_PINS[" ".join(argv)]
+
+    def test_every_readme_command_pinned(self):
+        assert {" ".join(argv) for argv in readme_commands()} <= set(_OUTPUT_PINS)
+
+    def test_chain_with_unreachable_members(self, tmp_path, monkeypatch):
+        # No box path leaves the confinement balls the CLI builds, so an
+        # inf chain value is forced by stubbing the k-family out.
+        monkeypatch.setattr(lrplab.cli, "restricted_k_distance",
+                            lambda *args: RestrictedDistanceResult(math.inf, 0.0, False))
+        assert main([*_EXTRA_PIN_ARGV[1], "--outdir", str(tmp_path)]) == 0
+        text = (tmp_path / "chain.csv").read_text()
+        assert "D_restricted_k0,inf\n" in text
+        assert data_file_digests(tmp_path)["chain.csv"] == _CHAIN_INF_PIN
+
+
+def reference_table(header, columns) -> str:
+    """The CSV cell contract, one cell at a time: str(int) for ints, 0/1 for
+    bools, repr(float) for floats (nan, inf, -inf), csv quoting for strings."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return v
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in zip(*columns))
+    return buf.getvalue()
+
+
+def written_table(directory, header, columns) -> str:
+    path = directory / "table.csv"
+    _write_csv(path, "doc", "0123456789abcdef", header, columns, [])
+    text = path.read_bytes().decode("utf-8")
+    prefix = "# columns: doc\n# config_hash=0123456789abcdef\n"
+    assert text.startswith(prefix)
+    return text[len(prefix):]
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                   1.7976931348623157e308, 0.1, 1e16, 1e-5, math.inf, -math.inf, math.nan]
+_TEXT = st.text(alphabet=st.sampled_from('ab ,"\n\r\'x;-.'), max_size=6)
+_COLUMN_KINDS = {
+    "bool": st.booleans().map(np.bool_),
+    "int32": st.integers(-2**31, 2**31 - 1).map(np.int32),
+    "uint32": st.integers(0, 2**32 - 1).map(np.uint32),
+    "int64": st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(2**62 - 3, 2**62 + 3),
+                       st.integers(-2**62 - 3, -2**62 + 3)).map(np.int64),
+    "float64": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()).map(np.float64),
+    "text": _TEXT,
+    # lists hold Python values: ints of any size, floats, or a mix with strings
+    "int list": st.integers(),
+    "bool list": st.booleans(),
+    "float list": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+    "mixed list": st.one_of(st.integers(), st.sampled_from(_SPECIAL_FLOATS), _TEXT),
+}
+
+
+def make_column(kind, values):
+    return list(values) if kind == "text" or kind.endswith("list") else np.array(values, dtype=kind)
+
+
+class TestWriteCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_cell_reference(self, tmp_path_factory, data):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5))
+        n_rows = data.draw(st.integers(0, 12))
+        columns = [make_column(kind, data.draw(st.lists(_COLUMN_KINDS[kind], min_size=n_rows,
+                                                        max_size=n_rows)))
+                   for kind in kinds]
+        header = [f"c{i}" for i in range(len(columns))]
+        got = written_table(tmp_path_factory.mktemp("w"), header, columns)
+        assert got == reference_table(header, columns)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("with_text", [False, True])
+    def test_block_boundaries(self, tmp_path, n_rows, with_text):
+        rng = np.random.default_rng(n_rows)
+        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+        floats[rng.integers(0, n_rows, min(n_rows, 15))] = _SPECIAL_FLOATS[:min(n_rows, 15)]
+        columns = [rng.random(n_rows) < 0.5,
+                   rng.integers(-2**31, 2**31, n_rows).astype(np.int32),
+                   rng.integers(0, 2**32, n_rows).astype(np.uint32),
+                   rng.integers(-2**63, 2**63 - 1, n_rows, endpoint=True),
+                   floats]
+        if with_text:
+            columns.append(rng.choice(["", "a,b", 'say "x"', "two\nlines", "plain"], n_rows).tolist())
+        header = [f"c{i}" for i in range(len(columns))]
+        got = written_table(tmp_path, header, columns)
+        assert got == reference_table(header, columns)
+
+    def test_mixed_int_and_inf_list(self, tmp_path):
+        columns = [["ell1", "D", "D_k0"], [9, 3, math.inf]]
+        assert written_table(tmp_path, ["name", "value"], columns) == "name,value\nell1,9\nD,3\nD_k0,inf\n"
+
+    def test_int_list_across_the_int64_range_stays_exact(self, tmp_path):
+        seeds = [2**63 - 2, 2**63 - 1, 2**63, 2**64 + 5]
+        assert written_table(tmp_path, ["seed"], [seeds]) == "seed\n" + "".join(f"{v}\n" for v in seeds)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            _write_csv(tmp_path / "t.csv", "doc", "h", ["a", "b"], [np.arange(3), np.arange(2)], [])
+
+
+class TestTableMemoryCap:
+    @pytest.mark.parametrize("command, flag, per_row, offset", [("exponents", "--n-max", 128, 1),
+                                                                 ("limit-curve", "--n-points", 64, 0)])
+    def test_cap_boundary(self, command, flag, per_row, offset):
+        largest = DEFAULT_MEMORY_CAP // per_row - offset  # 8 bytes x arrays x rows
+        _resolve([command, flag, str(largest)])
+        with pytest.raises(ConfigError, match="memory cap"):
+            _resolve([command, flag, str(largest + 1)])
+
+    @pytest.mark.parametrize("argv", [["exponents", "--n-max", str(10**12)],
+                                      ["limit-curve", "--n-points", str(10**12)]])
+    def test_over_cap_is_a_config_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "memory cap" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []

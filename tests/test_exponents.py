@@ -250,3 +250,11 @@ class TestExponentTable:
             [theta_closed_form(PM, n) for n in range(17)], rtol=1e-15)
         np.testing.assert_allclose(tab.theta, theta_fast(PM, 16), rtol=1e-15)
         np.testing.assert_allclose(tab.vartheta, vartheta(PM, 16), rtol=1e-15)
+
+    @pytest.mark.parametrize("d, s", [(1, 1.5), (3, 4.2)])
+    def test_vectorized_columns_equal_scalar_routes(self, d, s):
+        # Exact equality: exponents.csv prints these columns with repr.
+        pm = ModelParams(d=d, s=s, beta=1.0)
+        tab = exponent_table(pm, 4095)
+        assert tab.theta_closed_form.tolist() == [theta_closed_form(pm, n) for n in range(4096)]
+        assert tab.block_index.tolist() == [block_index(n) for n in range(4096)]
