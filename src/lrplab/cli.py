@@ -338,6 +338,11 @@ def _finalize_limit_curve(cfg: dict) -> None:
 
 def _finalize_sample(cfg: dict) -> None:
     cfg["params"] = _make_params(cfg, beta=cfg["beta"], norm=cfg["norm"])
+    # sample_z's first proposal batch (about 2.3 proposals per draw) sets the
+    # peak, above the output rows and the radius column (tracemalloc at
+    # 10**6 draws: 136, 199 and 281 bytes per draw at d = 1, 2, 3 under ell1,
+    # the largest norm)
+    _check_table_memory("z_draws", cfg["z_draws"], 9 * (cfg["d"] + 1))
 
 
 def _finalize_distances(cfg: dict) -> None:
@@ -366,10 +371,18 @@ def _finalize_figure1(cfg: dict) -> None:
     pass
 
 
+def _check_replica_seeds(cfg: dict) -> None:
+    """Refuse a base seed whose replica seeds seed + i (i < n_replicas) pass 2**64 - 1."""
+    if cfg["seed"] + cfg["n_replicas"] - 1 >= 2**64:
+        raise ConfigError(f"seed: replica seeds {cfg['seed']} + i for i < {cfg['n_replicas']} "
+                          f"must stay below 2**64")
+
+
 def _finalize_estimate_phi(cfg: dict) -> None:
     cfg["params"] = _make_params(cfg, beta=cfg["beta"], norm=cfg["norm"])
     if not cfg["r"] > 1:
         raise ConfigError("r: must be > 1")
+    _check_replica_seeds(cfg)
 
 
 def _finalize_collapse(cfg: dict) -> None:
@@ -380,6 +393,7 @@ def _finalize_collapse(cfg: dict) -> None:
         raise ConfigError("log_betas: values must be strictly increasing")
     if cfg["t_points"] < 2:
         raise ConfigError("t_points: must be >= 2")
+    _check_replica_seeds(cfg)
     base = _make_params(cfg)
     cfg["params_list"] = [
         ModelParams(d=base.d, s=base.s, beta=math.exp(lb), norm=cfg["norm"])

@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .model import ModelParams, derived_constants
 from .sampler import (
@@ -288,6 +287,8 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     annulus is too thin, are marked missing with a reason, never fabricated.
     One shared seed list (seed0 + i) is used across the whole ladder.
     """
+    from scipy import stats  # deferred: importing scipy.stats takes about 1.2 s
+
     params_list = list(params_list)
     betas = [pm.beta for pm in params_list]
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):

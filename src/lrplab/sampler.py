@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .model import (
     NORMS,
@@ -495,6 +494,8 @@ class C0Estimate:
 @lru_cache(maxsize=None)
 def _c0_quadrature(d: int, norm_kind: str) -> tuple:
     """c0 = v_d^2 * Int_0^1 sqrt(1 - u^2) du by quadrature, with its error bound."""
+    from scipy import integrate  # deferred: importing scipy.integrate takes about 0.65 s
+
     vd = unit_ball_volume(d, norm_kind)
     integral, abserr = integrate.quad(lambda u: math.sqrt(max(0.0, 1.0 - u * u)), 0.0, 1.0)
     return vd * vd * integral, vd * vd * abserr

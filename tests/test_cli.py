@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from lrplab.cli import _BLOCK_ROWS, _OPTIONS, ConfigError, _resolve, _write_csv,
 from lrplab.sampler import DEFAULT_MEMORY_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def read_csv(path):
@@ -264,6 +267,28 @@ class TestCollapseCommand:
         missing = [row for row in rows if row[8] == "1"]
         assert missing
         assert all("cap" in row[9] for row in missing)
+
+
+class TestReplicaSeeds:
+    """Every replica seed seed + i (i < n_replicas) must fit in 64 bits, checked before any work."""
+
+    @pytest.mark.parametrize("command, n_replicas", [("estimate-phi", 3), ("collapse", 4)])
+    def test_boundary(self, command, n_replicas):
+        argv = [command, "--n-replicas", str(n_replicas)]
+        _resolve([*argv, "--seed", str(2**64 - n_replicas)])
+        with pytest.raises(ConfigError, match="replica seeds"):
+            _resolve([*argv, "--seed", str(2**64 - n_replicas + 1)])
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-phi", "--d", "1", "--s", "1.5", "--beta", "1", "--r", "300",
+         "--n-replicas", "3", "--seed", str(2**64 - 2)],
+        ["collapse", "--seed", str(2**64 - 1)],
+    ])
+    def test_overflow_is_a_config_error(self, tmp_path, capsys, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: seed:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSelfcheck:
@@ -617,18 +642,54 @@ class TestWriteCsv:
 
 class TestTableMemoryCap:
     @pytest.mark.parametrize("command, flag, per_row, offset", [("exponents", "--n-max", 128, 1),
-                                                                 ("limit-curve", "--n-points", 64, 0)])
+                                                                 ("limit-curve", "--n-points", 64, 0),
+                                                                 ("sample", "--z-draws", 144, 0),
+                                                                 ("sample --d 3 --s 4.2", "--z-draws", 288, 0)])
     def test_cap_boundary(self, command, flag, per_row, offset):
         largest = DEFAULT_MEMORY_CAP // per_row - offset  # 8 bytes x arrays x rows
-        _resolve([command, flag, str(largest)])
+        _resolve([*command.split(), flag, str(largest)])
         with pytest.raises(ConfigError, match="memory cap"):
-            _resolve([command, flag, str(largest + 1)])
+            _resolve([*command.split(), flag, str(largest + 1)])
 
     @pytest.mark.parametrize("argv", [["exponents", "--n-max", str(10**12)],
-                                      ["limit-curve", "--n-points", str(10**12)]])
+                                      ["limit-curve", "--n-points", str(10**12)],
+                                      ["sample", "--L", "2", "--z-draws", str(10**12)]])
     def test_over_cap_is_a_config_error(self, tmp_path, capsys, argv):
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "memory cap" in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# Runs in a fresh interpreter: the commands that neither collapse nor draw Z
+# must leave scipy's heavy submodules unimported; a Z draw (the c0
+# quadrature) then loads scipy.integrate, which shows the check can fail.
+_IMPORT_PROBE = """
+import sys
+import lrplab, lrplab.cli
+outdir = sys.argv[1]
+for argv in (["exponents", "--n-max", "63"],
+             ["limit-curve", "--n-points", "101"],
+             ["sample", "--d", "2", "--s", "3", "--beta", "2", "--L", "4", "--seed", "1"],
+             ["distances", "--d", "2", "--s", "3", "--beta", "2", "--L", "6", "--seed", "1",
+              "--target", "2,-1", "--epsilon", "0.5"],
+             ["estimate-phi", "--r", "300", "--n-replicas", "2", "--seed", "1"]):
+    assert lrplab.cli.main([*argv, "--outdir", outdir]) == 0, argv
+heavy = ("scipy.stats", "scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg")
+print(",".join(m for m in heavy if m in sys.modules))
+assert lrplab.cli.main(["sample", "--L", "2", "--z-draws", "5", "--outdir", outdir]) == 0
+print(",".join(m for m in heavy if m in sys.modules))
+"""
+
+
+class TestImportPath:
+    def test_scipy_submodules_load_only_where_called(self, tmp_path):
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.splitlines()
+        assert before == ""
+        assert "scipy.integrate" in after.split(",")
