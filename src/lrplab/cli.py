@@ -71,14 +71,64 @@ def _cell_format(column, cells: list) -> str:
     return {"b": "%d", "i": "%d", "u": "%d", "f": "%r"}.get(kind, "%s")
 
 
+def _integer_rows(block: list) -> bytes:
+    """The CSV rows of equal-length numpy integer or bool arrays, as ASCII.
+
+    Each column fills a fixed-width slot of one uint8 row matrix: a '-'
+    byte if the column has a negative value in the block, the digits of the
+    magnitude by repeated division by 10, then ',' or '\\n'.  The magnitude
+    is |v| taken in int64 and read as uint64, exact for -2**63 (whose int64
+    |v| wraps to itself) and for uint64 values of 2**63 or more.  The slot
+    is as wide as the block's largest magnitude needs, and the unused sign
+    and leading digit bytes are NUL, which are then dropped.
+    """
+    slots = []
+    for col in block:
+        if col.dtype.kind == "i":
+            negative = col < 0
+            magnitude = np.abs(col, dtype=np.int64).view(np.uint64)
+        else:
+            negative = None
+            magnitude = col.astype(np.uint64, copy=False)
+        top = int(magnitude.max())
+        if top < 2**32:
+            magnitude = magnitude.astype(np.uint32)  # a cheaper division
+        slots.append((negative if negative is not None and negative.any() else None,
+                      magnitude, len(str(top))))
+    width = sum((negative is not None) + digits + 1 for negative, _, digits in slots)
+    rows = np.zeros((len(block[0]), width), dtype=np.uint8)
+    zero = np.uint8(ord("0"))
+    end = 0
+    for negative, magnitude, digits in slots:
+        if negative is not None:
+            np.multiply(negative, np.uint8(ord("-")), out=rows[:, end])
+            end += 1
+        ten = magnitude.dtype.type(10)
+        for pos in range(end + digits - 1, end - 1, -1):
+            quotient = magnitude // ten
+            digit = magnitude.astype(np.uint8)
+            digit -= quotient.astype(np.uint8) * np.uint8(10)  # exact: the digit is the same mod 256
+            digit += zero if pos == end + digits - 1 else (magnitude != 0) * zero  # leading zeros stay NUL
+            rows[:, pos] = digit
+            magnitude = quotient
+        end += digits
+        rows[:, end] = ord(",")
+        end += 1
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: Path, columns_doc: str, config_hash: str, header, columns, created: list,
                params_doc: str | None = None) -> None:
     """Write one table given as equal-length columns.
 
     A column is a numpy array, a list, or any object with ``len`` and row
-    slicing.  Each block of _BLOCK_ROWS rows goes out in one write: with one
-    '%' of the repeated row format when every column is numeric, through
-    csv.writer when some column is text (see _cell_format).
+    slicing.  Each block of _BLOCK_ROWS rows goes out in one write, by one
+    of three paths: as a byte matrix when every column is a numpy integer or
+    bool array (_integer_rows); else with one '%' of the repeated row format
+    when every column is numeric (ints as '%d', so Python ints of any size
+    stay exact, floats as '%r'); else through csv.writer when some column is
+    text (see _cell_format).
     """
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
@@ -92,6 +142,10 @@ def _write_csv(path: Path, columns_doc: str, config_hash: str, header, columns, 
         writer.writerow(header)
         for lo in range(0, n_rows, _BLOCK_ROWS):
             block = [col[lo:lo + _BLOCK_ROWS] for col in columns]
+            if all(isinstance(col, np.ndarray) and col.dtype.kind in "biu" for col in block):
+                fh.flush()
+                fh.buffer.write(_integer_rows(block))
+                continue
             cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in block]
             formats = [_cell_format(col, c) for col, c in zip(block, cells)]
             if "%s" in formats:

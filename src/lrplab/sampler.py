@@ -218,17 +218,22 @@ def _displacement_classes(box: Box, memory_cap_bytes: int) -> np.ndarray:
     if box.d == 1:
         return np.arange(2, 2 * L + 1, dtype=np.int64).reshape(-1, 1)
     raw_rows = (2 * L + 1) * (4 * L + 1) ** (box.d - 1)
-    _check_memory(raw_rows * box.d * 8 * 3, memory_cap_bytes, "displacement class enumeration")
+    # the mesh, the kept rows (about half of it) and np.delete's keep mask
+    _check_memory(raw_rows * (box.d * 12 + 1), memory_cap_bytes, "displacement class enumeration")
     axes = [np.arange(0, 2 * L + 1, dtype=np.int64)]
     axes += [np.arange(-2 * L, 2 * L + 1, dtype=np.int64)] * (box.d - 1)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.d)
-    nonzero = mesh != 0
-    has_nz = nonzero.any(axis=1)
-    lead = mesh[np.arange(len(mesh)), nonzero.argmax(axis=1)]
-    keep = has_nz & (lead > 0) & (np.abs(mesh).sum(axis=1) >= 2)
-    classes = mesh[keep]
-    order = np.lexsort(tuple(classes[:, i] for i in range(box.d - 1, -1, -1)))
-    return classes[order]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, box.d)
+    # An "ij" mesh of ascending axes is in lexicographic order, so the canonical
+    # rows are exactly those after the zero vector, and the unit vector e_i sits
+    # grid_strides[i] rows after it.
+    grid_strides = _grid_strides(box)
+    zero = int(grid_strides[0] - 1) // 2
+    return np.delete(mesh[zero + 1:], grid_strides - 1, axis=0)
+
+
+def _grid_strides(box: Box) -> np.ndarray:
+    """Strides of the displacement mesh, whose axes after the first span 4L + 1 values."""
+    return (4 * box.radius + 1) ** np.arange(box.d - 1, -1, -1, dtype=np.int64)
 
 
 def _class_pair_counts(box: Box, classes: np.ndarray) -> np.ndarray:
@@ -333,10 +338,16 @@ def _check_edge_keys(box: Box):
         raise ValueError(f"box too large: {n} vertices, and edge keys tail * n + head need n**2 < 2**63")
 
 
-def _edge_classes(box: Box, edges: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Class row of every edge, from its endpoints' displacement (codes ascend with the rows)."""
-    disp = box.coords_of(edges[:, 1]) - box.coords_of(edges[:, 0])
-    return np.searchsorted(codes, _class_codes(box, disp))
+def _edge_classes(box: Box, edges: np.ndarray) -> np.ndarray:
+    """Class row of every edge, from its endpoints' canonical displacement v.
+
+    v @ grid_strides is v's mesh offset past the zero vector (see
+    _displacement_classes), and the unit vectors before it are those whose
+    offset, grid_strides[i], is smaller.
+    """
+    grid_strides = _grid_strides(box)
+    offset = (box.coords_of(edges[:, 1]) - box.coords_of(edges[:, 0])) @ grid_strides
+    return offset - 1 - (offset[:, None] > grid_strides).sum(axis=1)
 
 
 def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
@@ -401,8 +412,8 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     if len(params_list) == 1:
         return [top]
     u = (_stream(seed, _THIN_STREAM).random_raw(len(top)) >> np.uint64(11)) * 2.0**-53
-    edge_class = _edge_classes(box, top, codes)
-    return [top[u < P[edge_class, i] / P[edge_class, -1]] for i in range(len(params_list) - 1)] + [top]
+    edge_class = _edge_classes(box, top)
+    return [top[u < ratio[edge_class]] for ratio in P[:, :-1].T / P[:, -1]] + [top]
 
 
 def sample_graph(params: ModelParams, box: Box, seed: int,

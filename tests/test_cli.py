@@ -583,6 +583,7 @@ _COLUMN_KINDS = {
     "uint32": st.integers(0, 2**32 - 1).map(np.uint32),
     "int64": st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(2**62 - 3, 2**62 + 3),
                        st.integers(-2**62 - 3, -2**62 + 3)).map(np.int64),
+    "uint64": st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63 - 3, 2**63 + 3)).map(np.uint64),
     "float64": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()).map(np.float64),
     "text": _TEXT,
     # lists hold Python values: ints of any size, floats, or a mix with strings
@@ -626,6 +627,23 @@ class TestWriteCsv:
         header = [f"c{i}" for i in range(len(columns))]
         got = written_table(tmp_path, header, columns)
         assert got == reference_table(header, columns)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    def test_integer_block_boundaries(self, tmp_path, n_rows):
+        """All-integer tables, whose blocks take the byte-matrix path, across the int64 and uint64 ranges."""
+        rng = np.random.default_rng(n_rows)
+
+        def spread(low, high, dtype, bits):  # every cell width from one digit to the dtype's widest
+            values = rng.integers(low, high, n_rows, dtype=dtype, endpoint=True)
+            return values >> rng.integers(0, bits, n_rows).astype(dtype)
+
+        int64, uint64 = spread(-2**63, 2**63 - 1, np.int64, 64), spread(0, 2**64 - 1, np.uint64, 64)
+        int64[:2], uint64[:2] = [-2**63, 2**63 - 1][:n_rows], [2**63, 2**64 - 1][:n_rows]
+        columns = [rng.random(n_rows) < 0.5, spread(-2**31, 2**31 - 1, np.int32, 32),
+                   spread(0, 2**32 - 1, np.uint32, 32), int64, uint64, rng.integers(0, 10, n_rows),
+                   rng.integers(2**32 - 3, 2**32 + 3, n_rows)]  # about the limit of 32-bit division
+        header = [f"c{i}" for i in range(len(columns))]
+        assert written_table(tmp_path, header, columns) == reference_table(header, columns)
 
     def test_mixed_int_and_inf_list(self, tmp_path):
         columns = [["ell1", "D", "D_k0"], [9, 3, math.inf]]

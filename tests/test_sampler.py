@@ -359,6 +359,30 @@ class TestCoupledSampling:
                 [PM, ModelParams(d=1, s=1.6, beta=2.0)], box, seed=0)
 
 
+class TestDisplacementClasses:
+    @pytest.mark.parametrize("d, radius", [(1, 1), (1, 5), (2, 1), (2, 3), (3, 1), (3, 2)])
+    def test_equal_brute_force_enumeration(self, d, radius):
+        span = range(-2 * radius, 2 * radius + 1)
+        canonical = sorted(v for v in itertools.product(span, repeat=d)
+                           if sum(map(abs, v)) >= 2 and next(c for c in v if c != 0) > 0)
+        got = sampler._displacement_classes(Box(d=d, radius=radius), sampler.DEFAULT_MEMORY_CAP)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(v) for v in canonical]
+
+    @pytest.mark.parametrize("d, radius, s, betas, seed", [(1, 300, 1.5, (1.0, 5.0), 3),
+                                                           (2, 12, 3.0, (0.5, 2.0), 5),
+                                                           (3, 4, 4.2, (1.0, 3.0), 7)])
+    def test_edge_class_rows_match_code_search(self, d, radius, s, betas, seed):
+        box = Box(d=d, radius=radius)
+        top = sample_graph_coupled([ModelParams(d=d, s=s, beta=b) for b in betas], box, seed)[-1].long_edges
+        classes = sampler._displacement_classes(box, sampler.DEFAULT_MEMORY_CAP)
+        disp = box.coords_of(top[:, 1]) - box.coords_of(top[:, 0])
+        expected = np.searchsorted(sampler._class_codes(box, classes), sampler._class_codes(box, disp))
+        assert len(top) > 100
+        np.testing.assert_array_equal(classes[expected], disp)
+        np.testing.assert_array_equal(sampler._edge_classes(box, top), expected)
+
+
 class TestGraphFromEdges:
     def test_coordinate_and_index_forms_agree(self):
         box = Box(d=1, radius=20)
