@@ -759,7 +759,7 @@ def _selfcheck_checks():
             n_max = 511
             rec = theta_recursive(pm, n_max)
             fast = theta_fast(pm, n_max)
-            closed = np.array([theta_closed_form(pm, n) for n in range(n_max + 1)])
+            closed = theta_closed_form(pm, np.arange(n_max + 1))
             scale = np.maximum(rec, 1.0)
             assert np.max(np.abs(rec - fast) / scale) <= 1e-12, f"recursive vs fast at d={d}"
             assert np.max(np.abs(rec - closed) / scale) <= 1e-12, f"recursive vs closed form at d={d}"

@@ -11,8 +11,8 @@ estimator here is a deterministic function of (params, radii, n_replicas,
 seed0).  Confidence intervals are seeded percentile bootstraps with 1000
 resamples by default.
 
-Finite-volume caveat: the graph is sampled on the box of radius ceil(r),
-so shortest paths cannot leave the box and distances near the annulus
+Finite-volume caveat: the graph is sampled on the box of the largest radius
+in the call, so shortest paths cannot leave the box and distances near its
 boundary carry a small upward bias; this is inherent to any finite window.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,43 +67,47 @@ class PhiEstimate:
     records: tuple
 
 
-def _log_r_power(params: ModelParams, r: float) -> float:
-    _, delta_exp = derived_constants(params)
-    return math.log(r) ** delta_exp
+def _annulus_masks(params: ModelParams, radii, delta: float) -> tuple:
+    """The box of radius ceil(max(radii)), and each radius's annulus mask and size.
+
+    An annulus lies inside the box of radius ceil(r), so its size depends on
+    (r, delta, d, norm) only; fewer than 100 vertices raise ValueError.
+    """
+    box = Box(params.d, int(math.ceil(max(radii))))
+    nrm = box.norm_field((0,) * box.d, params.norm)
+    masks = [(nrm >= delta * r) & (nrm < r) for r in radii]
+    counts = [int(np.count_nonzero(mask)) for mask in masks]
+    for r, n_points in zip(radii, counts):
+        if n_points < 100:
+            raise ValueError(f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices "
+                             f"at r={r}; need at least 100")
+    return box, masks, counts
 
 
 def _replica(args) -> list:
-    """One replica of a beta ladder: one coupled sample, one record per rung.
+    """One coupled sample and one BFS per rung, read at every radius: records[rung][radius].
 
-    A record's wall_time is the replica's shared set-up and sampling time
-    plus that rung's own BFS and median.
+    The masks beyond the first count against the sampler's memory cap.  A
+    record's wall_time is the shared set-up and sampling time plus its
+    rung's BFS and medians.
     """
-    params_list, r, seed, delta, memory_cap_bytes = args
+    params_list, radii, seed, delta, memory_cap_bytes = args
     t0 = time.perf_counter()
-    box = Box(params_list[0].d, int(math.ceil(r)))
-    nrm = box.norm_field((0,) * box.d, params_list[0].norm)
-    mask = (nrm >= delta * r) & (nrm < r)
-    del nrm
-    n_points = int(np.count_nonzero(mask))
-    if n_points < 100:
-        raise ValueError(
-            f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices at r={r}; "
-            "need at least 100"
-        )
-    samples = sample_graph_coupled(params_list, box, seed, memory_cap_bytes=memory_cap_bytes)
+    box, masks, counts = _annulus_masks(params_list[0], radii, delta)
+    samples = sample_graph_coupled(params_list, box, seed,
+                                   memory_cap_bytes=memory_cap_bytes - (len(masks) - 1) * box.n_vertices)
     shared = time.perf_counter() - t0
     records = []
     for pm, sample in zip(params_list, samples):
         t1 = time.perf_counter()
-        field = distances_from(sample, np.zeros(pm.d, dtype=np.int64))
-        med = float(np.median(field.dist[mask]))
-        records.append(ExperimentRecord(
-            params=pm, r=float(r), seed=int(seed),
-            phi_hat=med / _log_r_power(pm, r),
-            n_points=n_points,
-            annulus_fraction=n_points / box.n_vertices,
-            wall_time=shared + time.perf_counter() - t1,
-        ))
+        dist = distances_from(sample, np.zeros(pm.d, dtype=np.int64)).dist
+        medians = [float(np.median(dist[mask])) for mask in masks]
+        wall_time = shared + time.perf_counter() - t1
+        records.append([ExperimentRecord(params=pm, r=float(r), seed=int(seed),
+                                         phi_hat=med / math.log(r) ** derived_constants(pm).delta,
+                                         n_points=n_points, annulus_fraction=n_points / box.n_vertices,
+                                         wall_time=wall_time)
+                        for r, med, n_points in zip(radii, medians, counts)])
     return records
 
 
@@ -126,25 +130,34 @@ def _bootstrap_ci(rng: np.random.Generator, n_bootstrap: int, stat, *samples) ->
     return float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))
 
 
-def _estimate_ladder(params_list: list, r: float, n_replicas: int, seed0: int, delta: float,
-                     n_bootstrap: int, executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
-    """One PhiEstimate per rung; rung i's bootstrap is seeded by bootstrap_keys[i]."""
-    if not r > 1:
-        raise ValueError(f"r must be > 1, got {r}")
+def _check_ladder(params_list: list, n_replicas: int) -> None:
+    """Refuse, before any sampling, a ladder no replica could run."""
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    args = [(params_list, r, seed0 + i, delta, memory_cap_bytes) for i in range(n_replicas)]
+    if any(replace(pm, beta=params_list[0].beta) != params_list[0] for pm in params_list):
+        raise ValueError("a beta ladder requires identical (d, s, norm, kernel) on every rung")
+
+
+def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int, delta: float,
+                     n_bootstrap: int, executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
+    """PhiEstimates [rung][radius]; rung i's bootstrap is seeded by bootstrap_keys[i] at every radius."""
+    if any(not r > 1 for r in radii):
+        raise ValueError(f"r must be > 1, got {radii}")
+    _check_ladder(params_list, n_replicas)
+    args = [(params_list, radii, seed0 + i, delta, memory_cap_bytes) for i in range(n_replicas)]
     mapper = map if executor is None else executor.map
     per_replica = list(mapper(_replica, args))
-    out = []
-    for bi, (pm, key) in enumerate(zip(params_list, bootstrap_keys)):
-        records = tuple(rep[bi] for rep in per_replica)
+
+    def estimate(bi, ri):
+        records = tuple(rep[bi][ri] for rep in per_replica)
         phis = np.array([rec.phi_hat for rec in records])
-        ci_low, ci_high = _bootstrap_ci(np.random.default_rng(key), n_bootstrap, lambda m: m, phis)
-        out.append(PhiEstimate(params=pm, r=float(r), n_replicas=n_replicas, seed0=int(seed0),
-                               phi_hat=float(phis.mean()), ci_low=ci_low, ci_high=ci_high,
-                               records=records))
-    return out
+        ci_low, ci_high = _bootstrap_ci(np.random.default_rng(bootstrap_keys[bi]), n_bootstrap,
+                                        lambda m: m, phis)
+        return PhiEstimate(params=params_list[bi], r=float(radii[ri]), n_replicas=n_replicas,
+                           seed0=int(seed0), phi_hat=float(phis.mean()), ci_low=ci_low,
+                           ci_high=ci_high, records=records)
+
+    return [[estimate(bi, ri) for ri in range(len(radii))] for bi in range(len(params_list))]
 
 
 def estimate_phi(params: ModelParams, r: float, n_replicas: int, seed0: int,
@@ -158,8 +171,8 @@ def estimate_phi(params: ModelParams, r: float, n_replicas: int, seed0: int,
     deterministic either way.  This is a ladder of one: its phi_hat and
     records equal those of ``estimate_phi_ladder([params], ...)``.
     """
-    return _estimate_ladder([params], r, n_replicas, seed0, delta, n_bootstrap, executor,
-                            memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0]
+    return _estimate_ladder([params], [r], n_replicas, seed0, delta, n_bootstrap, executor,
+                            memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0][0]
 
 
 def estimate_phi_ladder(params_list, r: float, n_replicas: int, seed0: int,
@@ -174,8 +187,8 @@ def estimate_phi_ladder(params_list, r: float, n_replicas: int, seed0: int,
     """
     params_list = list(params_list)
     keys = [[seed0, _BOOTSTRAP_TAG, bi] for bi in range(len(params_list))]
-    return _estimate_ladder(params_list, r, n_replicas, seed0, delta, n_bootstrap, executor,
-                            memory_cap_bytes, keys)
+    return [row[0] for row in _estimate_ladder(params_list, [r], n_replicas, seed0, delta,
+                                               n_bootstrap, executor, memory_cap_bytes, keys)]
 
 
 def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: float) -> float:
@@ -219,15 +232,13 @@ class PeriodicityDiagnostic:
 def periodicity_diagnostic(params: ModelParams, r: float, n_replicas: int, seed0: int,
                            delta: float = 0.1, n_bootstrap: int = 1000, executor=None,
                            memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> PeriodicityDiagnostic:
-    """Compare phi_hat at radii one log-log period apart (r and r**(1/gamma))."""
+    """Compare phi_hat at radii one log-log period apart (r and r**(1/gamma)),
+    both read from one sample per replica on the box of the outer radius."""
     gamma, _ = derived_constants(params)
     r_next = r ** (1.0 / gamma)
-    est1 = estimate_phi(params, r, n_replicas, seed0, delta=delta, n_bootstrap=n_bootstrap,
-                        executor=executor, memory_cap_bytes=memory_cap_bytes)
-    est2 = estimate_phi(params, r_next, n_replicas, seed0, delta=delta, n_bootstrap=n_bootstrap,
-                        executor=executor, memory_cap_bytes=memory_cap_bytes)
-    phis1 = np.array([rec.phi_hat for rec in est1.records])
-    phis2 = np.array([rec.phi_hat for rec in est2.records])
+    est1, est2 = _estimate_ladder([params], [r, r_next], n_replicas, seed0, delta, n_bootstrap,
+                                  executor, memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0]
+    phis1, phis2 = (np.array([rec.phi_hat for rec in est.records]) for est in (est1, est2))
     gap = (est2.phi_hat - est1.phi_hat) / est1.phi_hat
     lo, hi = _bootstrap_ci(np.random.default_rng([seed0, _GAP_TAG]), n_bootstrap,
                            lambda m1, m2: (m2 - m1) / m1, phis1, phis2)
@@ -282,10 +293,11 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
 
     For each beta and t the probe radius is
     r = exp(gamma**(-t) * u(beta)/(2d-s) * gamma**(-m_offset)); the dyadic
-    offset keeps r simulable and is exact to the log-log period.  Cells
-    whose box would exceed ``box_radius_cap`` or the memory cap, or whose
-    annulus is too thin, are marked missing with a reason, never fabricated.
-    One shared seed list (seed0 + i) is used across the whole ladder.
+    offset keeps r simulable and is exact to the log-log period.  One coupled
+    sample of the ladder per replica (seed0 + i), on the box of the largest
+    live radius, serves every cell.  Cells whose box exceeds ``box_radius_cap``,
+    whose annulus is too thin, or whose box the sampler refuses are marked
+    missing with a reason, never fabricated.
     """
     from scipy import stats  # deferred: importing scipy.stats takes about 1.2 s
 
@@ -299,37 +311,40 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     t_vals = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_vals):
         raise ValueError("t grid must lie in [0, 1]")
+    _check_ladder(params_list, n_replicas)
+
+    plan = [(bi, pm, t, collapse_radius(pm, pm.beta, t, m_offset))
+            for bi, pm in enumerate(params_list) for t in t_vals]
+    radii = sorted({r for *_, r in plan})
+    reasons = {}  # radius -> why its cells are missing
+    for r in radii:
+        try:
+            if math.ceil(r) > box_radius_cap:
+                raise ValueError(f"box radius {math.ceil(r)} over cap {box_radius_cap}")
+            _annulus_masks(params_list[0], [r], delta)
+        except ValueError as exc:
+            reasons[r] = str(exc)
+    radii = [r for r in radii if r not in reasons]
+    while radii:  # a refusal grows with the radius: drop the largest and sweep the rest
+        try:
+            ladder = _estimate_ladder(params_list, radii, n_replicas, seed0, delta, n_bootstrap,
+                                      executor, memory_cap_bytes,
+                                      [[seed0, _BOOTSTRAP_TAG]] * len(params_list))
+            break
+        except (MemoryCapExceeded, ValueError) as exc:
+            reasons[radii.pop()] = str(exc)
+    estimates = {(bi, r): est for bi, row in enumerate(ladder) for r, est in zip(radii, row)} if radii else {}
 
     cells = []
-    for pm in params_list:
-        _, delta_exp = derived_constants(pm)
-        lb_pow = math.log(pm.beta) ** delta_exp
-        for t in t_vals:
-            r = collapse_radius(pm, pm.beta, t, m_offset)
-            limit = float(psi_limit(pm, t))
-            if math.ceil(r) > box_radius_cap:
-                cells.append(CollapseCell(beta=pm.beta, t=t, r=r, phi_hat=math.nan,
-                                          ci_low=math.nan, ci_high=math.nan, value=math.nan,
-                                          limit=limit, missing=True,
-                                          reason=f"box radius {math.ceil(r)} over cap {box_radius_cap}",
-                                          replica_phis=()))
-                continue
-            try:
-                est = estimate_phi(pm, r, n_replicas, seed0, delta=delta,
-                                   n_bootstrap=n_bootstrap, executor=executor,
-                                   memory_cap_bytes=memory_cap_bytes)
-            except (MemoryCapExceeded, ValueError) as exc:
-                cells.append(CollapseCell(beta=pm.beta, t=t, r=r, phi_hat=math.nan,
-                                          ci_low=math.nan, ci_high=math.nan, value=math.nan,
-                                          limit=limit, missing=True, reason=str(exc),
-                                          replica_phis=()))
-                continue
-            cells.append(CollapseCell(
-                beta=pm.beta, t=t, r=r, phi_hat=est.phi_hat,
-                ci_low=est.ci_low, ci_high=est.ci_high,
-                value=lb_pow * est.phi_hat, limit=limit, missing=False, reason="",
-                replica_phis=tuple(rec.phi_hat for rec in est.records),
-            ))
+    nan_est = PhiEstimate(None, math.nan, n_replicas, seed0, math.nan, math.nan, math.nan, ())
+    for bi, pm, t, r in plan:
+        est = estimates.get((bi, r), nan_est)  # nan_est stands in for a missing cell
+        cells.append(CollapseCell(
+            beta=pm.beta, t=t, r=r, phi_hat=est.phi_hat, ci_low=est.ci_low, ci_high=est.ci_high,
+            value=math.log(pm.beta) ** derived_constants(pm).delta * est.phi_hat,
+            limit=float(psi_limit(pm, t)), missing=r in reasons, reason=reasons.get(r, ""),
+            replica_phis=tuple(rec.phi_hat for rec in est.records),
+        ))
 
     summaries = []
     rng = np.random.default_rng([seed0, _COLLAPSE_TAG])
@@ -338,27 +353,18 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
         lb_pow = math.log(pm.beta) ** delta_exp
         mine = [c for c in cells if c.beta == pm.beta]
         live = [c for c in mine if not c.missing]
-        if live:
-            discrepancies = np.array([abs(c.value - c.limit) for c in live])
-            values = np.array([c.value for c in live])
-            limits = np.array([c.limit for c in live])
-            rank = float(stats.spearmanr(values, limits)[0]) if len(live) > 1 else math.nan
-            phi_mat = np.array([c.replica_phis for c in live])  # (cells, replicas)
-            ci_lo, ci_hi = _bootstrap_ci(rng, n_bootstrap,
-                                         lambda m: np.abs(m.T * lb_pow - limits).mean(axis=-1), phi_mat)
-            summaries.append(CollapseSummary(
-                beta=pm.beta, n_cells=len(mine), n_missing=len(mine) - len(live),
-                max_abs_discrepancy=float(discrepancies.max()),
-                mean_abs_discrepancy=float(discrepancies.mean()),
-                mean_abs_ci_low=ci_lo, mean_abs_ci_high=ci_hi,
-                rank_correlation=rank,
-            ))
-        else:
-            summaries.append(CollapseSummary(beta=pm.beta, n_cells=len(mine), n_missing=len(mine),
-                                             max_abs_discrepancy=math.nan,
-                                             mean_abs_discrepancy=math.nan,
-                                             mean_abs_ci_low=math.nan, mean_abs_ci_high=math.nan,
-                                             rank_correlation=math.nan))
+        discrepancies = np.array([abs(c.value - c.limit) for c in live] or [math.nan])
+        limits = np.array([c.limit for c in live])
+        rank = float(stats.spearmanr([c.value for c in live], limits)[0]) if len(live) > 1 else math.nan
+        ci_lo, ci_hi = _bootstrap_ci(rng, n_bootstrap, lambda m: np.abs(m.T * lb_pow - limits).mean(axis=-1),
+                                     np.array([c.replica_phis for c in live])) if live else (math.nan,) * 2
+        summaries.append(CollapseSummary(
+            beta=pm.beta, n_cells=len(mine), n_missing=len(mine) - len(live),
+            max_abs_discrepancy=float(discrepancies.max()),
+            mean_abs_discrepancy=float(discrepancies.mean()),
+            mean_abs_ci_low=ci_lo, mean_abs_ci_high=ci_hi,
+            rank_correlation=rank,
+        ))
     return CollapseReport(t_grid=tuple(t_vals), m_offset=int(m_offset),
                           cells=tuple(cells), summaries=tuple(summaries))
 
@@ -416,13 +422,11 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
             hits[j] += int(np.count_nonzero(field.dist[mask] <= n))
 
     rows = []
-    envs = []
     precondition_ok = True
     for j, rho in enumerate(radii):
         env = tail_envelope(params, n, rho, c, c_tilde, p)
         precondition_ok = precondition_ok and env.precondition_ok
         empirical = hits[j] / points[j] if points[j] else math.nan
-        envs.append(env.value)
         rows.append((rho, int(points[j]), float(empirical), env.value))
 
     ratios = [emp / (env / c) for (_, np_, emp, env) in rows if np_ > 0 and env > 0 and not math.isnan(emp)]

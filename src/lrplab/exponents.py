@@ -63,24 +63,21 @@ def _theta_block_end(params: ModelParams, n: int) -> float:
     return (1.0 / params.s) * (1.0 - gamma**n) / (1.0 - gamma) * gamma ** (-n + 1)
 
 
-def theta_closed_form(params: ModelParams, n: int) -> float:
-    """Closed-form theta[n] for arbitrary n.
+def theta_closed_form(params: ModelParams, n):
+    """Closed-form theta[n] for an int n or, elementwise, an int array.
 
     Exact at dyadic block ends n = 2**m - 1; elsewhere linear interpolation
     between the enclosing block ends (theta is affine on each block
     {2**m - 1, ..., 2**(m+1) - 1} because its forward differences are
     constant there).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0.0
-    m = (n + 1).bit_length() - 1  # block with 2**m - 1 <= n < 2**(m+1) - 1
-    lo, hi = 2**m - 1, 2 ** (m + 1) - 1
-    if n == lo:
-        return _theta_block_end(params, m)
-    w = (n - lo) / (hi - lo)
-    return (1.0 - w) * _theta_block_end(params, m) + w * _theta_block_end(params, m + 1)
+    ns = np.asarray(n, dtype=np.int64)
+    m = block_index(ns)
+    m_lo = int(np.min(m))
+    ends = np.array([_theta_block_end(params, k) for k in range(m_lo, int(np.max(m)) + 2)])
+    w = (ns - _BLOCK_STARTS[m]) / (_BLOCK_STARTS[m + 1] - _BLOCK_STARTS[m])
+    theta = (1.0 - w) * ends[m - m_lo] + w * ends[m - m_lo + 1]
+    return float(theta) if theta.ndim == 0 else theta
 
 
 def vartheta(params: ModelParams, n_max: int) -> np.ndarray:
@@ -96,11 +93,20 @@ def vartheta(params: ModelParams, n_max: int) -> np.ndarray:
     return vt
 
 
-def block_index(n: int) -> int:
-    """Index m of the dyadic block {2**m - 1, ..., 2**(m+1) - 2} containing n."""
-    if n < 0:
+# Dyadic block starts 2**m - 1; block m holds the n with starts[m] <= n < starts[m + 1].
+_BLOCK_STARTS = np.array([2**m - 1 for m in range(64)], dtype=np.int64)
+
+
+def block_index(n):
+    """Index m of the dyadic block {2**m - 1, ..., 2**(m+1) - 2} containing n.
+
+    n may be an int or, elementwise, an int array below 2**62.
+    """
+    ns = np.asarray(n, dtype=np.int64)
+    if np.any(ns < 0):
         raise ValueError("n must be >= 0")
-    return (n + 1).bit_length() - 1
+    m = np.searchsorted(_BLOCK_STARTS, ns, side="right") - 1
+    return int(m) if m.ndim == 0 else m
 
 
 @dataclass(frozen=True)
@@ -193,19 +199,11 @@ def exponent_table(params: ModelParams, n_max: int) -> ExponentTable:
     cancellation).
     """
     ns = np.arange(n_max + 1)
-    # theta_closed_form and block_index over all n at once: the block starts
-    # 2**m - 1 locate each n, and the block ends are computed once per block.
-    m_top = block_index(n_max)
-    starts = 2 ** np.arange(m_top + 2) - 1
-    blocks = np.searchsorted(starts, ns, side="right") - 1
-    ends = np.array([_theta_block_end(params, m) for m in range(m_top + 2)])
-    lo, hi = starts[blocks], starts[blocks + 1]
-    w = (ns - lo) / (hi - lo)
     return ExponentTable(
         params=params,
         n=ns,
         theta=theta_fast(params, n_max),
-        theta_closed_form=(1.0 - w) * ends[blocks] + w * ends[blocks + 1],
+        theta_closed_form=theta_closed_form(params, ns),
         vartheta=vartheta(params, n_max),
-        block_index=blocks,
+        block_index=block_index(ns),
     )

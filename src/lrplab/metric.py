@@ -225,20 +225,17 @@ def _restricted_bfs(sample: GraphSample, x, y, radius: float, strict: bool) -> R
     return RestrictedDistanceResult(value=value, constraint_radius=radius, truncated_by_box=truncated)
 
 
-def restricted_distance(sample: GraphSample, x, y, strict: bool = True,
-                        reference_norm: str = "ell1") -> RestrictedDistanceResult:
+def restricted_distance(sample: GraphSample, x, y) -> RestrictedDistanceResult:
     """Shortest path from x to y among paths confined near x.
 
     Every path vertex z must satisfy norm(z - x) < 2 * ell1(x - y), with
-    the kernel norm on the left.  The definition is asymmetric in (x, y).
-    The printed convention is strict inequality with an ell1 right-hand
-    side; both are exposed as switches (``strict``, ``reference_norm``)
-    since the k-indexed family below uses the other convention.
+    the kernel norm on the left: the printed convention, strict inequality
+    with an ell1 right-hand side.  The definition is asymmetric in (x, y).
+    The k-indexed family below uses weak inequality and the kernel norm on
+    both sides instead.
     """
-    x_arr = np.asarray(x, dtype=np.int64)
-    y_arr = np.asarray(y, dtype=np.int64)
-    radius = 2.0 * norm_value(y_arr - x_arr, reference_norm)
-    return _restricted_bfs(sample, x, y, radius, strict)
+    radius = 2.0 * norm_value(np.asarray(y, dtype=np.int64) - np.asarray(x, dtype=np.int64), "ell1")
+    return _restricted_bfs(sample, x, y, radius, strict=True)
 
 
 def restricted_k_distance(sample: GraphSample, x, y, k: int, gamma_bar: float) -> RestrictedDistanceResult:

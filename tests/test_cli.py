@@ -448,6 +448,8 @@ _EXTRA_PIN_ARGV = [
 
 # sha256 of each data file, keyed by the command line; written by the CLI
 # before its CSV writer became column-typed, so they pin the output bytes.
+# The README collapse line was re-pinned when collapse_report began to read
+# every radius from one coupled sample per replica.
 _OUTPUT_PINS = {
     'exponents --d 1 --s 1.5 --n-max 64': {
         'exponents.csv': '60db6cbb28550ac7241e50c3bfd95fccd59323d2d5aed84e2169b3c7ebea68d3',
@@ -476,9 +478,9 @@ _OUTPUT_PINS = {
         'phi_summary.csv': '06a3deed4f6f007646bf605631e97e298a8f5d4803a04f0e654a94e3529744da',
     },
     'collapse --log-betas 3,4 --t-points 21 --n-replicas 4 --seed 0': {
-        'collapse_cells.csv': '4168e3fcce87f6012d57701532e262e5516bb05699d724760af73dade4549c41',
-        'collapse_records.csv': 'ca45022d85f729b0a89886078c8ba89889aa77e02d42419b75be380604793048',
-        'collapse_summary.csv': 'ebded9bc997c5c7cc8e85d3bf0d5b29f34efb5a22c1d7e5aedc0514446b0f8c9',
+        'collapse_cells.csv': 'f146a1e77a31856733c0dd0312380afd4a57d1277f07020817b2498881226b86',
+        'collapse_records.csv': 'db81faf0d60dd438d7baccd394f976d4533b04161fcad7f3ef8e95ee3c707eca',
+        'collapse_summary.csv': '39609c74b5adb2ea7ea9f0a3aa025ccd88ebed3c3483bca46268910d83d1a8ce',
     },
     'selfcheck': {
         'selfcheck.json': 'c24cbc4861bc2919081a520efb7d229c15bbb6f70d23c2c693b4810f41ae161d',

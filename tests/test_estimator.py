@@ -4,9 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lrplab.estimator
 from lrplab import (
     Box,
+    MemoryCapExceeded,
     ModelParams,
+    collapse_radius,
     collapse_report,
     derived_constants,
     distances_from,
@@ -16,6 +19,7 @@ from lrplab import (
     periodicity_diagnostic,
     psi_limit,
     sample_graph,
+    sample_graph_coupled,
     table_kernel,
     tail_comparison,
     theorem1_fraction,
@@ -121,6 +125,46 @@ class TestLadder:
                 [ModelParams(d=1, s=1.5, beta=5.0), ModelParams(d=1, s=1.5, beta=1.0)],
                 300.0, n_replicas=2, seed0=0)
 
+    @pytest.mark.parametrize("other", [
+        ModelParams(d=1, s=1.6, beta=2.0),
+        ModelParams(d=1, s=1.5, beta=2.0, norm="ell1"),
+        replace(NO_LONG_EDGES, beta=2.0),
+        ModelParams(d=2, s=3.0, beta=2.0),
+    ], ids=["s", "norm", "kernel", "d"])
+    def test_mixed_ladder_rejected_before_sampling(self, monkeypatch, other):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a mixed ladder")
+
+        monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", refuse)
+        with pytest.raises(ValueError, match="identical"):
+            estimate_phi_ladder([PM, other], 300.0, n_replicas=2, seed0=0)
+        with pytest.raises(ValueError, match="identical"):
+            collapse_report([replace(PM, beta=math.e**3), replace(other, beta=math.e**4)],
+                            [0.0], n_replicas=2, seed0=0, m_offset=2)
+
+
+def count_samples(monkeypatch) -> list:
+    """Record the box radius of every sample the estimators draw."""
+    radii = []
+
+    def counted(params_list, box, seed, memory_cap_bytes):
+        radii.append(box.radius)
+        return sample_graph_coupled(params_list, box, seed, memory_cap_bytes=memory_cap_bytes)
+
+    monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", counted)
+    return radii
+
+
+def min_memory_cap(params_list, radius: int) -> int:
+    """The smallest memory cap under which the ladder samples on the d=1 box of this radius."""
+    cap = 0
+    while True:
+        try:
+            sample_graph_coupled(params_list, Box(1, radius), 0, memory_cap_bytes=cap)
+            return cap
+        except MemoryCapExceeded as exc:
+            cap = math.ceil(exc.estimated_bytes)
+
 
 @pytest.fixture(scope="module")
 def field_r2000():
@@ -192,10 +236,32 @@ class TestPeriodicityDiagnostic:
     def test_regression_value(self):
         pm = ModelParams(d=1, s=1.5, beta=5.0)
         diag = periodicity_diagnostic(pm, 1e4, n_replicas=2, seed0=0)
-        assert diag.relative_gap == pytest.approx(-0.2727272727272726, rel=1e-9)
+        assert diag.relative_gap == pytest.approx(-0.33333333333333326, rel=1e-9)
         assert diag.gap_ci_low <= diag.relative_gap <= diag.gap_ci_high
         # Paired-bootstrap CI bytes, keyed [seed0, _GAP_TAG].
-        assert (diag.gap_ci_low, diag.gap_ci_high) == (-0.33333333333333326, -0.19999999999999987)
+        assert (diag.gap_ci_low, diag.gap_ci_high) == (-0.33333333333333326, -0.33333333333333326)
+
+    def test_one_sample_per_replica(self, monkeypatch):
+        radii = count_samples(monkeypatch)
+        diag = periodicity_diagnostic(PM, 200.0, n_replicas=3, seed0=1)
+        assert radii == [math.ceil(diag.r_next)] * 3
+
+    def test_inner_mask_counts_against_the_memory_cap(self):
+        pm = ModelParams(d=1, s=1.5, beta=5.0)
+        radius = math.ceil(1e3 ** (1 / derived_constants(pm).gamma))
+        cap = min_memory_cap([pm], radius) + 2 * radius + 1  # one byte per box vertex
+        periodicity_diagnostic(pm, 1e3, n_replicas=1, seed0=0, memory_cap_bytes=cap)
+        with pytest.raises(MemoryCapExceeded):
+            periodicity_diagnostic(pm, 1e3, n_replicas=1, seed0=0, memory_cap_bytes=cap - 1)
+
+    def test_outer_radius_is_estimate_phi(self):
+        pm = ModelParams(d=1, s=1.5, beta=5.0)
+        diag = periodicity_diagnostic(pm, 1e3, n_replicas=3, seed0=4)
+        est = estimate_phi(pm, diag.r_next, n_replicas=3, seed0=4)
+        got = diag.estimate_r_next
+        assert (got.phi_hat, got.ci_low, got.ci_high) == (est.phi_hat, est.ci_low, est.ci_high)
+        assert [replace(r, wall_time=0.0) for r in got.records] == \
+            [replace(r, wall_time=0.0) for r in est.records]
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +310,64 @@ class TestCollapseReport:
         summary = small_report.summaries[0]
         assert summary.beta == math.e**3
         assert (summary.mean_abs_ci_low, summary.mean_abs_ci_high) == \
-            (0.39460757335475327, 0.4393767956012719)
+            (0.39460757335475327, 0.39460757335475327)
+
+    def test_one_coupled_sample_per_replica(self, monkeypatch):
+        radii = count_samples(monkeypatch)
+        report = collapse_report([ModelParams(d=1, s=1.5, beta=math.e**3),
+                                  ModelParams(d=1, s=1.5, beta=math.e**4)],
+                                 np.linspace(0.0, 1.0, 5), n_replicas=3, seed0=0, m_offset=2)
+        assert radii == [math.ceil(max(c.r for c in report.cells))] * 3
+
+    def test_shared_radius_medians_non_increasing_in_beta(self, small_report):
+        # The rungs are nested, so at a radius both betas probe every
+        # replica's integer median is non-increasing in beta.
+        _, delta = derived_constants(PM)
+        by_radius = {}
+        for cell in small_report.cells:
+            medians = np.array(cell.replica_phis) * math.log(cell.r) ** delta
+            np.testing.assert_allclose(medians, np.round(medians), rtol=1e-12)
+            by_radius.setdefault(cell.r, []).append(np.round(medians))
+        shared = [m for m in by_radius.values() if len(m) == 2]
+        assert len(shared) == 5
+        for low_beta, high_beta in shared:
+            assert np.all(high_beta <= low_beta)
+
+    def test_thin_annulus_cells_missing(self):
+        # m_offset = 1 puts the t <= 0.5 radii (29 to 49) below 100 annulus vertices.
+        pm = ModelParams(d=1, s=1.5, beta=math.e**3)
+        report = collapse_report([pm], np.linspace(0.0, 1.0, 5), n_replicas=2, seed0=0,
+                                 m_offset=1)
+        missing = [c for c in report.cells if c.missing]
+        assert [c.t for c in missing] == [0.0, 0.25, 0.5]
+        for cell in missing:
+            with pytest.raises(ValueError) as info:
+                estimate_phi(pm, cell.r, n_replicas=1, seed0=0)
+            assert cell.reason == str(info.value)
+            assert cell.reason.startswith("annulus {0.1*r <= |x| < r} holds only")
+        for cell in report.cells[3:]:
+            assert not cell.missing and cell.reason == "" and cell.phi_hat > 0
+        assert report.summaries[0].n_missing == 3
+
+    def test_memory_cap_drops_only_the_largest_box(self):
+        params_list = [ModelParams(d=1, s=1.5, beta=math.e**3),
+                       ModelParams(d=1, s=1.5, beta=math.e**4)]
+        t_grid = np.linspace(0.0, 1.0, 5)
+        radii = sorted({collapse_radius(params_list[0], math.e**3, t, 2) for t in t_grid})
+        # Enough for a sweep over every radius but the largest, whose four
+        # extra annulus masks count against the cap; not enough with it.
+        second = math.ceil(radii[-2])
+        cap = min_memory_cap(params_list, second) + (len(radii) - 2) * (2 * second + 1)
+        top = math.ceil(radii[-1])
+        assert cap < min_memory_cap(params_list, top)
+        report = collapse_report(params_list, t_grid, n_replicas=2, seed0=0, m_offset=2,
+                                 memory_cap_bytes=cap)
+        missing = [c for c in report.cells if c.missing]
+        assert [(c.beta, c.t) for c in missing] == [(math.e**3, 1.0), (math.e**4, 1.0)]
+        for cell in missing:
+            assert cell.reason.startswith("graph sampling needs an estimated")
+        rest = collapse_report(params_list, t_grid[:-1], n_replicas=2, seed0=0, m_offset=2)
+        assert [c for c in report.cells if not c.missing] == list(rest.cells)
 
     def test_missing_cells_on_box_cap(self):
         params_list = [ModelParams(d=1, s=1.5, beta=math.e**3)]
