@@ -29,6 +29,8 @@ from .sampler import (
     DEFAULT_MEMORY_CAP,
     Box,
     MemoryCapExceeded,
+    _check_memory,
+    _vertex_stage_memory,
     sample_graph,
     sample_graph_coupled,
 )
@@ -87,12 +89,16 @@ def _annulus_masks(params: ModelParams, radii, delta: float) -> tuple:
 def _replica(args) -> list:
     """One coupled sample and one BFS per rung, read at every radius: records[rung][radius].
 
-    The masks beyond the first count against the sampler's memory cap.  A
-    record's wall_time is the shared set-up and sampling time plus its
-    rung's BFS and medians.
+    The masks beyond the first count against the sampler's memory cap, and
+    the box's per-vertex bytes are checked against it before the norm field
+    and masks are built.  A record's wall_time is the shared set-up and
+    sampling time plus its rung's BFS and medians.
     """
     params_list, radii, seed, delta, memory_cap_bytes = args
     t0 = time.perf_counter()
+    box = Box(params_list[0].d, int(math.ceil(max(radii))))
+    _check_memory(_vertex_stage_memory(box, len(params_list)) + (len(radii) - 1) * box.n_vertices,
+                  memory_cap_bytes, "annulus field and masks")
     box, masks, counts = _annulus_masks(params_list[0], radii, delta)
     samples = sample_graph_coupled(params_list, box, seed,
                                    memory_cap_bytes=memory_cap_bytes - (len(masks) - 1) * box.n_vertices)

@@ -41,17 +41,19 @@ def theta_fast(params: ModelParams, n_max: int) -> np.ndarray:
     theta[2n] = 1/s + (d/s)(theta[n] + theta[n-1]) and
     theta[2n+1] = 1/s + (2d/s) theta[n]; equals theta_recursive exactly
     (the max in the defining recursion is attained at the centered split).
+    Indices 2**k to 2**(k+1) - 1 read only smaller blocks, so each block is
+    one array expression with the same float64 operations as a term-by-term
+    loop.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     d, s = params.d, params.s
     theta = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        half = n // 2
-        if n % 2:
-            theta[n] = 1.0 / s + (2 * d / s) * theta[half]
-        else:
-            theta[n] = 1.0 / s + (d / s) * (theta[half] + theta[half - 1])
+    for start in (2**k for k in range(int(n_max).bit_length())):
+        end = min(2 * start, n_max + 1)
+        odd, even = np.arange(start | 1, end, 2), np.arange(start + start % 2, end, 2)
+        theta[odd] = 1.0 / s + (2 * d / s) * theta[odd // 2]
+        theta[even] = 1.0 / s + (d / s) * (theta[even // 2] + theta[even // 2 - 1])
     return theta
 
 
@@ -88,8 +90,9 @@ def vartheta(params: ModelParams, n_max: int) -> np.ndarray:
     gamma, _ = derived_constants(params)
     vt = np.zeros(n_max + 1)
     vt[0] = 1.0
-    for n in range(n_max):
-        vt[n + 1] = (vt[n // 2] + vt[(n + 1) // 2]) / (2 * gamma)
+    for start in (2**k for k in range(int(n_max).bit_length())):  # vt[m]'s operands sit below start
+        m = np.arange(start, min(2 * start, n_max + 1))
+        vt[m] = (vt[(m - 1) // 2] + vt[m // 2]) / (2 * gamma)
     return vt
 
 

@@ -13,11 +13,16 @@ by (tail, head), the out-halves are placed by degree offsets without a
 sort, and only the in-halves' keys ``head * n + tail`` are sorted.
 
 The frontier is held as a flat index array, one generation at a time.  A
-level's candidates are deduplicated by stamping: one n-length buffer per
+level's unvisited candidates are deduplicated in one of two ways, chosen
+by their count.  Up to n/8 of them are stamped: one n-length buffer per
 search takes ``stamp[cand] = arange(cand.size)``, and the candidates that
-read their own position back are the first occurrence of each vertex.
-The frontier is thus in first-seen order, not sorted; the level sets, and
-so the distances, do not depend on that order.
+read their own position back are the first occurrence of each vertex, so
+that frontier is in first-seen order.  More than n/8 of them are written
+into the distances, and the frontier is read back by one scan,
+``flatnonzero(dist == level)``, so that frontier is in index order.  The
+threshold keeps early levels, early-exit and restricted searches
+O(candidates), while a level holding much of the box costs one pass over
+it.  The level sets, and so the distances, do not depend on either order.
 """
 
 from __future__ import annotations
@@ -146,10 +151,14 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
         cand = cand[keep]
         if cand.size == 0:
             break
-        order = np.arange(cand.size)
-        stamp[cand] = order
-        frontier = cand[stamp[cand] == order]
-        dist[frontier] = level
+        if 8 * cand.size > box.n_vertices:
+            dist[cand] = level
+            frontier = np.flatnonzero(dist == level)
+        else:
+            order = np.arange(cand.size)
+            stamp[cand] = order
+            frontier = cand[stamp[cand] == order]
+            dist[frontier] = level
     return dist
 
 

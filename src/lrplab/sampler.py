@@ -178,8 +178,12 @@ class GraphSample:
     ``long_edges`` holds the explicit non-nearest-neighbor edges as an
     (m, 2) int64 array of vertex index pairs (i, j) with i < j, sorted
     lexicographically; nearest-neighbor edges are implicit and always
-    present.  Samples are immutable by convention; regeneration from
-    (params, box, seed) through the op that produced them is bit-identical.
+    present.  The samplers and ``graph_from_edges`` store it column-major,
+    so each endpoint column is contiguous for the adjacency build; a
+    hand-built sample with a C-order array works the same, only with
+    strided column reads.  Samples are immutable by convention;
+    regeneration from (params, box, seed) through the op that produced
+    them is bit-identical.
     """
 
     params: ModelParams
@@ -266,7 +270,7 @@ def _select_dense(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
     """k distinct uniform indices from range(n) by partial shuffle (dense classes)."""
     if k >= n:
         return np.arange(n, dtype=np.int64)
-    return gen.choice(n, size=k, replace=False).astype(np.int64)
+    return gen.choice(n, size=k, replace=False)
 
 
 def _bounded(words: np.ndarray, n: np.ndarray):
@@ -290,18 +294,27 @@ def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
     word per slot still missing (a rejected or an in-class duplicate draw).
     Each row's set is thus the first K[i] distinct values of an i.i.d.
     uniform sequence, hence uniform over K[i]-subsets.  Requires N < 2**32.
+    Round 0 sorts its keys; a later round draws words for the short rows
+    only and merges its few new distinct keys into the sorted keys, so it
+    costs O(words drawn) plus one copy of the keys.
     Returns (row, index) arrays sorted by (row, index).
     """
     n = N.astype(np.uint64)
     keys = np.empty(0, dtype=np.int64)  # row << 32 | index, sorted and distinct
     missing = K.astype(np.int64)
     while (total := int(missing.sum())) > 0:
-        rows = np.repeat(np.arange(len(n)), missing)
+        short = np.flatnonzero(missing)
+        rows = np.repeat(short, missing[short])
         values, accepted = _bounded(bit_generator.random_raw(total), n[rows])
-        keys = np.concatenate([keys, (rows[accepted] << 32) | values[accepted]])
-        keys.sort()
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        missing = K - np.bincount(keys >> 32, minlength=len(n))
+        new = (rows[accepted] << 32) | values[accepted]
+        del rows, values, accepted
+        new.sort()
+        new = new[np.diff(new, prepend=-1) != 0]
+        at = np.searchsorted(keys, new)
+        fresh = at == np.searchsorted(keys, new, side="right")
+        new = new[fresh]
+        keys = np.insert(keys, at[fresh], new) if keys.size else new
+        missing -= np.bincount(new >> 32, minlength=len(n))
     return keys >> 32, keys & 0xFFFFFFFF
 
 
@@ -325,9 +338,12 @@ def _pair_keys(box: Box, classes: np.ndarray, cls: np.ndarray, sel: np.ndarray) 
 
 
 def _edges_from_keys(keys: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Sort edge keys tail * n + head in place; the (m, 2) (tail, head) array in that order."""
+    """Sort edge keys tail * n + head in place; the (m, 2) (tail, head) array in that order.
+
+    The array is column-major, so each endpoint column is one contiguous run.
+    """
     keys.sort()
-    edges = np.empty((keys.size, 2), dtype=np.int64)
+    edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
     np.divmod(keys, n_vertices, out=(edges[:, 0], edges[:, 1]))
     return edges
 
@@ -348,6 +364,11 @@ def _edge_classes(box: Box, edges: np.ndarray) -> np.ndarray:
     grid_strides = _grid_strides(box)
     offset = (box.coords_of(edges[:, 1]) - box.coords_of(edges[:, 0])) @ grid_strides
     return offset - 1 - (offset[:, None] > grid_strides).sum(axis=1)
+
+
+def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
+    """The per-vertex bytes of ``_edge_stage_memory``, which need no class or edge count."""
+    return (64.0 + 12.0 * (n_rungs - 1)) * box.n_vertices
 
 
 def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
@@ -371,7 +392,7 @@ def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: f
     nearest-neighbour candidates (35).  The dense classes' partial shuffle
     holds a permutation of at most the largest class.
     """
-    per_vertex = (64.0 + 12.0 * (n_rungs - 1)) * box.n_vertices
+    per_vertex = _vertex_stage_memory(box, n_rungs)
     per_class = (8.0 * box.d + 32.0 + 8.0 * n_rungs) * n_classes
     per_edge = 48.0 + 24.0 * (n_rungs - 1)
     return per_vertex + per_class + per_edge * expected_edges + 8.0 * max_class_pairs
@@ -400,10 +421,9 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, P[:, -1])
     sparse = np.flatnonzero((K > 0) & (K * 64 <= N))
     dense = np.flatnonzero(K * 64 > N)
-    codes = _class_codes(box, classes)
     cls, sel = _select_sparse(N[sparse], K[sparse], _stream(seed, _SPARSE_STREAM))
-    dense_sel = [_select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, codes[c])))
-                 for c in dense]
+    dense_sel = [_select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, code)))
+                 for c, code in zip(dense, _class_codes(box, classes[dense]))]
     cls = np.concatenate([sparse[cls], np.repeat(dense, K[dense])])
     sel = np.concatenate([sel, *dense_sel])
     del dense_sel
@@ -413,7 +433,14 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
         return [top]
     u = (_stream(seed, _THIN_STREAM).random_raw(len(top)) >> np.uint64(11)) * 2.0**-53
     edge_class = _edge_classes(box, top)
-    return [top[u < ratio[edge_class]] for ratio in P[:, :-1].T / P[:, -1]] + [top]
+    rungs = []
+    for ratio in P[:, :-1].T / P[:, -1]:
+        kept = np.flatnonzero(u < ratio[edge_class])
+        rung = np.empty((kept.size, 2), dtype=np.int64, order="F")
+        for j in range(2):  # column by column; "clip" lets take write into ``out`` without a copy
+            np.take(top[:, j], kept, out=rung[:, j], mode="clip")
+        rungs.append(rung)
+    return rungs + [top]
 
 
 def sample_graph(params: ModelParams, box: Box, seed: int,

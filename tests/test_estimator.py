@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,19 @@ class TestEstimatePhi:
         wide = estimate_phi(PM, 2000.0, n_replicas=8, seed0=0)
         ratio = (wide.ci_high - wide.ci_low) / (narrow.ci_high - narrow.ci_low)
         assert 1.2 <= ratio <= 1.7
+
+    def test_memory_cap_checked_before_the_annulus_field(self):
+        # The box of radius 2000 in d=2 has 16M vertices: its float64 norm
+        # field alone is 122 MiB, so the refusal must come before it is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryCapExceeded) as info:
+                estimate_phi(ModelParams(d=2, s=3, beta=2), 2000.0, 1, 0, memory_cap_bytes=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.stage == "annulus field and masks"
+        assert peak <= 8 * 2**20
 
     def test_annulus_too_small_rejected(self):
         with pytest.raises(ValueError):

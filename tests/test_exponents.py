@@ -35,6 +35,29 @@ def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * scale
 
 
+def theta_fast_loop(pm, n_max):
+    """theta_fast term by term: the halving form in a Python loop."""
+    d, s = pm.d, pm.s
+    theta = np.zeros(n_max + 1)
+    for n in range(1, n_max + 1):
+        half = n // 2
+        if n % 2:
+            theta[n] = 1.0 / s + (2 * d / s) * theta[half]
+        else:
+            theta[n] = 1.0 / s + (d / s) * (theta[half] + theta[half - 1])
+    return theta
+
+
+def vartheta_loop(pm, n_max):
+    """vartheta term by term."""
+    gamma, _ = derived_constants(pm)
+    vt = np.zeros(n_max + 1)
+    vt[0] = 1.0
+    for n in range(n_max):
+        vt[n + 1] = (vt[n // 2] + vt[(n + 1) // 2]) / (2 * gamma)
+    return vt
+
+
 class TestExactValues:
     def test_theta_first_values(self):
         expected = [Fraction(0), Fraction(2, 3), Fraction(10, 9), Fraction(14, 9),
@@ -90,6 +113,13 @@ class TestRouteAgreement:
         got = vartheta(pm, n_max)
         for n in range(n_max + 1):
             assert rel_close(got[n], float(exact[n])), n
+
+    @pytest.mark.parametrize("pm", PARAM_GRID, ids=lambda p: f"d{p.d}s{p.s}")
+    def test_block_evaluation_equals_loop_bit_for_bit(self, pm):
+        # exponents.csv prints these values with repr, so equality must be exact.
+        for n_max in [0, 1, 2, 3, 4, 7, 8, 9, 64, 1000, 4095, 4096]:
+            assert theta_fast(pm, n_max).tobytes() == theta_fast_loop(pm, n_max).tobytes(), n_max
+            assert vartheta(pm, n_max).tobytes() == vartheta_loop(pm, n_max).tobytes(), n_max
 
     @given(
         st.integers(min_value=1, max_value=3),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,6 +408,16 @@ class TestAdjacency:
             assert nbrs[indptr[u]:indptr[u + 1]].tolist() == sorted(expected[u]), u
         assert _adjacency(g) is g._adjacency
 
+    def test_samplers_store_edges_column_major(self):
+        # Every column read of the adjacency build relies on this layout.
+        pm = ModelParams(d=2, s=3.0, beta=3.0)
+        box = Box(d=2, radius=7)
+        g = sample_graph(pm, box, seed=5)
+        rungs = sample_graph_coupled([replace(pm, beta=b) for b in (0.5, 1.0, 3.0)], box, seed=5)
+        built = graph_from_edges(pm, box, np.ascontiguousarray(g.long_edges[::-1]))
+        for edges in [g.long_edges, built.long_edges] + [r.long_edges for r in rungs]:
+            assert len(edges) > 10 and edges.flags.f_contiguous
+
     def test_empty_edge_set(self):
         g = line_graph(9, [])
         indptr, nbrs = _adjacency(g)
@@ -458,28 +469,50 @@ class TestHubGraph:
             # More parent-to-child moves than children: levels carry duplicate candidates.
             moves = sum(ref[w] == ref[v] + 1 for v in adj for w in adj[v])
             assert moves > box.n_vertices - 1
+            # A level of more than n/8 vertices has more than n/8 unvisited
+            # candidates, so _bfs dedupes it by the scan.
+            assert 8 * max(np.bincount(list(ref.values()))) > box.n_vertices
 
     @pytest.mark.parametrize("d, radius, hub, seed", HUBS)
     def test_until_max_level_allow_match_oracle(self, d, radius, hub, seed):
-        g = hub_graph(d, radius, hub, seed)
-        box = g.box
+        queries_match_oracle(hub_graph(d, radius, hub, seed), seed)
+
+
+def queries_match_oracle(g, seed, n_queries=8):
+    """Early-exit, restricted and max-level searches from random pairs equal the oracles."""
+    box, d, radius = g.box, g.box.d, g.box.radius
+    pairs = sample_to_oracle_args(g)
+    rng = np.random.default_rng(seed)
+    for _ in range(n_queries):
+        i, j = rng.integers(box.n_vertices, size=2)
+        x = box.coords_of(np.array([i]))[0]
+        y = box.coords_of(np.array([j]))[0]
+        xt, yt = tuple(int(v) for v in x), tuple(int(v) for v in y)
+        ref = oracles.reference_distances(d, radius, pairs, xt)
+        assert distance_pair(g, x, y) == ref[yt]
+        for k in range(5):
+            assert intrinsic_ball(g, x, k) == sum(v <= k for v in ref.values())
+        if i == j:
+            continue
+        ell1 = float(np.abs(x - y).sum())
+        assert restricted_distance(g, x, y).value == oracles.reference_restricted(
+            d, radius, pairs, xt, yt, 2 * ell1, "ell1", strict=True)
+        for k in (0, 1):
+            got = restricted_k_distance(g, x, y, k, 0.8)
+            assert got.value == oracles.reference_restricted(
+                d, radius, pairs, xt, yt, got.constraint_radius, "ell1", strict=False)
+
+
+class TestStampedLevels:
+    """The hub graphs' large levels are deduped by the scan; these levels all stay at most n/8."""
+
+    def test_few_long_edges_match_oracle(self):
+        g = line_graph(300, [(-280, -120), (-150, 90), (-20, 250), (40, 170)])
+        n = g.box.n_vertices
         pairs = sample_to_oracle_args(g)
-        rng = np.random.default_rng(seed)
-        for _ in range(8):
-            i, j = rng.integers(box.n_vertices, size=2)
-            x = box.coords_of(np.array([i]))[0]
-            y = box.coords_of(np.array([j]))[0]
-            xt, yt = tuple(int(v) for v in x), tuple(int(v) for v in y)
-            ref = oracles.reference_distances(d, radius, pairs, xt)
-            assert distance_pair(g, x, y) == ref[yt]
-            for k in range(5):
-                assert intrinsic_ball(g, x, k) == sum(v <= k for v in ref.values())
-            if i == j:
-                continue
-            ell1 = float(np.abs(x - y).sum())
-            assert restricted_distance(g, x, y).value == oracles.reference_restricted(
-                d, radius, pairs, xt, yt, 2 * ell1, "ell1", strict=True)
-            for k in (0, 1):
-                got = restricted_k_distance(g, x, y, k, 0.8)
-                assert got.value == oracles.reference_restricted(
-                    d, radius, pairs, xt, yt, got.constraint_radius, "ell1", strict=False)
+        for src in [(0,), (-300,), (133,)]:
+            ref = oracles.reference_distances(1, 300, pairs, src)
+            # Candidates of a level: two lattice moves per frontier vertex plus the long edges' ends.
+            assert 8 * (2 * max(np.bincount(list(ref.values()))) + 2 * g.n_long_edges) <= n
+            assert distances_from(g, np.array(src)).dist.tolist() == [ref[(x,)] for x in range(-300, 301)]
+        queries_match_oracle(g, 5, n_queries=12)

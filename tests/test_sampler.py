@@ -202,10 +202,27 @@ class _CountingWords:
     def __init__(self, bit_generator):
         self.bit_generator = bit_generator
         self.words = 0
+        self.rounds = []  # words per call
 
     def random_raw(self, size):
         self.words += size
+        self.rounds.append(size)
         return self.bit_generator.random_raw(size)
+
+
+def select_sparse_resorting(N, K, bit_generator):
+    """The v2 sparse selection as first written: every round re-sorts and re-counts all keys."""
+    n = N.astype(np.uint64)
+    keys = np.empty(0, dtype=np.int64)
+    missing = K.astype(np.int64)
+    while (total := int(missing.sum())) > 0:
+        rows = np.repeat(np.arange(len(n)), missing)
+        values, accepted = sampler._bounded(bit_generator.random_raw(total), n[rows])
+        keys = np.concatenate([keys, (rows[accepted] << 32) | values[accepted]])
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        missing = K - np.bincount(keys >> 32, minlength=len(n))
+    return keys >> 32, keys & 0xFFFFFFFF
 
 
 class TestGeneratorV2:
@@ -238,6 +255,21 @@ class TestGeneratorV2:
         assert np.all(np.diff(key) > 0)  # sorted by (row, index) and distinct
         res = stats.chisquare(np.bincount(sel[k[rows] == 2], minlength=128))
         assert res.pvalue > 0.001
+
+    @pytest.mark.parametrize("key, n_rounds", [([1, 2], 2), ([3, 4], 3), ([7, 8], 3), ([11, 12], 3)])
+    def test_sparse_merge_draws_the_resorting_stream(self, key, n_rounds):
+        # Later rounds merge their new keys into the sorted ones; the words
+        # drawn, and which row each word serves, must stay those of the loop
+        # that re-sorts every round.
+        k = np.repeat([2, 5, 40], [4000, 1000, 100])
+        n = 64 * k
+        merged = _CountingWords(np.random.Philox(key=key))
+        rows, sel = sampler._select_sparse(n, k, merged)
+        resorted = _CountingWords(np.random.Philox(key=key))
+        ref_rows, ref_sel = select_sparse_resorting(n, k, resorted)
+        assert merged.rounds == resorted.rounds and len(merged.rounds) == n_rounds
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(sel, ref_sel)
 
     def test_mostly_sparse_box_matches_naive(self, monkeypatch):
         # d=2, L=12, beta=2: about 97% of classes are sparse and a graph has
