@@ -302,8 +302,9 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     offset keeps r simulable and is exact to the log-log period.  One coupled
     sample of the ladder per replica (seed0 + i), on the box of the largest
     live radius, serves every cell.  Cells whose box exceeds ``box_radius_cap``,
-    whose annulus is too thin, or whose box the sampler refuses are marked
-    missing with a reason, never fabricated.
+    whose annulus is too thin, or whose norm field (checked before it is
+    built) or sample the memory cap refuses are marked missing with a
+    reason, never fabricated.
     """
     from scipy import stats  # deferred: importing scipy.stats takes about 1.2 s
 
@@ -327,8 +328,10 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
         try:
             if math.ceil(r) > box_radius_cap:
                 raise ValueError(f"box radius {math.ceil(r)} over cap {box_radius_cap}")
+            box = Box(params_list[0].d, math.ceil(r))
+            _check_memory(9.0 * box.n_vertices, memory_cap_bytes, "annulus field and mask")
             _annulus_masks(params_list[0], [r], delta)
-        except ValueError as exc:
+        except (MemoryCapExceeded, ValueError) as exc:
             reasons[r] = str(exc)
     radii = [r for r in radii if r not in reasons]
     while radii:  # a refusal grows with the radius: drop the largest and sweep the rest
@@ -407,7 +410,9 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     """Compare the shell-averaged frequency of {D(0, x) <= n} with its envelope.
 
     Each radius rho gets the shell {|norm(x) - rho| <= shell_halfwidth * rho};
-    frequencies aggregate over replicas with seeds seed0 + i.
+    frequencies aggregate over replicas with seeds seed0 + i.  The norm
+    field and the shell masks are checked against ``memory_cap_bytes``
+    before they are built.
     """
     radii = [float(rho) for rho in radii_list]
     if not radii or any(rho <= 0 for rho in radii):
@@ -415,6 +420,7 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     if not 0 < shell_halfwidth < 1:
         raise ValueError("shell_halfwidth must be in (0, 1)")
     box = Box(params.d, int(math.ceil(max(radii) * (1 + shell_halfwidth))))
+    _check_memory((8.0 + len(radii)) * box.n_vertices, memory_cap_bytes, "shell field and masks")
     nrm = box.norm_field((0,) * box.d, params.norm)
 
     hits = np.zeros(len(radii), dtype=np.int64)

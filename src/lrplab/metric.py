@@ -5,12 +5,13 @@ breadth-first search.  Nearest-neighbor moves are generated arithmetically
 from the box indexing (never stored); long edges are kept in a compressed
 adjacency built once per sample and cached on it.
 
-Adjacency layout: ``indptr`` (int64, n + 1) and ``nbrs`` (uint32, 2m;
-boxes have fewer than 2**31.5 vertices, so every index fits).  Row u holds
-the tails of the edges into u, ascending, then the heads of the edges out
-of u, ascending, so every row is ascending.  Since ``long_edges`` is sorted
-by (tail, head), the out-halves are placed by degree offsets without a
-sort, and only the in-halves' keys ``head * n + tail`` are sorted.
+Adjacency layout: two half-row CSRs, ``(out_ptr, heads)`` and ``(in_ptr,
+tails)``, with int64 row pointers (n + 1 each).  Row u of the out-half
+holds the heads of the edges out of u and row u of the in-half the tails of
+the edges into u, both ascending, so every edge appears once per endpoint.
+Since ``long_edges`` is sorted by (tail, head), ``heads`` is its head
+column itself, a view; ``tails`` is uint32 (boxes have fewer than 2**31.5
+vertices), the low words of the sorted keys ``head << 32 | tail``.
 
 The frontier is held as a flat index array, one generation at a time.  A
 level's unvisited candidates are deduplicated in one of two ways, chosen
@@ -49,7 +50,7 @@ def _check_long_edges(edges: np.ndarray, n: int):
 
 
 def _adjacency(sample: GraphSample):
-    """Compressed long-edge adjacency (indptr, neighbors), cached on the sample.
+    """Long-edge adjacency ((out_ptr, heads), (in_ptr, tails)), cached on the sample.
 
     Raises ValueError if ``sample.long_edges`` breaks its documented order.
     """
@@ -58,28 +59,15 @@ def _adjacency(sample: GraphSample):
     n = sample.box.n_vertices
     e = sample.long_edges
     _check_long_edges(e, n)
-    m = len(e)
     tail, head = e[:, 0], e[:, 1]
-    in_end = np.cumsum(np.bincount(head, minlength=n))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    indptr[1:] += in_end
-    nbrs = np.empty(2 * m, dtype=np.uint32)
-    # Out-halves: the k-th edge sits after the in-halves of rows <= its tail
-    # and the out-entries of the edges before it.
-    pos = in_end[tail]
-    pos += np.arange(m)
-    nbrs[pos] = head
-    is_in = np.ones(2 * m, dtype=bool)
-    is_in[pos] = False
-    del pos
-    # In-halves fill the remaining slots in (head, tail) order.
-    keys = head * n
-    keys += tail
+    out_ptr, in_ptr = np.zeros((2, n + 1), dtype=np.int64)
+    np.cumsum(np.bincount(tail, minlength=n), out=out_ptr[1:])
+    np.cumsum(np.bincount(head, minlength=n), out=in_ptr[1:])
+    keys = head.astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= tail.view(np.uint64)
     keys.sort()
-    keys %= n
-    nbrs[is_in] = keys
-    sample._adjacency = (indptr, nbrs)
+    sample._adjacency = ((out_ptr, head), (in_ptr, keys.astype(np.uint32)))
     return sample._adjacency
 
 
@@ -105,7 +93,7 @@ def _nn_candidates(box: Box, frontier: np.ndarray) -> np.ndarray:
 
 
 def _long_candidates(indptr: np.ndarray, nbrs: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """Concatenated adjacency rows of the frontier, in frontier order."""
+    """Concatenated rows of one adjacency half for the frontier, in frontier order."""
     starts = indptr[frontier]
     cnt = indptr[frontier + 1] - starts
     nonzero = cnt > 0
@@ -129,7 +117,7 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
     only vertices it admits are entered (used for restricted distances).
     """
     box = sample.box
-    indptr, nbrs = _adjacency(sample)
+    halves = _adjacency(sample)
     dist = np.full(box.n_vertices, -1, dtype=np.int32)
     dist[src_idx] = 0
     stamp = np.empty(box.n_vertices, dtype=np.int64)
@@ -141,10 +129,8 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
         if max_level is not None and level >= max_level:
             break
         level += 1
-        cand = np.concatenate([
-            _nn_candidates(box, frontier),
-            _long_candidates(indptr, nbrs, frontier),
-        ])
+        cand = np.concatenate([_nn_candidates(box, frontier),
+                               *(_long_candidates(ptr, nbrs, frontier) for ptr, nbrs in halves)])
         keep = dist[cand] < 0
         if allow is not None:
             keep &= allow[cand]

@@ -181,8 +181,10 @@ class GraphSample:
     present.  The samplers and ``graph_from_edges`` store it column-major,
     so each endpoint column is contiguous for the adjacency build; a
     hand-built sample with a C-order array works the same, only with
-    strided column reads.  Samples are immutable by convention;
-    regeneration from (params, box, seed) through the op that produced
+    strided column reads.  Samples are immutable by convention: the
+    adjacency a search caches on the sample keeps its out-rows as a view of
+    ``long_edges``, so a sample must stay unmodified after a search.
+    Regeneration from (params, box, seed) through the op that produced
     them is bit-identical.
     """
 
@@ -318,23 +320,25 @@ def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
     return keys >> 32, keys & 0xFFFFFFFF
 
 
-def _pair_keys(box: Box, classes: np.ndarray, cls: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Edge keys tail * n + head of pair indices ``sel`` in class rows ``cls``.
+def _pair_keys(box: Box, classes: np.ndarray, cls, sel: np.ndarray, out: np.ndarray):
+    """Write the edge keys tail * n + head of pair indices ``sel`` into ``out``.
 
-    Pair index j enumerates the admissible tails of class v row-major over
-    the rectangle of tail coordinates x_i in [-L + max(0, -v_i), L - max(0, v_i)],
-    and head = tail + v @ strides.  ``sel`` is overwritten.
+    ``cls`` holds each index's row of ``classes``, or is one row index that
+    all of them share (a dense class's block).  Pair index j enumerates the
+    admissible tails of class v row-major over the rectangle of tail
+    coordinates x_i in [-L + max(0, -v_i), L - max(0, v_i)], and
+    head = tail + v @ strides.  So the key is t @ strides * (n + 1) plus one
+    offset per class, (max(0, -v) * (n + 1) + v) @ strides, with t the
+    digits of j over that rectangle.  ``sel`` is overwritten.
     """
-    strides = box.strides
-    tail = (np.maximum(0, -classes) @ strides)[cls]
+    strides, n1 = box.strides, box.n_vertices + 1
+    out[...] = ((np.maximum(0, -classes) * n1 + classes) @ strides)[cls]
     for i in range(box.d - 1, 0, -1):
         width = (box.side - np.abs(classes[:, i]))[cls]
-        tail += (sel % width) * strides[i]
+        out += (sel % width) * (strides[i] * n1)
         sel //= width
-    tail += sel * strides[0]
-    tail *= box.n_vertices + 1
-    tail += (classes @ strides)[cls]
-    return tail
+    sel *= strides[0] * n1
+    out += sel
 
 
 def _edges_from_keys(keys: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -359,16 +363,25 @@ def _edge_classes(box: Box, edges: np.ndarray) -> np.ndarray:
 
     v @ grid_strides is v's mesh offset past the zero vector (see
     _displacement_classes), and the unit vectors before it are those whose
-    offset, grid_strides[i], is smaller.
+    offset, grid_strides[i], is smaller.  v_i is the difference of the
+    endpoints' i-th index digits, so no coordinate array is built.
     """
     grid_strides = _grid_strides(box)
-    offset = (box.coords_of(edges[:, 1]) - box.coords_of(edges[:, 0])) @ grid_strides
-    return offset - 1 - (offset[:, None] > grid_strides).sum(axis=1)
+    offset = np.zeros(len(edges), dtype=np.int64)
+    for stride, grid_stride in zip(box.strides.tolist(), grid_strides.tolist()):
+        digit = edges[:, 1] // stride % box.side
+        digit -= edges[:, 0] // stride % box.side
+        digit *= grid_stride
+        offset += digit
+    rows = offset - 1
+    for grid_stride in grid_strides.tolist():
+        rows -= offset > grid_stride
+    return rows
 
 
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
     """The per-vertex bytes of ``_edge_stage_memory``, which need no class or edge count."""
-    return (64.0 + 12.0 * (n_rungs - 1)) * box.n_vertices
+    return (72.0 + 20.0 * (n_rungs - 1)) * box.n_vertices
 
 
 def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
@@ -377,24 +390,24 @@ def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: f
 
     Per class: the class rows, pair counts, codes, edge counts and one
     probability per rung.  Per expected top-rung edge, the largest of the
-    stages that hold arrays at once: decoding (class row and pair index of
-    every draw, the key and two temporaries: 40 bytes), the sorted key
-    beside the edge array (24), a consumer's adjacency build (edges 16, the
-    uint32 neighbour list 8, the int64 out-half positions and their arange
-    16, the in-slot mask 2; the in-half keys are sorted after the positions
-    are freed: 42), and a BFS (edges and neighbour list 24, plus one
-    level's long-edge candidates, their gather index, masks and stamps:
-    24).  Each lower rung keeps its edges and cached neighbour list (24 per
-    edge) and row pointers and distances (12 per vertex) alive.  Every
-    vertex also has the replica's float64 norm field and annulus mask (9),
-    row pointers (8), the BFS distances and int64 stamp buffer (12), and
-    the larger of the build's degree counts and a level's frontier with its
-    nearest-neighbour candidates (35).  The dense classes' partial shuffle
-    holds a permutation of at most the largest class.
+    stages that hold arrays at once: decoding (the key array, the sparse
+    draws' class rows and pair indices, and one axis's widths and digits:
+    40 bytes), the sorted key beside the edge array (24), a consumer's
+    adjacency build (edges 16, the uint64 in-half keys 8 and the uint32
+    in-half 4: 28; the out-half is a view of the edges), and a BFS (edges
+    and in-half 20, plus one level's long-edge candidates, their gather
+    index, masks and stamps: 24).  Each lower rung keeps its edges and
+    cached in-half (20 per edge) and two row-pointer arrays and distances
+    (20 per vertex) alive.  Every vertex also has the replica's float64
+    norm field and annulus mask (9), the out- and in-row pointers (16), the
+    BFS distances and int64 stamp buffer (12), and the larger of the
+    build's degree counts and a level's frontier with its nearest-neighbour
+    candidates (35).  The dense classes' partial shuffle holds a
+    permutation of at most the largest class.
     """
     per_vertex = _vertex_stage_memory(box, n_rungs)
     per_class = (8.0 * box.d + 32.0 + 8.0 * n_rungs) * n_classes
-    per_edge = 48.0 + 24.0 * (n_rungs - 1)
+    per_edge = 44.0 + 20.0 * (n_rungs - 1)
     return per_vertex + per_class + per_edge * expected_edges + 8.0 * max_class_pairs
 
 
@@ -421,14 +434,17 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, P[:, -1])
     sparse = np.flatnonzero((K > 0) & (K * 64 <= N))
     dense = np.flatnonzero(K * 64 > N)
+    keys = np.empty(int(K.sum()), dtype=np.int64)
     cls, sel = _select_sparse(N[sparse], K[sparse], _stream(seed, _SPARSE_STREAM))
-    dense_sel = [_select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, code)))
-                 for c, code in zip(dense, _class_codes(box, classes[dense]))]
-    cls = np.concatenate([sparse[cls], np.repeat(dense, K[dense])])
-    sel = np.concatenate([sel, *dense_sel])
-    del dense_sel
-    top = _edges_from_keys(_pair_keys(box, classes, cls, sel), box.n_vertices)
+    at = sel.size
+    _pair_keys(box, classes[sparse], cls, sel, keys[:at])
     del cls, sel
+    for c, code in zip(dense, _class_codes(box, classes[dense])):
+        sel = _select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, code)))
+        _pair_keys(box, classes[c:c + 1], 0, sel, keys[at:at + sel.size])
+        at += sel.size
+    top = _edges_from_keys(keys, box.n_vertices)
+    del keys
     if len(params_list) == 1:
         return [top]
     u = (_stream(seed, _THIN_STREAM).random_raw(len(top)) >> np.uint64(11)) * 2.0**-53

@@ -383,6 +383,23 @@ class TestCollapseReport:
         rest = collapse_report(params_list, t_grid[:-1], n_replicas=2, seed0=0, m_offset=2)
         assert [c for c in report.cells if not c.missing] == list(rest.cells)
 
+    def test_memory_cap_checked_before_the_pre_check_field(self):
+        # At m_offset = 6 the d=2 radii are 1226 and 13115: the thin-annulus
+        # pre-check would build norm fields of 46 MiB and 5.1 GiB.
+        from scipy import stats  # noqa: F401  collapse_report's own import is not the field
+
+        tracemalloc.start()
+        try:
+            report = collapse_report([ModelParams(d=2, s=3.0, beta=math.e**3)], [0.0, 1.0],
+                                     n_replicas=1, seed0=0, m_offset=6, memory_cap_bytes=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert [c.missing for c in report.cells] == [True, True]
+        for cell in report.cells:
+            assert cell.reason.startswith("annulus field and mask needs an estimated")
+
     def test_missing_cells_on_box_cap(self):
         params_list = [ModelParams(d=1, s=1.5, beta=math.e**3)]
         report = collapse_report(params_list, [0.0, 1.0], n_replicas=2, seed0=0,
@@ -432,6 +449,20 @@ class TestTailComparison:
         for a, b in zip(rows, rows[1:]):
             sigma = math.sqrt(max(a.empirical * (1 - a.empirical), 1e-12) / a.n_points)
             assert b.empirical <= a.empirical + 4 * sigma
+
+    def test_memory_cap_checked_before_the_shell_field(self):
+        # The box of radius 1650 in d=2 has 10.9M vertices: its float64 norm
+        # field alone is 83 MiB, so the refusal must come before it is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryCapExceeded) as info:
+                tail_comparison(ModelParams(d=2, s=3, beta=2), 5, [1000.0, 1500.0], 1, 0,
+                                1.0, 1.0, 0.5, memory_cap_bytes=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.stage == "shell field and masks"
+        assert peak <= 8 * 2**20
 
     def test_precondition_flag_propagates(self):
         pm = ModelParams(d=1, s=1.5, beta=2.0)

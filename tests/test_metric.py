@@ -381,7 +381,8 @@ class TestRegressionPins:
 
 
 class TestAdjacency:
-    """CSR rows: tails of the edges into u, then heads of the edges out of u, all ascending."""
+    """Two half-row CSRs: row u of the out-half holds the heads of the edges out of u,
+    row u of the in-half the tails of the edges into u, both ascending."""
 
     def test_rows_from_shuffled_and_reversed_input(self):
         pm = ModelParams(d=2, s=3.0, beta=3.0)
@@ -394,19 +395,34 @@ class TestAdjacency:
         given[flip] = given[flip, ::-1]
         g = graph_from_edges(pm, box, given)
         np.testing.assert_array_equal(g.long_edges, edges)
-        indptr, nbrs = _adjacency(g)
-        assert nbrs.dtype == np.uint32
-        assert indptr[0] == 0
+        (out_ptr, heads), (in_ptr, tails) = _adjacency(g)
+        assert tails.dtype == np.uint32 and tails.flags.c_contiguous
+        assert np.shares_memory(heads, g.long_edges)
         n = box.n_vertices
-        np.testing.assert_array_equal(np.diff(indptr), np.bincount(edges.ravel(), minlength=n))
-        expected = [[] for _ in range(n)]
+        for ptr, column in ((out_ptr, 0), (in_ptr, 1)):
+            assert ptr[0] == 0
+            np.testing.assert_array_equal(np.diff(ptr), np.bincount(edges[:, column], minlength=n))
+        out_rows = [[] for _ in range(n)]
+        in_rows = [[] for _ in range(n)]
         for a, b in edges.tolist():
-            expected[a].append(b)
-            expected[b].append(a)
+            out_rows[a].append(b)
+            in_rows[b].append(a)
         for u in range(n):
-            # Ascending and equal to the sorted neighbour list: every edge once per endpoint.
-            assert nbrs[indptr[u]:indptr[u + 1]].tolist() == sorted(expected[u]), u
+            # Ascending and equal to the sorted neighbour lists: every edge once per endpoint.
+            assert heads[out_ptr[u]:out_ptr[u + 1]].tolist() == sorted(out_rows[u]), u
+            assert tails[in_ptr[u]:in_ptr[u + 1]].tolist() == sorted(in_rows[u]), u
         assert _adjacency(g) is g._adjacency
+
+    def test_c_order_sample_matches_its_f_order_twin(self):
+        pm = ModelParams(d=2, s=3.0, beta=3.0)
+        g = sample_graph(pm, Box(d=2, radius=9), seed=6)
+        twin = GraphSample(params=pm, box=g.box, seed=None,
+                           long_edges=np.ascontiguousarray(g.long_edges))
+        assert twin.long_edges.flags.c_contiguous and not twin.long_edges.flags.f_contiguous
+        for src in ([0, 0], [-9, 4], [5, 9]):
+            np.testing.assert_array_equal(distances_from(twin, np.array(src)).dist,
+                                          distances_from(g, np.array(src)).dist)
+        assert np.shares_memory(_adjacency(twin)[0][1], twin.long_edges)
 
     def test_samplers_store_edges_column_major(self):
         # Every column read of the adjacency build relies on this layout.
@@ -420,9 +436,11 @@ class TestAdjacency:
 
     def test_empty_edge_set(self):
         g = line_graph(9, [])
-        indptr, nbrs = _adjacency(g)
-        np.testing.assert_array_equal(indptr, np.zeros(g.box.n_vertices + 1))
-        assert nbrs.dtype == np.uint32 and nbrs.size == 0
+        (out_ptr, heads), (in_ptr, tails) = _adjacency(g)
+        for ptr in (out_ptr, in_ptr):
+            np.testing.assert_array_equal(ptr, np.zeros(g.box.n_vertices + 1))
+        assert heads.size == 0
+        assert tails.dtype == np.uint32 and tails.size == 0
         assert distances_from(g, np.array([-9])).dist.tolist() == list(range(19))
 
     @pytest.mark.parametrize("edges", [

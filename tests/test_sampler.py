@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,6 +328,40 @@ class TestGeneratorV2:
             sample_graph(PM, box, seed=0)
         with pytest.raises(ValueError, match="n\\*\\*2"):
             sample_graph_coupled([PM], box, seed=0)
+
+
+class TestLongEdgePins:
+    """long_edges bytes read before the sampler wrote keys class block by class block.
+
+    Every box mixes dense and sparse classes (dense/sparse non-empty
+    classes: d1 47/1000, d2 40/1144, d3 75/1613, ladder 38/741), so the
+    shared sparse block and each dense class's block all reach the keys.
+    """
+
+    CASES = {
+        "d1": (ModelParams(d=1, s=1.5, beta=5.0), 2000, 21, None,
+               [(23996, "dc4e4ed8dff80a8a6d6f04fa6b2c7188ac0147a6b57adddcdf69b0d2b4c7fac1")]),
+        "d2": (ModelParams(d=2, s=3.0, beta=2.0), 40, 22, None,
+               [(26314, "52fed0d725e5f763ef921435e8556d1bfbade09f3fecfcff18a2f118c019c5da")]),
+        "d3": (ModelParams(d=3, s=4.5, beta=2.0, norm="ellinf"), 8, 23, None,
+               [(62196, "22a79d5500d25dfc5ace4f78a2c7efd6e9e45c53bdfb4b8039583500277fe53b")]),
+        "ladder": (ModelParams(d=2, s=3.0, beta=4.0, norm="ell1"), 30, 24, (0.5, 1.5, 4.0),
+                   [(2139, "e14551326bfa44227aa5765a0e58e12b493ab4b29bec0cef20ec8a2b7a3b12f9"),
+                    (6180, "42cee5926a30b58e7a349309254af8ecf8c3740c39c8d906c4e70628b0c63711"),
+                    (15302, "4e5fa81dcc6937d4fe3fab050f42ff6bf219f9e19ff95ecea38413b622dbeae4")]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_long_edge_bytes(self, case):
+        pm, radius, seed, betas, pins = self.CASES[case]
+        box = Box(d=pm.d, radius=radius)
+        if betas is None:
+            samples = [sample_graph(pm, box, seed)]
+        else:
+            samples = sample_graph_coupled([replace(pm, beta=b) for b in betas], box, seed)
+        got = [(g.n_long_edges, hashlib.sha256(np.ascontiguousarray(g.long_edges).tobytes()).hexdigest())
+               for g in samples]
+        assert got == pins
 
 
 class TestCoupledSampling:
