@@ -8,7 +8,8 @@ endpoint; the inner cutoff excises the neighborhood of the origin.
 
 Replicas are independent jobs with seeds seed0, seed0 + 1, ...; every
 estimator here is a deterministic function of (params, radii, n_replicas,
-seed0).  Confidence intervals are seeded percentile bootstraps with 1000
+seed0), and one runner, ``_replica``, samples and searches every replica.
+Confidence intervals are seeded percentile bootstraps with 1000
 resamples by default.
 
 Finite-volume caveat: the graph is sampled on the box of the largest radius
@@ -31,7 +32,7 @@ from .sampler import (
     MemoryCapExceeded,
     _check_memory,
     _vertex_stage_memory,
-    sample_graph,
+    sample_graph,  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it (ROADMAP item 1)
     sample_graph_coupled,
 )
 from .metric import DistanceField, distances_from
@@ -69,52 +70,54 @@ class PhiEstimate:
     records: tuple
 
 
-def _annulus_masks(params: ModelParams, radii, delta: float) -> tuple:
-    """The box of radius ceil(max(radii)), and each radius's annulus mask and size.
+def _annulus_masks(nrm: np.ndarray, radii, delta: float) -> list:
+    """Each radius's annulus {delta * r <= |x| < r} as a mask over the norm field ``nrm``.
 
     An annulus lies inside the box of radius ceil(r), so its size depends on
     (r, delta, d, norm) only; fewer than 100 vertices raise ValueError.
     """
-    box = Box(params.d, int(math.ceil(max(radii))))
-    nrm = box.norm_field((0,) * box.d, params.norm)
     masks = [(nrm >= delta * r) & (nrm < r) for r in radii]
-    counts = [int(np.count_nonzero(mask)) for mask in masks]
-    for r, n_points in zip(radii, counts):
-        if n_points < 100:
+    for r, mask in zip(radii, masks):
+        if (n_points := int(np.count_nonzero(mask))) < 100:
             raise ValueError(f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices "
                              f"at r={r}; need at least 100")
-    return box, masks, counts
+    return masks
+
+
+def _shell_masks(nrm: np.ndarray, radii, halfwidth: float) -> list:
+    """Each radius rho's shell {| |x| - rho | <= halfwidth * rho} as a mask over ``nrm``."""
+    return [np.abs(nrm - rho) <= halfwidth * rho for rho in radii]
 
 
 def _replica(args) -> list:
-    """One coupled sample and one BFS per rung, read at every radius: records[rung][radius].
+    """One coupled sample on ``box`` and one BFS per rung: (wall_time, hists) per rung.
 
-    The masks beyond the first count against the sampler's memory cap, and
-    the box's per-vertex bytes are checked against it before the norm field
-    and masks are built.  A record's wall_time is the shared set-up and
-    sampling time plus its rung's BFS and medians.
+    The caller owns the shells: ``shell_masks(norm_field, radii, width)``, a
+    module-level function so that it pickles, gives one mask per shell, and
+    ``hists[j]`` is the bincount of the distances over shell j.  The memory
+    cap is checked before the norm field is built.
     """
-    params_list, radii, seed, delta, memory_cap_bytes = args
+    params_list, box, seed, (shell_masks, radii, width), memory_cap_bytes = args
     t0 = time.perf_counter()
-    box = Box(params_list[0].d, int(math.ceil(max(radii))))
     _check_memory(_vertex_stage_memory(box, len(params_list)) + (len(radii) - 1) * box.n_vertices,
                   memory_cap_bytes, "annulus field and masks")
-    box, masks, counts = _annulus_masks(params_list[0], radii, delta)
+    masks = shell_masks(box.norm_field((0,) * box.d, params_list[0].norm), radii, width)
     samples = sample_graph_coupled(params_list, box, seed,
                                    memory_cap_bytes=memory_cap_bytes - (len(masks) - 1) * box.n_vertices)
     shared = time.perf_counter() - t0
-    records = []
-    for pm, sample in zip(params_list, samples):
+    rungs = []
+    for sample in samples:
         t1 = time.perf_counter()
-        dist = distances_from(sample, np.zeros(pm.d, dtype=np.int64)).dist
-        medians = [float(np.median(dist[mask])) for mask in masks]
-        wall_time = shared + time.perf_counter() - t1
-        records.append([ExperimentRecord(params=pm, r=float(r), seed=int(seed),
-                                         phi_hat=med / math.log(r) ** derived_constants(pm).delta,
-                                         n_points=n_points, annulus_fraction=n_points / box.n_vertices,
-                                         wall_time=wall_time)
-                        for r, med, n_points in zip(radii, medians, counts)])
-    return records
+        dist = distances_from(sample, np.zeros(box.d, dtype=np.int64)).dist
+        hists = [np.bincount(dist[mask]) for mask in masks]
+        rungs.append((shared + time.perf_counter() - t1, hists))
+    return rungs
+
+
+def _hist_median(hist: np.ndarray) -> float:
+    """``np.median`` of the values ``hist`` counts, bit for bit: the mean of the two middle ones."""
+    n = int(hist.sum())
+    return float(np.searchsorted(np.cumsum(hist), [(n - 1) // 2, n // 2], side="right").sum() / 2)
 
 
 def _bootstrap_ci(rng: np.random.Generator, n_bootstrap: int, stat, *samples) -> tuple:
@@ -150,12 +153,21 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
     if any(not r > 1 for r in radii):
         raise ValueError(f"r must be > 1, got {radii}")
     _check_ladder(params_list, n_replicas)
-    args = [(params_list, radii, seed0 + i, delta, memory_cap_bytes) for i in range(n_replicas)]
+    box = Box(params_list[0].d, int(math.ceil(max(radii))))
+    args = [(params_list, box, seed0 + i, (_annulus_masks, radii, delta), memory_cap_bytes)
+            for i in range(n_replicas)]
     mapper = map if executor is None else executor.map
     per_replica = list(mapper(_replica, args))
 
+    def record(i, bi, ri):
+        (wall_time, hists), r, pm = per_replica[i][bi], radii[ri], params_list[bi]
+        return ExperimentRecord(params=pm, r=float(r), seed=int(seed0 + i),
+                                phi_hat=_hist_median(hists[ri]) / math.log(r) ** derived_constants(pm).delta,
+                                n_points=int(hists[ri].sum()),
+                                annulus_fraction=int(hists[ri].sum()) / box.n_vertices, wall_time=wall_time)
+
     def estimate(bi, ri):
-        records = tuple(rep[bi][ri] for rep in per_replica)
+        records = tuple(record(i, bi, ri) for i in range(n_replicas))
         phis = np.array([rec.phi_hat for rec in records])
         ci_low, ci_high = _bootstrap_ci(np.random.default_rng(bootstrap_keys[bi]), n_bootstrap,
                                         lambda m: m, phis)
@@ -330,7 +342,7 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
                 raise ValueError(f"box radius {math.ceil(r)} over cap {box_radius_cap}")
             box = Box(params_list[0].d, math.ceil(r))
             _check_memory(9.0 * box.n_vertices, memory_cap_bytes, "annulus field and mask")
-            _annulus_masks(params_list[0], [r], delta)
+            _annulus_masks(box.norm_field((0,) * box.d, params_list[0].norm), [r], delta)
         except (MemoryCapExceeded, ValueError) as exc:
             reasons[r] = str(exc)
     radii = [r for r in radii if r not in reasons]
@@ -410,9 +422,8 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     """Compare the shell-averaged frequency of {D(0, x) <= n} with its envelope.
 
     Each radius rho gets the shell {|norm(x) - rho| <= shell_halfwidth * rho};
-    frequencies aggregate over replicas with seeds seed0 + i.  The norm
-    field and the shell masks are checked against ``memory_cap_bytes``
-    before they are built.
+    frequencies aggregate over replicas with seeds seed0 + i, each one
+    ``_replica`` run on the box of radius ceil(max rho * (1 + shell_halfwidth)).
     """
     radii = [float(rho) for rho in radii_list]
     if not radii or any(rho <= 0 for rho in radii):
@@ -420,33 +431,21 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     if not 0 < shell_halfwidth < 1:
         raise ValueError("shell_halfwidth must be in (0, 1)")
     box = Box(params.d, int(math.ceil(max(radii) * (1 + shell_halfwidth))))
-    _check_memory((8.0 + len(radii)) * box.n_vertices, memory_cap_bytes, "shell field and masks")
-    nrm = box.norm_field((0,) * box.d, params.norm)
-
-    hits = np.zeros(len(radii), dtype=np.int64)
-    points = np.zeros(len(radii), dtype=np.int64)
-    masks = [np.abs(nrm - rho) <= shell_halfwidth * rho for rho in radii]
+    envs = [tail_envelope(params, n, rho, c, c_tilde, p) for rho in radii]  # validates n, c, p
+    points, hits = np.zeros((2, len(radii)), dtype=np.int64)
     for i in range(n_replicas):
-        sample = sample_graph(params, box, seed0 + i, memory_cap_bytes=memory_cap_bytes)
-        field = distances_from(sample, np.zeros(params.d, dtype=np.int64))
-        for j, mask in enumerate(masks):
-            points[j] += int(np.count_nonzero(mask))
-            hits[j] += int(np.count_nonzero(field.dist[mask] <= n))
+        [(_, hists)] = _replica(([params], box, seed0 + i, (_shell_masks, radii, shell_halfwidth),
+                                 memory_cap_bytes))
+        points += [hist.sum() for hist in hists]
+        hits += [hist[:n + 1].sum() for hist in hists]
 
-    rows = []
-    precondition_ok = True
-    for j, rho in enumerate(radii):
-        env = tail_envelope(params, n, rho, c, c_tilde, p)
-        precondition_ok = precondition_ok and env.precondition_ok
-        empirical = hits[j] / points[j] if points[j] else math.nan
-        rows.append((rho, int(points[j]), float(empirical), env.value))
-
-    ratios = [emp / (env / c) for (_, np_, emp, env) in rows if np_ > 0 and env > 0 and not math.isnan(emp)]
+    empirical = [float(h / pts) if pts else math.nan for h, pts in zip(hits, points)]
+    ratios = [emp / (env.value / c) for pts, emp, env in zip(points, empirical, envs)
+              if pts > 0 and env.value > 0]
     c_fitted = max(ratios) if ratios else 0.0
-    final_rows = tuple(
-        TailRow(radius=rho, n_points=np_, empirical=emp, envelope=env,
-                envelope_fitted=c_fitted * (env / c))
-        for (rho, np_, emp, env) in rows
-    )
-    return TailComparison(n=int(n), rows=final_rows, c=float(c), c_tilde=float(c_tilde),
-                          p=float(p), c_fitted=float(c_fitted), precondition_ok=precondition_ok)
+    rows = tuple(TailRow(radius=rho, n_points=int(pts), empirical=emp, envelope=env.value,
+                         envelope_fitted=c_fitted * (env.value / c))
+                 for rho, pts, emp, env in zip(radii, points, empirical, envs))
+    return TailComparison(n=int(n), rows=rows, c=float(c), c_tilde=float(c_tilde), p=float(p),
+                          c_fitted=float(c_fitted),
+                          precondition_ok=all(env.precondition_ok for env in envs))

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 import lrplab.estimator
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lrplab import (
     Box,
     MemoryCapExceeded,
@@ -155,6 +158,19 @@ class TestLadder:
         with pytest.raises(ValueError, match="identical"):
             collapse_report([replace(PM, beta=math.e**3), replace(other, beta=math.e**4)],
                             [0.0], n_replicas=2, seed0=0, m_offset=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(0, 400), min_size=1, max_size=60),  # odd and even lengths
+    st.lists(st.integers(0, 3), min_size=1, max_size=200),  # heavy ties
+    st.builds(lambda v, k: [v] * k, st.integers(0, 10**6), st.integers(1, 9)),  # one value
+))
+def test_hist_median_is_np_median(values):
+    x = np.array(values, dtype=np.int32)
+    got = lrplab.estimator._hist_median(np.bincount(x))
+    assert type(got) is float and got == float(np.median(x))
+    assert np.float64(got).tobytes() == np.float64(np.median(x)).tobytes()
 
 
 def count_samples(monkeypatch) -> list:
@@ -424,7 +440,36 @@ class TestCollapseReport:
                             n_replicas=1, seed0=0)  # t outside [0, 1]
 
 
+TAIL_PINS = [
+    # (params, n, radii, n_replicas, seed0, shell_halfwidth), [(n_points, empirical)], c_fitted
+    ((ModelParams(d=1, s=1.5, beta=2.0), 4, [20.0, 45.0, 90.0], 3, 7, 0.1),
+     [(30, 1.0), (54, 0.9259259259259259), (114, 0.6754385964912281)], 1531709.863912561),
+    ((ModelParams(d=2, s=3.0, beta=2.0, norm="ell1"), 3, [6.0, 12.5, 20.0], 2, 11, 0.2),
+     [(144, 0.7569444444444444), (600, 0.18666666666666668), (1440, 0.03888888888888889)],
+     12529.429883472729),
+]
+
+
 class TestTailComparison:
+    @pytest.mark.parametrize("case,rows,c_fitted", TAIL_PINS, ids=["d1-ell2", "d2-ell1"])
+    def test_regression_pins(self, case, rows, c_fitted):
+        pm, n, radii, n_replicas, seed0, h = case
+        comp = tail_comparison(pm, n, radii, n_replicas, seed0, 1.0, 1.0, 9.0, shell_halfwidth=h)
+        assert [(row.n_points, row.empirical) for row in comp.rows] == rows
+        assert comp.c_fitted == c_fitted
+
+    def test_one_sample_per_replica(self, monkeypatch):
+        radii = count_samples(monkeypatch)
+        tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [15.0, 41.0], 3, 0, 1.0, 1.0, 9.0,
+                        shell_halfwidth=0.15)
+        assert radii == [math.ceil(41.0 * 1.15)] * 3
+
+    def test_envelope_arguments_checked_before_sampling(self, monkeypatch):
+        radii = count_samples(monkeypatch)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 0, [15.0], 3, 0, 1.0, 1.0, 9.0)
+        assert radii == []
+
     def test_diameter_gives_probability_one(self):
         pm = ModelParams(d=1, s=1.5, beta=2.0)
         comp = tail_comparison(pm, n=100, radii_list=[10.0, 20.0], n_replicas=3,
@@ -461,7 +506,21 @@ class TestTailComparison:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info.value.stage == "shell field and masks"
+        assert info.value.stage == "annulus field and masks"
+        assert peak <= 8 * 2**20
+
+    def test_memory_cap_refuses_before_the_field_under_a_field_sized_cap(self):
+        # A cap of 10 bytes per vertex plus one covers the field and both shell
+        # masks, but not the sample: the refusal must still come before the field.
+        box = Box(2, math.ceil(1500.0 * 1.1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryCapExceeded):
+                tail_comparison(ModelParams(d=2, s=3, beta=2), 5, [1000.0, 1500.0], 1, 0,
+                                1.0, 1.0, 0.5, memory_cap_bytes=10 * box.n_vertices + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 8 * 2**20
 
     def test_precondition_flag_propagates(self):
