@@ -13,17 +13,37 @@ Since ``long_edges`` is sorted by (tail, head), ``heads`` is its head
 column itself, a view; ``tails`` is uint32 (boxes have fewer than 2**31.5
 vertices), the low words of the sorted keys ``head << 32 | tail``.
 
-The frontier is held as a flat index array, one generation at a time.  A
-level's unvisited candidates are deduplicated in one of two ways, chosen
-by their count.  Up to n/8 of them are stamped: one n-length buffer per
-search takes ``stamp[cand] = arange(cand.size)``, and the candidates that
-read their own position back are the first occurrence of each vertex, so
-that frontier is in first-seen order.  More than n/8 of them are written
-into the distances, and the frontier is read back by one scan,
-``flatnonzero(dist == level)``, so that frontier is in index order.  The
-threshold keeps early levels, early-exit and restricted searches
-O(candidates), while a level holding much of the box costs one pass over
-it.  The level sets, and so the distances, do not depend on either order.
+The frontier is held as a flat index array, one generation at a time, and
+each level is found by one of two steps (Beamer, Asanovic and Patterson,
+"Direction-optimizing breadth-first search", SC 2012).  A vertex's work is
+its long degree plus 2d: the rows and lattice moves a step reads for it.
+
+The top-down step reads the frontier's moves and rows.  Its unvisited
+candidates are deduplicated in one of two ways, chosen by their count.  Up
+to n/8 of them are stamped: one n-length buffer per search takes
+``stamp[cand] = arange(cand.size)``, and the candidates that read their own
+position back are the first occurrence of each vertex, so that frontier is
+in first-seen order.  More than n/8 of them are written into the distances,
+and the frontier is read back by one scan, ``flatnonzero(dist == level)``,
+so that frontier is in index order.  The threshold keeps early levels,
+early-exit and restricted searches O(candidates), while a level holding
+much of the box costs one pass over it.
+
+The bottom-up step reads the unvisited vertices' moves and rows: it takes
+``flatnonzero(dist < 0)`` (within ``allow``, if given) and keeps, in index
+order, those with a neighbour at the previous level.  numpy cannot stop at
+a vertex's first such neighbour, so the step stops early one stage at a
+time: the nearest-neighbour moves of every unvisited vertex (arithmetic,
+inside the box walls), then the out-half rows of those still unfound, then
+the in-half rows of those still unfound.
+
+A level is bottom-up when ``_BOTTOM_UP_RATIO`` times the frontier's work
+exceeds the unvisited vertices' work, a running total that starts as the
+work of the box (or of ``allow``) and loses each frontier's.  Long-range
+percolation graphs have polylogarithmic diameter, so a search from one
+vertex reaches most of the box in its last two or three levels, and those
+are the levels the rule sends bottom-up.  The level sets, and so the
+distances, depend on neither the step kind nor the frontier order.
 """
 
 from __future__ import annotations
@@ -35,6 +55,13 @@ import numpy as np
 
 from .model import norm_value, derived_constants
 from .sampler import Box, GraphSample
+
+# Measured per level on d=1 L=2**18 beta=5, d=2 L=200 beta=2 and d=1 L=16384
+# beta=10 graphs, each step timed alone: bottom-up is the faster step where the
+# unvisited work is below about twice the frontier's (at 2.03 times, 3.7 against
+# 3.9 ms; at 1.66, 10.9 against 12.1 ms; at 1.36, 33 against 53 ms) and the
+# slower above it (at 2.81 times, 70 against 39 ms).
+_BOTTOM_UP_RATIO = 2
 
 
 def _check_long_edges(edges: np.ndarray, n: int):
@@ -50,8 +77,9 @@ def _check_long_edges(edges: np.ndarray, n: int):
 
 
 def _adjacency(sample: GraphSample):
-    """Long-edge adjacency ((out_ptr, heads), (in_ptr, tails)), cached on the sample.
+    """Long-edge adjacency ((out_ptr, heads), (in_ptr, tails), degree), cached on the sample.
 
+    ``degree`` is every vertex's long degree, out plus in, as int32.
     Raises ValueError if ``sample.long_edges`` breaks its documented order.
     """
     if sample._adjacency is not None:
@@ -67,7 +95,11 @@ def _adjacency(sample: GraphSample):
     keys <<= np.uint64(32)
     keys |= tail.view(np.uint64)
     keys.sort()
-    sample._adjacency = ((out_ptr, head), (in_ptr, keys.astype(np.uint32)))
+    tails = keys.astype(np.uint32)
+    del keys  # so the build's peak, the keys beside the edges, holds no degree array
+    degree = np.diff(out_ptr).astype(np.int32)
+    degree += np.diff(in_ptr)
+    sample._adjacency = ((out_ptr, head), (in_ptr, tails), degree)
     return sample._adjacency
 
 
@@ -92,35 +124,73 @@ def _nn_candidates(box: Box, frontier: np.ndarray) -> np.ndarray:
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
-def _long_candidates(indptr: np.ndarray, nbrs: np.ndarray, frontier: np.ndarray) -> np.ndarray:
-    """Concatenated rows of one adjacency half for the frontier, in frontier order."""
-    starts = indptr[frontier]
-    cnt = indptr[frontier + 1] - starts
+def _row_positions(indptr: np.ndarray, rows: np.ndarray):
+    """Positions in one adjacency half of the given rows' entries, row after row.
+
+    Also returns where each non-empty row starts among those positions, and
+    the mask of the non-empty rows over ``rows``.
+    """
+    starts = indptr[rows]
+    cnt = indptr[rows + 1] - starts
     nonzero = cnt > 0
     starts, cnt = starts[nonzero], cnt[nonzero]
     if not cnt.size:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), cnt, nonzero
+    offsets = np.cumsum(cnt)
+    idx = np.ones(int(offsets[-1]), dtype=np.int64)
+    offsets -= cnt
     # Ragged arange: unit steps within a row, a jump to the next row's start between rows.
-    idx = np.ones(int(cnt.sum()), dtype=np.int64)
     idx[0] = starts[0]
-    idx[np.cumsum(cnt[:-1])] = starts[1:] - (starts[:-1] + cnt[:-1] - 1)
+    idx[offsets[1:]] = starts[1:] - (starts[:-1] + cnt[:-1] - 1)
     np.cumsum(idx, out=idx)
-    return nbrs[idx]
+    return idx, offsets, nonzero
+
+
+def _bottom_up(box: Box, halves, dist: np.ndarray, level: int, unvisited: np.ndarray) -> np.ndarray:
+    """The unvisited vertices with a neighbour at ``level - 1``, in index order.
+
+    Nearest-neighbour moves are checked first, then the out-half rows of the
+    vertices still unfound, then the in-half rows of those still unfound.
+    """
+    parent = level - 1
+    found = np.zeros(unvisited.size, dtype=bool)
+    side = box.side
+    for stride in box.strides.tolist():
+        digit = unvisited // stride % side
+        found |= (dist.take(unvisited - stride, mode="clip") == parent) & (digit > 0)
+        found |= (dist.take(unvisited + stride, mode="clip") == parent) & (digit < side - 1)
+    for ptr, nbrs in halves:
+        rest = np.flatnonzero(~found)
+        if not rest.size:
+            break
+        idx, offsets, nonzero = _row_positions(ptr, unvisited[rest])
+        if offsets.size:
+            hit = dist[nbrs[idx]] == parent
+            found[rest[nonzero]] = np.logical_or.reduceat(hit, offsets)
+    return unvisited[found]
 
 
 def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
          max_level: int | None = None, allow=None) -> np.ndarray:
     """Level-synchronous BFS from src_idx; returns int32 distances, -1 = unreached.
 
-    ``until``: stop once this vertex's level is fixed.  ``max_level``: do
-    not expand past this level.  ``allow``: boolean mask over box vertices;
-    only vertices it admits are entered (used for restricted distances).
+    Each level takes the top-down or the bottom-up step, by the work rule
+    of the module docstring; both find the same level set.  ``until``: stop
+    once this vertex's level is fixed.  ``max_level``: do not expand past
+    this level.  ``allow``: boolean mask over box vertices; only vertices
+    it admits are entered, by either step (used for restricted distances).
     """
     box = sample.box
-    halves = _adjacency(sample)
-    dist = np.full(box.n_vertices, -1, dtype=np.int32)
+    *halves, degree = _adjacency(sample)
+    n = box.n_vertices
+    dist = np.full(n, -1, dtype=np.int32)
     dist[src_idx] = 0
-    stamp = np.empty(box.n_vertices, dtype=np.int64)
+    stamp = np.empty(n, dtype=np.int64)
+    lattice = 2 * box.d
+    if allow is None:
+        unvisited_work = 2 * sample.n_long_edges + lattice * n  # the degree sum is twice the edge count
+    else:
+        unvisited_work = int(degree[allow].sum()) + lattice * int(np.count_nonzero(allow))
     frontier = np.array([src_idx], dtype=np.int64)
     level = 0
     while frontier.size:
@@ -129,15 +199,22 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
         if max_level is not None and level >= max_level:
             break
         level += 1
+        frontier_work = int(degree[frontier].sum()) + lattice * frontier.size
+        unvisited_work -= frontier_work
+        if _BOTTOM_UP_RATIO * frontier_work > unvisited_work:
+            unvisited = np.flatnonzero(dist < 0 if allow is None else (dist < 0) & allow)
+            frontier = _bottom_up(box, halves, dist, level, unvisited)
+            dist[frontier] = level
+            continue
         cand = np.concatenate([_nn_candidates(box, frontier),
-                               *(_long_candidates(ptr, nbrs, frontier) for ptr, nbrs in halves)])
+                               *(nbrs[_row_positions(ptr, frontier)[0]] for ptr, nbrs in halves)])
         keep = dist[cand] < 0
         if allow is not None:
             keep &= allow[cand]
         cand = cand[keep]
         if cand.size == 0:
             break
-        if 8 * cand.size > box.n_vertices:
+        if 8 * cand.size > n:
             dist[cand] = level
             frontier = np.flatnonzero(dist == level)
         else:

@@ -381,7 +381,7 @@ def _edge_classes(box: Box, edges: np.ndarray) -> np.ndarray:
 
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
     """The per-vertex bytes of ``_edge_stage_memory``, which need no class or edge count."""
-    return (72.0 + 20.0 * (n_rungs - 1)) * box.n_vertices
+    return (76.0 + 24.0 * (n_rungs - 1)) * box.n_vertices
 
 
 def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
@@ -397,13 +397,19 @@ def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: f
     in-half 4: 28; the out-half is a view of the edges), and a BFS (edges
     and in-half 20, plus one level's long-edge candidates, their gather
     index, masks and stamps: 24).  Each lower rung keeps its edges and
-    cached in-half (20 per edge) and two row-pointer arrays and distances
-    (20 per vertex) alive.  Every vertex also has the replica's float64
-    norm field and annulus mask (9), the out- and in-row pointers (16), the
-    BFS distances and int64 stamp buffer (12), and the larger of the
-    build's degree counts and a level's frontier with its nearest-neighbour
-    candidates (35).  The dense classes' partial shuffle holds a
-    permutation of at most the largest class.
+    cached in-half (20 per edge) and two row-pointer arrays, long degrees
+    and distances (24 per vertex) alive.  Every vertex also has the
+    replica's float64 norm field and annulus mask (9), the out- and in-row
+    pointers (16), the int32 long degrees (4), the BFS distances and int64
+    stamp buffer (12), and the largest of the build's degree counts, a
+    top-down level's frontier with its nearest-neighbour candidates, and a
+    bottom-up level's arrays (35).  A bottom-up level holds the unvisited
+    vertices' indices (8) and found mask (1), one axis's digits, neighbour
+    indices, gathered distances and masks (23), then for the vertices still
+    unfound their mask, indices, row pointers and counts; it runs only when
+    the unvisited vertices' work is below twice the frontier's.  The dense
+    classes' partial shuffle holds a permutation of at most the largest
+    class.
     """
     per_vertex = _vertex_stage_memory(box, n_rungs)
     per_class = (8.0 * box.d + 32.0 + 8.0 * n_rungs) * n_classes

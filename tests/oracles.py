@@ -126,9 +126,9 @@ def reference_distances(d: int, radius: int, edge_pairs, source) -> dict:
     return dist
 
 
-def reference_restricted(d: int, radius: int, edge_pairs, x, y,
-                         constraint_radius: float, norm: str, strict: bool):
-    """Shortest constrained path length, or math.inf if none exists.
+def reference_restricted_distances(d: int, radius: int, edge_pairs, x,
+                                   constraint_radius: float, norm: str, strict: bool) -> dict:
+    """BFS distances from x along constrained paths, as {coordinate tuple: hops}.
 
     Vertices z on the path must satisfy norm(z - x) < constraint_radius
     (strict) or <= (weak); x itself always qualifies, matching a path that
@@ -136,7 +136,6 @@ def reference_restricted(d: int, radius: int, edge_pairs, x, y,
     """
     adj = _adjacency(d, radius, edge_pairs)
     x = tuple(int(c) for c in x)
-    y = tuple(int(c) for c in y)
     fn = NORM_FN[norm]
 
     def allowed(v):
@@ -145,19 +144,22 @@ def reference_restricted(d: int, radius: int, edge_pairs, x, y,
         nv = fn(tuple(a - b for a, b in zip(v, x)))
         return nv < constraint_radius if strict else nv <= constraint_radius
 
-    if not allowed(y):
-        return math.inf
     dist = {x: 0}
     queue = deque([x])
     while queue:
         u = queue.popleft()
-        if u == y:
-            return dist[u]
         for w in adj[u]:
             if w not in dist and allowed(w):
                 dist[w] = dist[u] + 1
                 queue.append(w)
-    return dist.get(y, math.inf)
+    return dist
+
+
+def reference_restricted(d: int, radius: int, edge_pairs, x, y,
+                         constraint_radius: float, norm: str, strict: bool):
+    """Shortest constrained path length from x to y, or math.inf if none exists."""
+    dist = reference_restricted_distances(d, radius, edge_pairs, x, constraint_radius, norm, strict)
+    return dist.get(tuple(int(c) for c in y), math.inf)
 
 
 # ---------------------------------------------------------------------------

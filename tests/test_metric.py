@@ -20,6 +20,7 @@ from lrplab import (
     sample_graph_coupled,
     table_kernel,
 )
+from lrplab import metric
 from lrplab.metric import _adjacency
 
 import oracles
@@ -382,7 +383,8 @@ class TestRegressionPins:
 
 class TestAdjacency:
     """Two half-row CSRs: row u of the out-half holds the heads of the edges out of u,
-    row u of the in-half the tails of the edges into u, both ascending."""
+    row u of the in-half the tails of the edges into u, both ascending; and every
+    vertex's long degree."""
 
     def test_rows_from_shuffled_and_reversed_input(self):
         pm = ModelParams(d=2, s=3.0, beta=3.0)
@@ -395,10 +397,12 @@ class TestAdjacency:
         given[flip] = given[flip, ::-1]
         g = graph_from_edges(pm, box, given)
         np.testing.assert_array_equal(g.long_edges, edges)
-        (out_ptr, heads), (in_ptr, tails) = _adjacency(g)
+        (out_ptr, heads), (in_ptr, tails), degree = _adjacency(g)
         assert tails.dtype == np.uint32 and tails.flags.c_contiguous
         assert np.shares_memory(heads, g.long_edges)
         n = box.n_vertices
+        assert degree.dtype == np.int32
+        np.testing.assert_array_equal(degree, np.bincount(edges.ravel(), minlength=n))
         for ptr, column in ((out_ptr, 0), (in_ptr, 1)):
             assert ptr[0] == 0
             np.testing.assert_array_equal(np.diff(ptr), np.bincount(edges[:, column], minlength=n))
@@ -436,9 +440,10 @@ class TestAdjacency:
 
     def test_empty_edge_set(self):
         g = line_graph(9, [])
-        (out_ptr, heads), (in_ptr, tails) = _adjacency(g)
+        (out_ptr, heads), (in_ptr, tails), degree = _adjacency(g)
         for ptr in (out_ptr, in_ptr):
             np.testing.assert_array_equal(ptr, np.zeros(g.box.n_vertices + 1))
+        np.testing.assert_array_equal(degree, np.zeros(g.box.n_vertices))
         assert heads.size == 0
         assert tails.dtype == np.uint32 and tails.size == 0
         assert distances_from(g, np.array([-9])).dist.tolist() == list(range(19))
@@ -514,11 +519,11 @@ def queries_match_oracle(g, seed, n_queries=8):
             continue
         ell1 = float(np.abs(x - y).sum())
         assert restricted_distance(g, x, y).value == oracles.reference_restricted(
-            d, radius, pairs, xt, yt, 2 * ell1, "ell1", strict=True)
+            d, radius, pairs, xt, yt, 2 * ell1, g.params.norm, strict=True)
         for k in (0, 1):
             got = restricted_k_distance(g, x, y, k, 0.8)
             assert got.value == oracles.reference_restricted(
-                d, radius, pairs, xt, yt, got.constraint_radius, "ell1", strict=False)
+                d, radius, pairs, xt, yt, got.constraint_radius, g.params.norm, strict=False)
 
 
 class TestStampedLevels:
@@ -534,3 +539,103 @@ class TestStampedLevels:
             assert 8 * (2 * max(np.bincount(list(ref.values()))) + 2 * g.n_long_edges) <= n
             assert distances_from(g, np.array(src)).dist.tolist() == [ref[(x,)] for x in range(-300, 301)]
         queries_match_oracle(g, 5, n_queries=12)
+
+
+@pytest.fixture
+def bottom_up_levels(monkeypatch):
+    """The level of every bottom-up step _bfs takes while the test runs."""
+    levels = []
+    step = metric._bottom_up
+
+    def recorded(box, halves, dist, level, unvisited):
+        levels.append(level)
+        return step(box, halves, dist, level, unvisited)
+
+    monkeypatch.setattr(metric, "_bottom_up", recorded)
+    return levels
+
+
+def predicted_bottom_up(d, ref, pairs, allowed):
+    """Levels the work rule takes bottom-up, from the oracle's levels and the long degrees.
+
+    The step into level k + 1 reads level k; it is bottom-up when the ratio
+    times level k's work exceeds the work of the allowed vertices not yet
+    reached.  A vertex's work is its long degree plus 2d.
+    """
+    degree = {}
+    for a, b in pairs:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    level_work = [0] * (max(ref.values()) + 1)
+    for v, k in ref.items():
+        level_work[k] += degree.get(v, 0) + 2 * d
+    unvisited = sum(degree.get(v, 0) + 2 * d for v in allowed)
+    levels = []
+    for k, work in enumerate(level_work):
+        unvisited -= work
+        if metric._BOTTOM_UP_RATIO * work > unvisited:
+            levels.append(k + 1)
+    return levels
+
+
+SWITCHING = [(d, norm) for d in (1, 2, 3) for norm in ("ell1", "ell2", "ellinf")]
+
+
+class TestDirectionSwitching:
+    """Dense graphs whose last levels hold most of the box, so searches take both step kinds."""
+
+    @staticmethod
+    def graph(d, norm):
+        pm = ModelParams(d=d, s=1.5 * d, beta=4.0, norm=norm)
+        return sample_graph(pm, Box(d=d, radius={1: 60, 2: 7, 3: 3}[d]), seed=10 * d + len(norm))
+
+    @pytest.mark.parametrize("d, norm", SWITCHING)
+    def test_both_step_kinds_match_oracle(self, d, norm, bottom_up_levels):
+        g = self.graph(d, norm)
+        box, radius = g.box, g.box.radius
+        pairs = sample_to_oracle_args(g)
+        coords = [tuple(int(v) for v in c) for c in box.coords_of(np.arange(box.n_vertices))]
+        for src in [(0,) * d, (-radius,) * d, coords[len(coords) // 3]]:
+            ref = oracles.reference_distances(d, radius, pairs, src)
+            last = max(ref.values())
+            expected = predicted_bottom_up(d, ref, pairs, coords)
+            # A bottom-up step that finds a level, and a top-down one.
+            assert any(k <= last for k in expected)
+            assert set(range(1, last + 2)) - set(expected)
+
+            bottom_up_levels.clear()
+            assert distances_from(g, np.array(src)).dist.tolist() == [ref[c] for c in coords]
+            assert bottom_up_levels == expected
+
+            far = max(ref, key=ref.get)
+            bottom_up_levels.clear()
+            assert distance_pair(g, np.array(src), np.array(far)) == last
+            assert bottom_up_levels == [k for k in expected if k <= last]
+
+            for k in range(last + 1):
+                bottom_up_levels.clear()
+                assert intrinsic_ball(g, np.array(src), k) == sum(v <= k for v in ref.values())
+                assert bottom_up_levels == [j for j in expected if j <= k]
+
+    @pytest.mark.parametrize("d, norm", SWITCHING)
+    def test_restricted_searches_match_oracle(self, d, norm, bottom_up_levels):
+        g = self.graph(d, norm)
+        box, radius = g.box, g.box.radius
+        pairs = sample_to_oracle_args(g)
+        coords = [tuple(int(v) for v in c) for c in box.coords_of(np.arange(box.n_vertices))]
+        for src, constraint in [((0,) * d, radius), ((-radius,) * d, 1.5 * radius)]:
+            ref = oracles.reference_restricted_distances(d, radius, pairs, src, constraint, norm, strict=True)
+            assert len(ref) < box.n_vertices
+            last = max(ref.values())
+            expected = predicted_bottom_up(d, ref, pairs, ref)
+            assert any(k <= last for k in expected)
+            assert set(range(1, last + 2)) - set(expected)
+            # The oracle's vertex set is the constraint ball, which the lattice moves connect.
+            allow = np.array([c in ref for c in coords])
+            bottom_up_levels.clear()
+            dist = metric._bfs(g, int(box.index_of(np.array(src))), allow=allow)
+            assert dist.tolist() == [ref.get(c, -1) for c in coords]
+            assert bottom_up_levels == expected
+        bottom_up_levels.clear()
+        queries_match_oracle(g, d, n_queries=6)
+        assert bottom_up_levels
