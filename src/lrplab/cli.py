@@ -41,7 +41,12 @@ from .limits import lambda_of_t, lower_curve, psi_limit
 from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, compute_c0, graph_from_edges,
                       sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
-from .estimator import collapse_report, estimate_phi, theorem1_fraction
+from .estimator import (
+    _deviation_fraction,
+    collapse_report,
+    estimate_phi,
+    theorem1_fraction,  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it
+)
 
 _Z_STREAM_TAG = 0x5A17
 
@@ -584,8 +589,7 @@ def _cmd_distances(cfg, config_hash, outdir, created):
                *(f.dist for f in [field, *extra_fields])]
     _write_csv(outdir / "distances.csv", doc, config_hash, header, columns, created)
 
-    ball = box.norm_field(source, params.norm) <= L
-    ball_dists = field.dist[ball].astype(np.float64)
+    ball_dists = field.dist[box.norm_field(source, params.norm) <= L].astype(np.float64)
     median = float(np.median(ball_dists))
     summary = {
         "config_hash": config_hash,
@@ -602,13 +606,13 @@ def _cmd_distances(cfg, config_hash, outdir, created):
         scale = cfg["scale"] if cfg["scale"] is not None else median
         summary["deviation_scale"] = scale
         summary["deviation_epsilon"] = cfg["epsilon"]
-        summary["deviation_fraction"] = theorem1_fraction(field, L, scale, cfg["epsilon"])
+        summary["deviation_fraction"] = _deviation_fraction(ball_dists, scale, cfg["epsilon"])
     _write_json(outdir / "summary.json", summary, created)
 
     if cfg["target"] is not None:
         target = np.asarray(cfg["target"], dtype=np.int64)
         chain = [("ell1", int(norm_value(target - source, "ell1")))]
-        chain.append(("D", int(distance_pair(sample, source, target))))
+        chain.append(("D", int(field.dist[box.index_of(target)])))
         forward = restricted_distance(sample, source, target)
         backward = restricted_distance(sample, target, source)
         chain.append(("D_restricted_forward", forward.value))

@@ -218,16 +218,21 @@ def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: flo
     count |B(source, r)| only when the ball fits in the box, which an
     off-centre source can break even for r <= the box radius.
     """
-    if not scale > 0:
-        raise ValueError("scale must be > 0")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
     box = field.sample.box
     if r > box.radius:
         raise ValueError(f"r={r} exceeds the box radius {box.radius}")
     mask = box.norm_field(field.source, field.sample.params.norm) <= r
-    ratios = field.dist[mask].astype(np.float64) / scale
-    return float(np.count_nonzero(np.abs(ratios - 1.0) > epsilon) / np.count_nonzero(mask))
+    return _deviation_fraction(field.dist[mask], scale, epsilon)
+
+
+def _deviation_fraction(ball_dists: np.ndarray, scale: float, epsilon: float) -> float:
+    """``theorem1_fraction`` from the distances of the ball's vertices, for a caller that has them."""
+    if not scale > 0:
+        raise ValueError("scale must be > 0")
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    ratios = ball_dists.astype(np.float64) / scale
+    return float(np.count_nonzero(np.abs(ratios - 1.0) > epsilon) / ratios.size)
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,21 @@ each level is found by one of two steps (Beamer, Asanovic and Patterson,
 "Direction-optimizing breadth-first search", SC 2012).  A vertex's work is
 its long degree plus 2d: the rows and lattice moves a step reads for it.
 
-The top-down step reads the frontier's moves and rows.  Its unvisited
-candidates are deduplicated in one of two ways, chosen by their count.  Up
-to n/8 of them are stamped: one n-length buffer per search takes
-``stamp[cand] = arange(cand.size)``, and the candidates that read their own
-position back are the first occurrence of each vertex, so that frontier is
-in first-seen order.  More than n/8 of them are written into the distances,
-and the frontier is read back by one scan, ``flatnonzero(dist == level)``,
-so that frontier is in index order.  The threshold keeps early levels,
-early-exit and restricted searches O(candidates), while a level holding
-much of the box costs one pass over it.
+The top-down step reads the frontier's moves and rows, and finishes in
+one of two ways, chosen by the frontier's work, which is its count of
+unfiltered candidates plus its moves through the box walls.  Up to n/8
+(the stamp finish), the candidates are concatenated, filtered to the
+unvisited (and allowed) ones, and stamped: one n-length buffer per search
+takes ``stamp[cand] = arange(cand.size)``, and the candidates that read
+their own position back are the first occurrence of each vertex, so that
+frontier is in first-seen order.  Above n/8 (the mask finish), the lattice
+moves and the rows' entries are scattered into one n-byte mask, which is
+ANDed with ``dist < 0`` (and ``allow``), and the frontier is read back by
+one ``flatnonzero``, so that frontier is in index order.  The threshold
+keeps early levels, early-exit and restricted searches O(candidates),
+while a level holding much of the box costs a few passes over n bytes in
+place of a concatenation, a gather, a filter and a compress of its
+candidates.
 
 The bottom-up step reads the unvisited vertices' moves and rows: it takes
 ``flatnonzero(dist < 0)`` (within ``allow``, if given) and keeps, in index
@@ -65,13 +70,19 @@ _BOTTOM_UP_RATIO = 2
 
 
 def _check_long_edges(edges: np.ndarray, n: int):
-    """Raise ValueError unless ``edges`` is in the ``GraphSample.long_edges`` order."""
+    """Raise ValueError unless ``edges`` is in the ``GraphSample.long_edges`` order.
+
+    With 0 <= tail < head < n, strictly increasing keys tail * n + head are
+    rows in strictly increasing (tail, head) order: no tail falls, and a
+    row whose tail stays raises its head.  Neighbour compares on the two
+    columns check that without building the keys.
+    """
     if not len(edges):
         return
     tail, head = edges[:, 0], edges[:, 1]
-    keys = tail * n
-    keys += head
-    if tail.min() < 0 or head.max() >= n or np.any(tail >= head) or np.any(keys[1:] <= keys[:-1]):
+    t0, t1 = tail[:-1], tail[1:]
+    if (tail[0] < 0 or head.max() >= n or np.any(tail >= head) or np.any(t1 < t0)
+            or not np.all((t1 > t0) | (head[1:] > head[:-1]))):
         raise ValueError("long_edges must be vertex index pairs (i, j) with 0 <= i < j < n_vertices, "
                          "sorted by strictly increasing i * n_vertices + j")
 
@@ -111,17 +122,13 @@ def _as_index(box: Box, vertex) -> int:
     return int(box.index_of(arr))
 
 
-def _nn_candidates(box: Box, frontier: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor moves of every frontier vertex, respecting box walls."""
-    out = []
+def _nn_moves(box: Box, frontier: np.ndarray):
+    """The nearest-neighbor moves of the frontier, one array per direction, respecting box walls."""
     side = box.side
-    for stride in box.strides:
-        digit = (frontier // stride) % side
-        left = frontier[digit > 0] - stride
-        right = frontier[digit < side - 1] + stride
-        out.append(left)
-        out.append(right)
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    for stride in box.strides.tolist():
+        digit = frontier // stride % side
+        yield frontier[digit > 0] - stride
+        yield frontier[digit < side - 1] + stride
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray):
@@ -170,12 +177,41 @@ def _bottom_up(box: Box, halves, dist: np.ndarray, level: int, unvisited: np.nda
     return unvisited[found]
 
 
+def _stamp_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray, allow,
+                  stamp: np.ndarray) -> np.ndarray:
+    """The frontier's unvisited (and allowed) neighbours, in first-seen order, deduped by ``stamp``."""
+    cand = np.concatenate([*_nn_moves(box, frontier),
+                           *(nbrs[_row_positions(ptr, frontier)[0]] for ptr, nbrs in halves)])
+    keep = dist[cand] < 0
+    if allow is not None:
+        keep &= allow[cand]
+    cand = cand[keep]
+    order = np.arange(cand.size)
+    stamp[cand] = order
+    return cand[stamp[cand] == order]
+
+
+def _mask_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray, allow) -> np.ndarray:
+    """The frontier's unvisited (and allowed) neighbours, in index order, read from one n-byte mask."""
+    hit = np.zeros(dist.size, dtype=bool)
+    for moves in _nn_moves(box, frontier):
+        hit[moves] = True
+    for ptr, nbrs in halves:
+        hit[nbrs[_row_positions(ptr, frontier)[0]]] = True
+    hit &= dist < 0
+    if allow is not None:
+        hit &= allow
+    return np.flatnonzero(hit)
+
+
 def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
          max_level: int | None = None, allow=None) -> np.ndarray:
     """Level-synchronous BFS from src_idx; returns int32 distances, -1 = unreached.
 
     Each level takes the top-down or the bottom-up step, by the work rule
-    of the module docstring; both find the same level set.  ``until``: stop
+    of the module docstring, and a top-down level finishes by the stamp or,
+    when its work exceeds n/8, by the mask; every way finds the same level
+    set, so only the frontier's order depends on the choice.  ``until``: stop
     once this vertex's level is fixed.  ``max_level``: do not expand past
     this level.  ``allow``: boolean mask over box vertices; only vertices
     it admits are entered, by either step (used for restricted distances).
@@ -204,24 +240,11 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
         if _BOTTOM_UP_RATIO * frontier_work > unvisited_work:
             unvisited = np.flatnonzero(dist < 0 if allow is None else (dist < 0) & allow)
             frontier = _bottom_up(box, halves, dist, level, unvisited)
-            dist[frontier] = level
-            continue
-        cand = np.concatenate([_nn_candidates(box, frontier),
-                               *(nbrs[_row_positions(ptr, frontier)[0]] for ptr, nbrs in halves)])
-        keep = dist[cand] < 0
-        if allow is not None:
-            keep &= allow[cand]
-        cand = cand[keep]
-        if cand.size == 0:
-            break
-        if 8 * cand.size > n:
-            dist[cand] = level
-            frontier = np.flatnonzero(dist == level)
+        elif 8 * frontier_work > n:
+            frontier = _mask_finish(box, halves, dist, frontier, allow)
         else:
-            order = np.arange(cand.size)
-            stamp[cand] = order
-            frontier = cand[stamp[cand] == order]
-            dist[frontier] = level
+            frontier = _stamp_finish(box, halves, dist, frontier, allow, stamp)
+        dist[frontier] = level
     return dist
 
 

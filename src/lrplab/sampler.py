@@ -275,16 +275,18 @@ def _select_dense(n: int, k: int, gen: np.random.Generator) -> np.ndarray:
     return gen.choice(n, size=k, replace=False)
 
 
-def _bounded(words: np.ndarray, n: np.ndarray):
+def _bounded(words: np.ndarray, n: np.ndarray, threshold: np.ndarray):
     """Uniform integers in [0, n) from raw 64-bit words, n < 2**32 per word.
 
     Lemire's multiply-shift on the upper 32 bits x of each word: the value
     is (x * n) >> 32, and a word is rejected when the low half of x * n is
-    below 2**32 mod n, which leaves every value exactly floor(2**32 / n)
-    accepted preimages.  Returns (values, accepted).
+    below ``threshold``, which must be 2**32 mod n, so that every value
+    keeps exactly floor(2**32 / n) accepted preimages.  The caller takes
+    that modulo once per distinct n and gathers it per word.  Returns
+    (values, accepted).
     """
     prod = (words >> np.uint64(32)) * n
-    accepted = (prod & np.uint64(0xFFFFFFFF)) >= np.uint64(2**32) % n
+    accepted = (prod & np.uint64(0xFFFFFFFF)) >= threshold
     return (prod >> np.uint64(32)).astype(np.int64), accepted
 
 
@@ -296,26 +298,31 @@ def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
     word per slot still missing (a rejected or an in-class duplicate draw).
     Each row's set is thus the first K[i] distinct values of an i.i.d.
     uniform sequence, hence uniform over K[i]-subsets.  Requires N < 2**32.
-    Round 0 sorts its keys; a later round draws words for the short rows
-    only and merges its few new distinct keys into the sorted keys, so it
-    costs O(words drawn) plus one copy of the keys.
+    Each row's rejection threshold 2**32 mod N[i] is computed once.  Round
+    0 sorts its keys; a later round draws words for the short rows only and
+    merges its few new distinct keys into the sorted keys, so it costs
+    O(words drawn) plus one copy of the keys.
     Returns (row, index) arrays sorted by (row, index).
     """
     n = N.astype(np.uint64)
+    threshold = np.uint64(2**32) % n
     keys = np.empty(0, dtype=np.int64)  # row << 32 | index, sorted and distinct
     missing = K.astype(np.int64)
     while (total := int(missing.sum())) > 0:
         short = np.flatnonzero(missing)
         rows = np.repeat(short, missing[short])
-        values, accepted = _bounded(bit_generator.random_raw(total), n[rows])
+        values, accepted = _bounded(bit_generator.random_raw(total), n[rows], threshold[rows])
         new = (rows[accepted] << 32) | values[accepted]
         del rows, values, accepted
         new.sort()
         new = new[np.diff(new, prepend=-1) != 0]
-        at = np.searchsorted(keys, new)
-        fresh = at == np.searchsorted(keys, new, side="right")
-        new = new[fresh]
-        keys = np.insert(keys, at[fresh], new) if keys.size else new
+        if keys.size:
+            at = np.searchsorted(keys, new)
+            fresh = at == np.searchsorted(keys, new, side="right")
+            new = new[fresh]
+            keys = np.insert(keys, at[fresh], new)
+        else:
+            keys = new
         missing -= np.bincount(new >> 32, minlength=len(n))
     return keys >> 32, keys & 0xFFFFFFFF
 
@@ -395,15 +402,18 @@ def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: f
     40 bytes), the sorted key beside the edge array (24), a consumer's
     adjacency build (edges 16, the uint64 in-half keys 8 and the uint32
     in-half 4: 28; the out-half is a view of the edges), and a BFS (edges
-    and in-half 20, plus one level's long-edge candidates, their gather
-    index, masks and stamps: 24).  Each lower rung keeps its edges and
-    cached in-half (20 per edge) and two row-pointer arrays, long degrees
-    and distances (24 per vertex) alive.  Every vertex also has the
+    and in-half 20, plus one level's long-edge candidates: 24, of which a
+    level above n/8 uses 16, one half's gather positions and neighbours,
+    for its mask finish; a stamped level holds at most n/8 candidates).
+    Each lower rung keeps its edges and cached in-half (20 per edge) and
+    two row-pointer arrays, long degrees and distances (24 per vertex)
+    alive.  Every vertex also has the
     replica's float64 norm field and annulus mask (9), the out- and in-row
     pointers (16), the int32 long degrees (4), the BFS distances and int64
     stamp buffer (12), and the largest of the build's degree counts, a
-    top-down level's frontier with its nearest-neighbour candidates, and a
-    bottom-up level's arrays (35).  A bottom-up level holds the unvisited
+    top-down level's frontier with its nearest-neighbour candidates (or
+    stamped candidates, or the mask finish's two masks), and a bottom-up
+    level's arrays (35).  A bottom-up level holds the unvisited
     vertices' indices (8) and found mask (1), one axis's digits, neighbour
     indices, gathered distances and masks (23), then for the vertices still
     unfound their mask, indices, row pointers and counts; it runs only when

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrplab import (
     Box,
@@ -369,6 +371,18 @@ class TestRegressionPins:
         assert dist.dtype == np.int32
         assert hashlib.sha256(dist.tobytes()).hexdigest() == digest
 
+    def test_large_graph_bfs_bytes(self):
+        # The only graphs here whose last levels exceed n/8 by far: phi-d1's
+        # input, ladder-d1's beta=10 rung and a d=2 box, from the origin.
+        digest = hashlib.sha256()
+        for pm, radius in [(ModelParams(d=1, s=1.5, beta=5.0), 2**18),
+                           (ModelParams(d=1, s=1.5, beta=10.0), 16384),
+                           (ModelParams(d=2, s=3.0, beta=2.0), 200)]:
+            for seed in (7, 8, 9):
+                g = sample_graph(pm, Box(d=pm.d, radius=radius), seed)
+                digest.update(metric._bfs(g, int(g.box.index_of(np.zeros(pm.d, dtype=np.int64)))).tobytes())
+        assert digest.hexdigest() == "f5312ee131cff4d52f4df5a9e704132090b6c0641fbb979862ae108d860fdcc4"
+
     def test_ball_and_restricted_chain_d2(self):
         pm, radius, seed, _ = self.CASES["d2"]
         g = sample_graph(pm, Box(d=2, radius=radius), seed)
@@ -463,6 +477,59 @@ class TestAdjacency:
         assert g._adjacency is None
 
 
+def key_order_accepts(edges, n):
+    """The order check as first written: strictly increasing int64 keys tail * n + head."""
+    if not len(edges):
+        return True
+    tail, head = edges[:, 0], edges[:, 1]
+    keys = tail * n + head
+    return not (tail.min() < 0 or head.max() >= n or np.any(tail >= head) or np.any(keys[1:] <= keys[:-1]))
+
+
+@st.composite
+def edge_arrays(draw):
+    """Small (m, 2) arrays and a box size n: sorted valid edge sets, some with one fault, and raw pairs."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    fault = draw(st.sampled_from(["none", "negative", "head n", "repeat", "reverse", "swap", "raw"]))
+    if fault == "raw":
+        rows = draw(st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=8))
+        return np.array(rows, dtype=np.int64).reshape(-1, 2), n, fault
+    rows = sorted(draw(st.sets(st.sampled_from(pairs), max_size=8))) if pairs else []
+    edges = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    if fault == "none" or not len(edges) or (fault == "swap" and len(edges) < 2):
+        return edges, n, "none"
+    at = draw(st.integers(0, len(edges) - 1))
+    if fault == "negative":
+        edges[at, 0] = -draw(st.integers(1, 3))
+    elif fault == "head n":
+        edges[at, 1] = n
+    elif fault == "repeat":
+        edges = np.insert(edges, at, edges[at], axis=0)
+    elif fault == "reverse":
+        edges[at] = edges[at, ::-1]
+    else:  # near-sorted: two neighbouring rows swapped
+        at = min(at, len(edges) - 2)
+        edges[[at, at + 1]] = edges[[at + 1, at]]
+    return edges, n, fault
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_arrays())
+def test_order_check_accepts_what_the_key_check_accepts(case):
+    edges, n, fault = case
+    try:
+        metric._check_long_edges(edges, n)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == key_order_accepts(edges, n)
+    if fault == "none":
+        assert accepted
+    elif fault != "raw":
+        assert not accepted
+
+
 def hub_graph(d, radius, hub, seed):
     """One hub joined to about half the box, so BFS levels repeat candidates."""
     pm = ModelParams(d=d, s=1.5 * d, beta=1.0, norm="ell1")
@@ -477,9 +544,22 @@ def hub_graph(d, radius, hub, seed):
 HUBS = [(1, 40, (7,), 0), (2, 6, (2, -3), 1), (3, 3, (1, 0, -2), 2)]
 
 
+@pytest.fixture
+def top_down_finishes(monkeypatch):
+    """(finish, restricted) of every top-down level _bfs takes while the test runs."""
+    finishes = []
+    for name in ("_stamp_finish", "_mask_finish"):
+        def recorded(box, halves, dist, frontier, allow, *rest, finish=getattr(metric, name), name=name):
+            finishes.append((name, allow is not None))
+            return finish(box, halves, dist, frontier, allow, *rest)
+
+        monkeypatch.setattr(metric, name, recorded)
+    return finishes
+
+
 class TestHubGraph:
     @pytest.mark.parametrize("d, radius, hub, seed", HUBS)
-    def test_distances_match_oracle(self, d, radius, hub, seed):
+    def test_distances_match_oracle(self, d, radius, hub, seed, top_down_finishes):
         g = hub_graph(d, radius, hub, seed)
         box = g.box
         pairs = sample_to_oracle_args(g)
@@ -487,18 +567,21 @@ class TestHubGraph:
         coords = [tuple(int(v) for v in c) for c in box.coords_of(np.arange(box.n_vertices))]
         for src in [(0,) * d, hub, (-radius,) * d, (radius,) + (0,) * (d - 1)]:
             ref = oracles.reference_distances(d, radius, pairs, src)
+            top_down_finishes.clear()
             dist = distances_from(g, np.array(src)).dist
             assert [ref[c] for c in coords] == dist.tolist()
             # More parent-to-child moves than children: levels carry duplicate candidates.
             moves = sum(ref[w] == ref[v] + 1 for v in adj for w in adj[v])
             assert moves > box.n_vertices - 1
-            # A level of more than n/8 vertices has more than n/8 unvisited
-            # candidates, so _bfs dedupes it by the scan.
+            # A level of more than n/8 vertices comes from a step of more
+            # than n/8 candidates; found top-down, it takes the mask finish.
             assert 8 * max(np.bincount(list(ref.values()))) > box.n_vertices
+            assert ("_mask_finish", False) in top_down_finishes
 
     @pytest.mark.parametrize("d, radius, hub, seed", HUBS)
-    def test_until_max_level_allow_match_oracle(self, d, radius, hub, seed):
+    def test_until_max_level_allow_match_oracle(self, d, radius, hub, seed, top_down_finishes):
         queries_match_oracle(hub_graph(d, radius, hub, seed), seed)
+        assert ("_mask_finish", True) in top_down_finishes
 
 
 def queries_match_oracle(g, seed, n_queries=8):
@@ -527,9 +610,10 @@ def queries_match_oracle(g, seed, n_queries=8):
 
 
 class TestStampedLevels:
-    """The hub graphs' large levels are deduped by the scan; these levels all stay at most n/8."""
+    """The hub graphs' large levels take the mask finish; here every level's work (two
+    moves per vertex plus the long edges' ends) stays at most n/8, so every level is stamped."""
 
-    def test_few_long_edges_match_oracle(self):
+    def test_few_long_edges_match_oracle(self, top_down_finishes):
         g = line_graph(300, [(-280, -120), (-150, 90), (-20, 250), (40, 170)])
         n = g.box.n_vertices
         pairs = sample_to_oracle_args(g)
@@ -539,6 +623,7 @@ class TestStampedLevels:
             assert 8 * (2 * max(np.bincount(list(ref.values()))) + 2 * g.n_long_edges) <= n
             assert distances_from(g, np.array(src)).dist.tolist() == [ref[(x,)] for x in range(-300, 301)]
         queries_match_oracle(g, 5, n_queries=12)
+        assert {name for name, _ in top_down_finishes} == {"_stamp_finish"}
 
 
 @pytest.fixture

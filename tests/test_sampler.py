@@ -219,7 +219,7 @@ def select_sparse_resorting(N, K, bit_generator):
     missing = K.astype(np.int64)
     while (total := int(missing.sum())) > 0:
         rows = np.repeat(np.arange(len(n)), missing)
-        values, accepted = sampler._bounded(bit_generator.random_raw(total), n[rows])
+        values, accepted = sampler._bounded(bit_generator.random_raw(total), n[rows], np.uint64(2**32) % n[rows])
         keys = np.concatenate([keys, (rows[accepted] << 32) | values[accepted]])
         keys.sort()
         keys = keys[np.diff(keys, prepend=-1) != 0]
@@ -234,7 +234,7 @@ class TestGeneratorV2:
         # come out 1/2, 1/4, 1/4 instead of 1/3 each.
         n = 3 * 2**30
         words = np.random.Philox(key=[5, 6]).random_raw(300_000)
-        values, accepted = sampler._bounded(words, np.full(words.size, n, dtype=np.uint64))
+        values, accepted = sampler._bounded(words, np.full(words.size, n, dtype=np.uint64), np.uint64(2**32 % n))
         kept = values[accepted]
         assert kept.min() >= 0 and kept.max() < n
         assert abs(accepted.mean() - 0.75) < 0.01  # rejection rate (2**32 mod n) / 2**32 = 1/4
@@ -270,6 +270,21 @@ class TestGeneratorV2:
         resorted = _CountingWords(np.random.Philox(key=key))
         ref_rows, ref_sel = select_sparse_resorting(n, k, resorted)
         assert merged.rounds == resorted.rounds and len(merged.rounds) == n_rounds
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(sel, ref_sel)
+
+    def test_sparse_rejection_thresholds_per_class(self):
+        # 2**32 mod n is 2**30 for n = 3 * 2**30, so that class's round 0
+        # rejects about a quarter of its words, and 55296 for n = 64000; each
+        # class must be held to its own threshold, as the per-word reference does.
+        k = np.array([20_000, 1000])
+        n = np.array([3 * 2**30, 64 * 1000])
+        words = _CountingWords(np.random.Philox(key=[9, 10]))
+        rows, sel = sampler._select_sparse(n, k, words)
+        resorted = _CountingWords(np.random.Philox(key=[9, 10]))
+        ref_rows, ref_sel = select_sparse_resorting(n, k, resorted)
+        assert words.rounds == resorted.rounds
+        assert 4500 < words.rounds[1] < 5600
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(sel, ref_sel)
 
