@@ -18,6 +18,7 @@ error.  Exit codes: 0 ok, 2 config error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -28,6 +29,7 @@ import sys
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -571,22 +573,17 @@ def _cmd_distances(cfg, config_hash, outdir, created):
     params, L = cfg["params"], cfg["L"]
     box = Box(params.d, L)
     source = np.asarray(cfg["source"], dtype=np.int64)
-    if cfg["beta2"] is None:
-        sample = sample_graph(params, box, cfg["seed"])
-        extra_fields = []
-    else:
-        params2 = ModelParams(d=params.d, s=params.s, beta=cfg["beta2"], norm=params.norm,
-                              kernel=params.kernel)
-        sample, sample2 = sample_graph_coupled([params, params2], box, cfg["seed"])
-        extra_fields = [distances_from(sample2, source)]
-    field = distances_from(sample, source)
+    betas = [params.beta] if cfg["beta2"] is None else [params.beta, cfg["beta2"]]
+    samples = sample_graph_coupled([replace(params, beta=b) for b in betas], box, cfg["seed"])
+    fields = [distances_from(sm, source) for sm in samples]
+    sample, field = samples[0], fields[0]
     doc = "index (vertex index); x_* (lattice coordinates); dist (chemical distance from the source)"
     header = ["index"] + _coord_header("x", params.d) + ["dist"]
-    if extra_fields:
+    if len(fields) > 1:
         doc += "; dist_beta2 (coupled sample at beta2, pointwise <= dist)"
         header.append("dist_beta2")
     columns = [np.arange(box.n_vertices), *(_VertexCoords(box, axis) for axis in range(params.d)),
-               *(f.dist for f in [field, *extra_fields])]
+               *(f.dist for f in fields)]
     _write_csv(outdir / "distances.csv", doc, config_hash, header, columns, created)
 
     ball_dists = field.dist[box.norm_field(source, params.norm) <= L].astype(np.float64)
@@ -647,15 +644,16 @@ def _cmd_figure1(cfg, config_hash, outdir, created):
                config_hash, ["beta", "u", "v"], [beta, ends[:, 0], ends[:, 1]], created)
 
 
+def _executor(jobs: int):
+    """A process pool of ``jobs`` workers to open with ``with``; one job runs in this process (None)."""
+    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+
+
 def _cmd_estimate_phi(cfg, config_hash, outdir, created):
     params = cfg["params"]
-    executor = ProcessPoolExecutor(max_workers=cfg["jobs"]) if cfg["jobs"] > 1 else None
-    try:
+    with _executor(cfg["jobs"]) as executor:
         est = estimate_phi(params, cfg["r"], cfg["n_replicas"], cfg["seed"],
                            delta=cfg["delta"], executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
     n = len(est.records)
     _write_csv(outdir / "phi_records.csv",
                "beta; r (outer radius); replica (index); seed; phi_hat (median distance "
@@ -677,15 +675,11 @@ def _cmd_estimate_phi(cfg, config_hash, outdir, created):
 
 
 def _cmd_collapse(cfg, config_hash, outdir, created):
-    executor = ProcessPoolExecutor(max_workers=cfg["jobs"]) if cfg["jobs"] > 1 else None
     t_grid = np.linspace(0.0, 1.0, cfg["t_points"]).tolist()
-    try:
+    with _executor(cfg["jobs"]) as executor:
         report = collapse_report(cfg["params_list"], t_grid, cfg["n_replicas"], cfg["seed"],
                                  m_offset=cfg["m_offset"], delta=cfg["delta"],
                                  box_radius_cap=cfg["box_radius_cap"], executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
     live = [c for c in report.cells if not c.missing]
     n = cfg["n_replicas"]
     beta, t = _fields(live, "beta", "t")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .sampler import (
     DEFAULT_MEMORY_CAP,
     Box,
     MemoryCapExceeded,
+    _check_coupled_ladder,
     _check_memory,
     _vertex_stage_memory,
     sample_graph,  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it (ROADMAP item 1)
@@ -139,12 +140,11 @@ def _bootstrap_ci(rng: np.random.Generator, n_bootstrap: int, stat, *samples) ->
     return float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))
 
 
-def _check_ladder(params_list: list, n_replicas: int) -> None:
+def _check_ladder(params_list: list, n_replicas: int, seed0: int) -> None:
     """Refuse, before any sampling, a ladder no replica could run."""
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    if any(replace(pm, beta=params_list[0].beta) != params_list[0] for pm in params_list):
-        raise ValueError("a beta ladder requires identical (d, s, norm, kernel) on every rung")
+    _check_coupled_ladder(params_list, seed0, n_replicas)
 
 
 def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int, delta: float,
@@ -152,7 +152,7 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
     """PhiEstimates [rung][radius]; rung i's bootstrap is seeded by bootstrap_keys[i] at every radius."""
     if any(not r > 1 for r in radii):
         raise ValueError(f"r must be > 1, got {radii}")
-    _check_ladder(params_list, n_replicas)
+    _check_ladder(params_list, n_replicas, seed0)
     box = Box(params_list[0].d, int(math.ceil(max(radii))))
     args = [(params_list, box, seed0 + i, (_annulus_masks, radii, delta), memory_cap_bytes)
             for i in range(n_replicas)]
@@ -335,7 +335,7 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     t_vals = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_vals):
         raise ValueError("t grid must lie in [0, 1]")
-    _check_ladder(params_list, n_replicas)
+    _check_ladder(params_list, n_replicas, seed0)
 
     plan = [(bi, pm, t, collapse_radius(pm, pm.beta, t, m_offset))
             for bi, pm in enumerate(params_list) for t in t_vals]

@@ -17,38 +17,41 @@ The frontier is held as a flat index array, one generation at a time, and
 each level is found by one of two steps (Beamer, Asanovic and Patterson,
 "Direction-optimizing breadth-first search", SC 2012).  A vertex's work is
 its long degree plus 2d: the rows and lattice moves a step reads for it.
+``dist`` (int32) is a search's whole state: -1 is unseen, and a restricted
+search first writes ``_BLOCKED`` outside ``allow``, so that every step
+enters exactly the vertices that read -1.
 
 The top-down step reads the frontier's moves and rows, and finishes in
 one of two ways, chosen by the frontier's work, which is its count of
 unfiltered candidates plus its moves through the box walls.  Up to n/8
 (the stamp finish), the candidates are concatenated, filtered to the
-unvisited (and allowed) ones, and stamped: one n-length buffer per search
-takes ``stamp[cand] = arange(cand.size)``, and the candidates that read
-their own position back are the first occurrence of each vertex, so that
-frontier is in first-seen order.  Above n/8 (the mask finish), the lattice
+unseen ones, and stamped in ``dist`` itself: candidate i writes the code
+-3 - i, and the candidates that read their own code back are one (the
+last) occurrence of each vertex, in candidate order; the level's write
+then overwrites every code.  Above n/8 (the mask finish), the lattice
 moves and the rows' entries are scattered into one n-byte mask, which is
-ANDed with ``dist < 0`` (and ``allow``), and the frontier is read back by
-one ``flatnonzero``, so that frontier is in index order.  The threshold
+ANDed with ``dist == -1``, and the frontier is read back by one
+``flatnonzero``, so that frontier is in index order.  The threshold
 keeps early levels, early-exit and restricted searches O(candidates),
 while a level holding much of the box costs a few passes over n bytes in
 place of a concatenation, a gather, a filter and a compress of its
 candidates.
 
 The bottom-up step reads the unvisited vertices' moves and rows: it takes
-``flatnonzero(dist < 0)`` (within ``allow``, if given) and keeps, in index
-order, those with a neighbour at the previous level.  numpy cannot stop at
-a vertex's first such neighbour, so the step stops early one stage at a
-time: the nearest-neighbour moves of every unvisited vertex (arithmetic,
-inside the box walls), then the out-half rows of those still unfound, then
-the in-half rows of those still unfound.
+``flatnonzero(dist == -1)`` and keeps, in index order, those with a
+neighbour at the previous level.  numpy cannot stop at a vertex's first
+such neighbour, so the step stops early one stage at a time: the
+nearest-neighbour moves of every unvisited vertex (arithmetic, inside the
+box walls), then the out-half rows of those still unfound, then the
+in-half rows of those still unfound.
 
 A level is bottom-up when ``_BOTTOM_UP_RATIO`` times the frontier's work
 exceeds the unvisited vertices' work, a running total that starts as the
-work of the box (or of ``allow``) and loses each frontier's.  Long-range
-percolation graphs have polylogarithmic diameter, so a search from one
-vertex reaches most of the box in its last two or three levels, and those
-are the levels the rule sends bottom-up.  The level sets, and so the
-distances, depend on neither the step kind nor the frontier order.
+work of the box less the blocked vertices' and loses each frontier's.
+Long-range percolation graphs have polylogarithmic diameter, so a search
+from one vertex reaches most of the box in its last two or three levels,
+and those are the levels the rule sends bottom-up.  The level sets, and so
+the distances, depend on neither the step kind nor the frontier order.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ from .sampler import Box, GraphSample
 # 3.9 ms; at 1.66, 10.9 against 12.1 ms; at 1.36, 33 against 53 ms) and the
 # slower above it (at 2.81 times, 70 against 39 ms).
 _BOTTOM_UP_RATIO = 2
+
+# dist's value for a vertex a restricted search may not enter; stamp codes lie below it.
+_BLOCKED = -2
 
 
 def _check_long_edges(edges: np.ndarray, n: int):
@@ -177,30 +183,24 @@ def _bottom_up(box: Box, halves, dist: np.ndarray, level: int, unvisited: np.nda
     return unvisited[found]
 
 
-def _stamp_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray, allow,
-                  stamp: np.ndarray) -> np.ndarray:
-    """The frontier's unvisited (and allowed) neighbours, in first-seen order, deduped by ``stamp``."""
+def _stamp_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """The frontier's unseen neighbours, in candidate order, deduped by codes stamped into ``dist``."""
     cand = np.concatenate([*_nn_moves(box, frontier),
                            *(nbrs[_row_positions(ptr, frontier)[0]] for ptr, nbrs in halves)])
-    keep = dist[cand] < 0
-    if allow is not None:
-        keep &= allow[cand]
-    cand = cand[keep]
-    order = np.arange(cand.size)
-    stamp[cand] = order
-    return cand[stamp[cand] == order]
+    cand = cand[dist[cand] == -1]
+    code = np.arange(-3, -3 - cand.size, -1, dtype=np.int32)  # at most n/8 candidates
+    dist[cand] = code
+    return cand[dist[cand] == code]
 
 
-def _mask_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray, allow) -> np.ndarray:
-    """The frontier's unvisited (and allowed) neighbours, in index order, read from one n-byte mask."""
+def _mask_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """The frontier's unseen neighbours, in index order, read from one n-byte mask."""
     hit = np.zeros(dist.size, dtype=bool)
     for moves in _nn_moves(box, frontier):
         hit[moves] = True
     for ptr, nbrs in halves:
         hit[nbrs[_row_positions(ptr, frontier)[0]]] = True
-    hit &= dist < 0
-    if allow is not None:
-        hit &= allow
+    hit &= dist == -1
     return np.flatnonzero(hit)
 
 
@@ -219,14 +219,14 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
     box = sample.box
     *halves, degree = _adjacency(sample)
     n = box.n_vertices
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[src_idx] = 0
-    stamp = np.empty(n, dtype=np.int64)
     lattice = 2 * box.d
-    if allow is None:
-        unvisited_work = 2 * sample.n_long_edges + lattice * n  # the degree sum is twice the edge count
-    else:
-        unvisited_work = int(degree[allow].sum()) + lattice * int(np.count_nonzero(allow))
+    dist = np.full(n, -1, dtype=np.int32)
+    unvisited_work = 2 * sample.n_long_edges + lattice * n  # the degree sum is twice the edge count
+    if allow is not None:
+        blocked = ~allow
+        dist[blocked] = _BLOCKED
+        unvisited_work -= int(degree[blocked].sum()) + lattice * int(np.count_nonzero(blocked))
+    dist[src_idx] = 0
     frontier = np.array([src_idx], dtype=np.int64)
     level = 0
     while frontier.size:
@@ -238,13 +238,14 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
         frontier_work = int(degree[frontier].sum()) + lattice * frontier.size
         unvisited_work -= frontier_work
         if _BOTTOM_UP_RATIO * frontier_work > unvisited_work:
-            unvisited = np.flatnonzero(dist < 0 if allow is None else (dist < 0) & allow)
-            frontier = _bottom_up(box, halves, dist, level, unvisited)
+            frontier = _bottom_up(box, halves, dist, level, np.flatnonzero(dist == -1))
         elif 8 * frontier_work > n:
-            frontier = _mask_finish(box, halves, dist, frontier, allow)
+            frontier = _mask_finish(box, halves, dist, frontier)
         else:
-            frontier = _stamp_finish(box, halves, dist, frontier, allow, stamp)
+            frontier = _stamp_finish(box, halves, dist, frontier)
         dist[frontier] = level
+    if allow is not None:
+        np.maximum(dist, -1, out=dist)
     return dist
 
 

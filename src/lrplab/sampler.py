@@ -199,13 +199,24 @@ class GraphSample:
         return int(self.long_edges.shape[0])
 
 
-def _validate_seed(seed) -> int:
+def _check_coupled_ladder(params_list: list, seed, n_seeds: int = 1) -> None:
+    """Raise ValueError unless ``sample_graph_coupled`` can draw the ladder at seeds seed + i, i < n_seeds.
+
+    The ladder must be non-empty, share (d, s, norm, kernel) and have
+    ascending betas; the seeds must be integers in [0, 2**64).
+    """
+    if not params_list:
+        raise ValueError("params_list must be non-empty")
+    shared = {(pm.d, pm.s, pm.norm, pm.kernel) for pm in params_list}
+    if len(shared) > 1:
+        raise ValueError("coupled sampling requires identical (d, s, norm, kernel) across the ladder")
+    betas = [pm.beta for pm in params_list]
+    if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError(f"betas must be sorted ascending, got {betas}")
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    if int(seed) < 0 or int(seed) + n_seeds > 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit word")
-    return seed
 
 
 def _check_memory(estimated_bytes: float, cap_bytes: int, stage: str):
@@ -388,7 +399,7 @@ def _edge_classes(box: Box, edges: np.ndarray) -> np.ndarray:
 
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
     """The per-vertex bytes of ``_edge_stage_memory``, which need no class or edge count."""
-    return (76.0 + 24.0 * (n_rungs - 1)) * box.n_vertices
+    return (68.0 + 24.0 * (n_rungs - 1)) * box.n_vertices
 
 
 def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
@@ -407,17 +418,17 @@ def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: f
     for its mask finish; a stamped level holds at most n/8 candidates).
     Each lower rung keeps its edges and cached in-half (20 per edge) and
     two row-pointer arrays, long degrees and distances (24 per vertex)
-    alive.  Every vertex also has the
-    replica's float64 norm field and annulus mask (9), the out- and in-row
-    pointers (16), the int32 long degrees (4), the BFS distances and int64
-    stamp buffer (12), and the largest of the build's degree counts, a
-    top-down level's frontier with its nearest-neighbour candidates (or
-    stamped candidates, or the mask finish's two masks), and a bottom-up
-    level's arrays (35).  A bottom-up level holds the unvisited
-    vertices' indices (8) and found mask (1), one axis's digits, neighbour
-    indices, gathered distances and masks (23), then for the vertices still
-    unfound their mask, indices, row pointers and counts; it runs only when
-    the unvisited vertices' work is below twice the frontier's.  The dense
+    alive.  Every vertex also has the replica's float64 norm field and
+    annulus mask (9), the out- and in-row pointers (16), the int32 long
+    degrees (4), the int32 BFS distances, which are also its stamp (4), and
+    the largest of the build's degree counts, a top-down level's frontier
+    with its nearest-neighbour candidates (or stamped candidates, or the
+    mask finish's two masks), and a bottom-up level's arrays (35).  A
+    bottom-up level holds the unvisited vertices' indices (8) and found
+    mask (1), one axis's digits, neighbour indices, gathered distances and
+    masks (23), then for the vertices still unfound their mask, indices,
+    row pointers and counts; it runs only when the unvisited vertices'
+    work is below twice the frontier's.  The dense
     classes' partial shuffle holds a permutation of at most the largest
     class.
     """
@@ -507,18 +518,10 @@ def sample_graph_coupled(params_list, box: Box, seed: int,
     Cost is O(#classes + #top-rung edges), as for sample_graph.
     """
     params_list = list(params_list)
-    if not params_list:
-        raise ValueError("params_list must be non-empty")
-    seed = _validate_seed(seed)
-    head_pm = params_list[0]
-    if head_pm.d != box.d:
-        raise ValueError(f"params dimension {head_pm.d} does not match box dimension {box.d}")
-    for pm in params_list[1:]:
-        if (pm.d, pm.s, pm.norm, pm.kernel) != (head_pm.d, head_pm.s, head_pm.norm, head_pm.kernel):
-            raise ValueError("coupled sampling requires identical (d, s, norm, kernel) across the ladder")
-    betas = [pm.beta for pm in params_list]
-    if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError(f"betas must be sorted ascending, got {betas}")
+    _check_coupled_ladder(params_list, seed)
+    seed = int(seed)
+    if params_list[0].d != box.d:
+        raise ValueError(f"params dimension {params_list[0].d} does not match box dimension {box.d}")
     rungs = _sample_rungs(params_list, box, seed, memory_cap_bytes)
     return [GraphSample(params=pm, box=box, seed=seed, long_edges=edges)
             for pm, edges in zip(params_list, rungs)]

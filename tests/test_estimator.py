@@ -103,6 +103,36 @@ class TestEstimatePhi:
         assert info.value.stage == "annulus field and masks"
         assert peak <= 8 * 2**20
 
+    @pytest.mark.parametrize("d, betas, r", [
+        (1, [5.0], 2**16),
+        (1, [1.0, 2.0, 5.0, 10.0], 16384),
+        (2, [2.0], 200),
+        (2, [1.0, 4.0], 120),
+    ], ids=["d1", "d1-ladder", "d2", "d2-ladder"])
+    def test_memory_estimate_bounds_the_replica_peak(self, monkeypatch, d, betas, r):
+        # The sampler's estimate covers the adjacency and BFS of every rung;
+        # the replica adds one mask per shell beyond the first.
+        estimates = []
+        check = lrplab.sampler._check_memory
+
+        def recorded(estimated_bytes, cap_bytes, stage):
+            if stage == "graph sampling":
+                estimates.append(estimated_bytes)
+            check(estimated_bytes, cap_bytes, stage)
+
+        monkeypatch.setattr(lrplab.sampler, "_check_memory", recorded)
+        params_list = [ModelParams(d=d, s=1.5 * d, beta=b) for b in betas]
+        box, radii = Box(d, r), [float(r)]
+        tracemalloc.start()
+        try:
+            lrplab.estimator._replica((params_list, box, 7, (lrplab.estimator._annulus_masks, radii, 0.1),
+                                       lrplab.sampler.DEFAULT_MEMORY_CAP))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [estimate] = estimates
+        assert estimate + (len(radii) - 1) * box.n_vertices >= peak
+
     def test_annulus_too_small_rejected(self):
         with pytest.raises(ValueError):
             estimate_phi(PM, 20.0, n_replicas=1, seed0=0)
@@ -136,28 +166,27 @@ class TestLadder:
         assert [r.seed for r in a.records] == [5, 6, 7]
         assert a.phi_hat > 0 and a.ci_low <= a.phi_hat <= a.ci_high
 
-    def test_unsorted_betas_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_phi_ladder(
-                [ModelParams(d=1, s=1.5, beta=5.0), ModelParams(d=1, s=1.5, beta=1.0)],
-                300.0, n_replicas=2, seed0=0)
-
-    @pytest.mark.parametrize("other", [
-        ModelParams(d=1, s=1.6, beta=2.0),
-        ModelParams(d=1, s=1.5, beta=2.0, norm="ell1"),
-        replace(NO_LONG_EDGES, beta=2.0),
-        ModelParams(d=2, s=3.0, beta=2.0),
-    ], ids=["s", "norm", "kernel", "d"])
-    def test_mixed_ladder_rejected_before_sampling(self, monkeypatch, other):
+    @pytest.mark.parametrize("ladder, seed0, match", [
+        ([PM, ModelParams(d=1, s=1.6, beta=2.0)], 0, "identical"),
+        ([PM, ModelParams(d=1, s=1.5, beta=2.0, norm="ell1")], 0, "identical"),
+        ([PM, replace(NO_LONG_EDGES, beta=2.0)], 0, "identical"),
+        ([PM, ModelParams(d=2, s=3.0, beta=2.0)], 0, "identical"),
+        ([replace(PM, beta=5.0), PM], 0, "betas"),
+        ([PM, replace(PM, beta=2.0)], 2**64 - 1, "64-bit"),
+    ], ids=["s", "norm", "kernel", "d", "unsorted", "seed overflow"])
+    def test_mixed_ladder_rejected_before_sampling(self, monkeypatch, ladder, seed0, match):
         def refuse(*args, **kwargs):
-            raise AssertionError("sampled a mixed ladder")
+            raise AssertionError("sampled a ladder no replica could run")
 
         monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", refuse)
-        with pytest.raises(ValueError, match="identical"):
-            estimate_phi_ladder([PM, other], 300.0, n_replicas=2, seed0=0)
-        with pytest.raises(ValueError, match="identical"):
-            collapse_report([replace(PM, beta=math.e**3), replace(other, beta=math.e**4)],
-                            [0.0], n_replicas=2, seed0=0, m_offset=2)
+        monkeypatch.setattr(Box, "norm_field", refuse)
+        with pytest.raises(ValueError, match=match):
+            estimate_phi_ladder(ladder, 300.0, n_replicas=2, seed0=seed0)
+        # The collapse radii need betas above e; the unsorted ladder stays unsorted.
+        betas = [math.e ** 3, math.e ** 4][::1 if ladder[0].beta <= ladder[1].beta else -1]
+        with pytest.raises(ValueError, match=match):
+            collapse_report([replace(pm, beta=b) for pm, b in zip(ladder, betas)],
+                            [0.0], n_replicas=2, seed0=seed0, m_offset=2)
 
 
 @settings(max_examples=300, deadline=None)

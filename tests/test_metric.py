@@ -546,12 +546,15 @@ HUBS = [(1, 40, (7,), 0), (2, 6, (2, -3), 1), (3, 3, (1, 0, -2), 2)]
 
 @pytest.fixture
 def top_down_finishes(monkeypatch):
-    """(finish, restricted) of every top-down level _bfs takes while the test runs."""
+    """(finish, restricted) of every top-down level _bfs takes while the test runs.
+
+    A level is restricted when its search has blocked vertices.
+    """
     finishes = []
     for name in ("_stamp_finish", "_mask_finish"):
-        def recorded(box, halves, dist, frontier, allow, *rest, finish=getattr(metric, name), name=name):
-            finishes.append((name, allow is not None))
-            return finish(box, halves, dist, frontier, allow, *rest)
+        def recorded(box, halves, dist, frontier, finish=getattr(metric, name), name=name):
+            finishes.append((name, bool(np.any(dist == metric._BLOCKED))))
+            return finish(box, halves, dist, frontier)
 
         monkeypatch.setattr(metric, name, recorded)
     return finishes
@@ -584,25 +587,43 @@ class TestHubGraph:
         assert ("_mask_finish", True) in top_down_finishes
 
 
+def assert_no_scratch_left(dist, expected):
+    """A stopped or restricted ``_bfs`` leaves only levels and -1, and its levels are ``expected``'s."""
+    assert dist.min() >= -1
+    reached = dist >= 0
+    assert np.array_equal(dist[reached], expected[reached])
+
+
 def queries_match_oracle(g, seed, n_queries=8):
-    """Early-exit, restricted and max-level searches from random pairs equal the oracles."""
+    """Early-exit, restricted and max-level searches from random pairs equal the oracles.
+
+    Each runs through the public function and through ``_bfs``, whose distances are checked too.
+    """
     box, d, radius = g.box, g.box.d, g.box.radius
     pairs = sample_to_oracle_args(g)
+    coords = [tuple(int(v) for v in c) for c in box.coords_of(np.arange(box.n_vertices))]
     rng = np.random.default_rng(seed)
     for _ in range(n_queries):
-        i, j = rng.integers(box.n_vertices, size=2)
+        i, j = (int(v) for v in rng.integers(box.n_vertices, size=2))
         x = box.coords_of(np.array([i]))[0]
         y = box.coords_of(np.array([j]))[0]
         xt, yt = tuple(int(v) for v in x), tuple(int(v) for v in y)
         ref = oracles.reference_distances(d, radius, pairs, xt)
+        full = np.array([ref[c] for c in coords])
         assert distance_pair(g, x, y) == ref[yt]
+        assert_no_scratch_left(metric._bfs(g, i, until=j), full)
         for k in range(5):
             assert intrinsic_ball(g, x, k) == sum(v <= k for v in ref.values())
+            assert_no_scratch_left(metric._bfs(g, i, max_level=k), full)
         if i == j:
             continue
         ell1 = float(np.abs(x - y).sum())
-        assert restricted_distance(g, x, y).value == oracles.reference_restricted(
-            d, radius, pairs, xt, yt, 2 * ell1, g.params.norm, strict=True)
+        inside = oracles.reference_restricted_distances(d, radius, pairs, xt, 2 * ell1, g.params.norm,
+                                                        strict=True)
+        assert restricted_distance(g, x, y).value == inside.get(yt, math.inf)
+        allow = box.norm_field(x, g.params.norm) < 2 * ell1
+        assert_no_scratch_left(metric._bfs(g, i, until=j, allow=allow),
+                               np.array([inside.get(c, -1) for c in coords]))
         for k in (0, 1):
             got = restricted_k_distance(g, x, y, k, 0.8)
             assert got.value == oracles.reference_restricted(
@@ -701,6 +722,12 @@ class TestDirectionSwitching:
                 bottom_up_levels.clear()
                 assert intrinsic_ball(g, np.array(src), k) == sum(v <= k for v in ref.values())
                 assert bottom_up_levels == [j for j in expected if j <= k]
+
+            full = np.array([ref[c] for c in coords])
+            src_idx = int(box.index_of(np.array(src)))
+            assert_no_scratch_left(metric._bfs(g, src_idx, until=int(box.index_of(np.array(far)))), full)
+            for k in range(last + 1):
+                assert_no_scratch_left(metric._bfs(g, src_idx, max_level=k), full)
 
     @pytest.mark.parametrize("d, norm", SWITCHING)
     def test_restricted_searches_match_oracle(self, d, norm, bottom_up_levels):
