@@ -534,29 +534,34 @@ def _coord_header(prefix: str, d: int) -> list:
 
 
 class _VertexCoords:
-    """Coordinate ``axis`` of every box vertex in index order, as a column made per row slice."""
+    """Coordinate ``axis`` of the vertices of ``index`` (default: every box vertex, in index
+    order), as a column made per row slice.
 
-    def __init__(self, box: Box, axis: int):
-        self.box, self.axis = box, axis
+    ``index`` is range-checked once, as ``Box.coords_of`` checks it.
+    """
+
+    def __init__(self, box: Box, axis: int, index: np.ndarray | None = None):
+        if index is not None and index.size and (index.min() < 0 or index.max() >= box.n_vertices):
+            raise ValueError("vertex index out of range")
+        self.box, self.axis, self.index = box, axis, index
 
     def __len__(self) -> int:
-        return self.box.n_vertices
+        return self.box.n_vertices if self.index is None else len(self.index)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        index = np.arange(*rows.indices(len(self)))
-        return index // int(self.box.strides[self.axis]) % self.box.side - self.box.radius
+        index = np.arange(*rows.indices(len(self))) if self.index is None else self.index[rows]
+        return self.box.digit(index, self.axis) - self.box.radius
 
 
 def _cmd_sample(cfg, config_hash, outdir, created):
     params = cfg["params"]
     box = Box(params.d, cfg["L"])
     sample = sample_graph(params, box, cfg["seed"])
-    tails = box.coords_of(sample.long_edges[:, 0])
-    heads = box.coords_of(sample.long_edges[:, 1])
     _write_csv(outdir / "edges.csv",
                "x_1..x_d, y_1..y_d (endpoints of one long edge; nearest-neighbor edges are implicit)",
                config_hash, _coord_header("x", params.d) + _coord_header("y", params.d),
-               [*tails.T, *heads.T], created,
+               [_VertexCoords(box, axis, sample.long_edges[:, end])
+                for end in range(2) for axis in range(params.d)], created,
                params_doc=f"d={params.d} s={params.s!r} beta={params.beta!r} "
                           f"norm={params.norm} kernel={params.kernel.kind}; "
                           f"box_radius={box.radius}; seed={cfg['seed']}; generator={GENERATOR_TAG}")
@@ -638,10 +643,11 @@ def _cmd_figure1(cfg, config_hash, outdir, created):
                config_hash, ["x", "dist_beta1", "dist_beta5"],
                [np.arange(-L, L + 1), fields[0].dist, fields[1].dist], created)
     beta = np.repeat([pm.beta for pm in params_list], [sm.n_long_edges for sm in samples])
-    ends = box.coords_of(np.concatenate([sm.long_edges for sm in samples]))[..., 0]
+    ends = [_VertexCoords(box, 0, np.concatenate([sm.long_edges[:, end] for sm in samples]))
+            for end in range(2)]
     _write_csv(outdir / "long_edges.csv",
                "beta; u, v (endpoints of one long edge, the arcs of the distance profile)",
-               config_hash, ["beta", "u", "v"], [beta, ends[:, 0], ends[:, 1]], created)
+               config_hash, ["beta", "u", "v"], [beta, *ends], created)
 
 
 def _executor(jobs: int):

@@ -216,11 +216,14 @@ def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: flo
     inequality) with |D(source, x)/scale - 1| > epsilon, normalized by the
     number of box vertices in B(source, r).  That is the lattice-point
     count |B(source, r)| only when the ball fits in the box, which an
-    off-centre source can break even for r <= the box radius.
+    off-centre source can break even for r <= the box radius.  The float64
+    norm field and the ball mask (9 bytes per vertex) are checked against
+    ``DEFAULT_MEMORY_CAP`` before they are built.
     """
     box = field.sample.box
     if r > box.radius:
         raise ValueError(f"r={r} exceeds the box radius {box.radius}")
+    _check_memory(9.0 * box.n_vertices, DEFAULT_MEMORY_CAP, "ball field and mask")
     mask = box.norm_field(field.source, field.sample.params.norm) <= r
     return _deviation_fraction(field.dist[mask], scale, epsilon)
 

@@ -131,8 +131,8 @@ def _as_index(box: Box, vertex) -> int:
 def _nn_moves(box: Box, frontier: np.ndarray):
     """The nearest-neighbor moves of the frontier, one array per direction, respecting box walls."""
     side = box.side
-    for stride in box.strides.tolist():
-        digit = frontier // stride % side
+    for axis, stride in enumerate(box.strides.tolist()):
+        digit = box.digit(frontier, axis)
         yield frontier[digit > 0] - stride
         yield frontier[digit < side - 1] + stride
 
@@ -168,8 +168,8 @@ def _bottom_up(box: Box, halves, dist: np.ndarray, level: int, unvisited: np.nda
     parent = level - 1
     found = np.zeros(unvisited.size, dtype=bool)
     side = box.side
-    for stride in box.strides.tolist():
-        digit = unvisited // stride % side
+    for axis, stride in enumerate(box.strides.tolist()):
+        digit = box.digit(unvisited, axis)
         found |= (dist.take(unvisited - stride, mode="clip") == parent) & (digit > 0)
         found |= (dist.take(unvisited + stride, mode="clip") == parent) & (digit < side - 1)
     for ptr, nbrs in halves:

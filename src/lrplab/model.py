@@ -19,8 +19,19 @@ NORMS = ("ell1", "ell2", "ellinf")
 KERNEL_KINDS = ("canonical_power_law", "user_table")
 
 
+# Norm kind -> (per-axis term, combining ufunc); ell2 takes a square root at the end.
+_SEPARABLE_NORMS = {"ell1": (np.abs, np.add), "ell2": (np.square, np.add),
+                   "ellinf": (np.abs, np.maximum)}
+
+
 def norm_value(x, kind: str = "ell2"):
     """Evaluate the chosen vector norm on the last axis of ``x``.
+
+    The per-axis terms are combined column by column, left to right, in
+    float64.  For d < 8 that is the order of numpy's own ``sum(axis=-1)``,
+    so the result is bit-equal to ``np.abs(x).sum(-1)``,
+    ``np.sqrt((x * x).sum(-1))`` and ``np.abs(x).max(-1)``; from 8 terms
+    numpy sums pairwise and may differ in the last bit.
 
     Parameters
     ----------
@@ -32,15 +43,19 @@ def norm_value(x, kind: str = "ell2"):
     -------
     float or ndarray with the leading shape of ``x``.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if kind == "ell1":
-        out = np.abs(arr).sum(axis=-1)
-    elif kind == "ell2":
-        out = np.sqrt((arr * arr).sum(axis=-1))
-    elif kind == "ellinf":
-        out = np.abs(arr).max(axis=-1)
-    else:
+    if kind not in _SEPARABLE_NORMS:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORMS}")
+    term, combine = _SEPARABLE_NORMS[kind]
+    arr = np.asarray(x)
+    if not np.can_cast(arr.dtype, np.float64):
+        arr = arr.astype(np.float64)
+    # each column is cast to float64 as the term reads it
+    out = term(arr[..., 0], out=np.empty(arr.shape[:-1]), dtype=np.float64)
+    part = np.empty_like(out)
+    for i in range(1, arr.shape[-1]):
+        combine(out, term(arr[..., i], out=part, dtype=np.float64), out=out)
+    if kind == "ell2":
+        np.sqrt(out, out=out)
     if out.ndim == 0:
         return float(out)
     return out
@@ -193,21 +208,25 @@ def kernel_values(params: ModelParams, displacements) -> np.ndarray:
     disp = np.atleast_2d(disp)
     if disp.shape[-1] != params.d:
         raise ValueError(f"displacements have {disp.shape[-1]} components, expected d={params.d}")
-    if np.any(~np.any(disp, axis=-1)):
+    ell1 = np.abs(disp[:, 0])
+    for i in range(1, params.d):
+        ell1 += np.abs(disp[:, i])
+    if not ell1.all():
         raise ValueError("zero displacement has no kernel value (self-loops undefined)")
 
-    nn = np.abs(disp).sum(axis=-1) == 1
     if params.kernel.tail == "zero":
         q = np.zeros(len(disp))
     else:
-        nrm = norm_value(disp, params.norm)
-        with np.errstate(divide="ignore"):
-            q = np.where(nn, np.inf, nrm ** (-params.s))
-    q[nn] = np.inf
+        q = norm_value(disp, params.norm)
+        np.power(q, -params.s, out=q)
+    q[ell1 == 1] = np.inf
     for entry_disp, value in params.kernel.table:
         ev = np.asarray(entry_disp, dtype=np.int64)
-        match = np.all(disp == ev, axis=-1) | np.all(disp == -ev, axis=-1)
-        q[match] = value
+        pos, neg = disp[:, 0] == ev[0], disp[:, 0] == -ev[0]
+        for i in range(1, params.d):
+            pos &= disp[:, i] == ev[i]
+            neg &= disp[:, i] == -ev[i]
+        q[pos | neg] = value
     if single:
         return q[0]
     return q

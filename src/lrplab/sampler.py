@@ -48,6 +48,7 @@ import numpy as np
 
 from .model import (
     NORMS,
+    _SEPARABLE_NORMS,
     ModelParams,
     connection_probabilities,
     derived_constants,
@@ -64,11 +65,6 @@ GENERATOR_TAG = "philox4x64-v2"
 _COUNTS_STREAM = np.uint64(1) << np.uint64(63)
 _SPARSE_STREAM = _COUNTS_STREAM + np.uint64(1)
 _THIN_STREAM = _COUNTS_STREAM + np.uint64(2)
-
-# Norm kind -> (per-axis term, combining ufunc); ell2 takes a square root at the end.
-_SEPARABLE_NORMS = {"ell1": (np.abs, np.add), "ell2": (np.square, np.add),
-                    "ellinf": (np.abs, np.maximum)}
-
 
 class MemoryCapExceeded(RuntimeError):
     """Raised before allocation when a sampling plan would exceed the memory cap."""
@@ -133,16 +129,26 @@ class Box:
             return int(idx)
         return idx
 
+    def digit(self, index, axis: int):
+        """Coordinate ``axis`` of vertex index(es) plus the radius, a digit in [0, side).
+
+        The digit is index // side**(d - 1 - axis) % side; the last axis
+        skips the division by its stride of 1, and the first the modulo,
+        since index // side**(d - 1) < side already.  So in d = 1 the index
+        itself comes back, not a copy.  Indices are not range-checked.
+        """
+        stride = self.side ** (self.d - 1 - axis)
+        quotient = index // stride if stride > 1 else index
+        return quotient % self.side if axis > 0 else quotient
+
     def coords_of(self, index):
         """Coordinate vector(s) of vertex index (inverse of index_of)."""
         idx = np.asarray(index, dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.n_vertices):
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_vertices):
             raise ValueError("vertex index out of range")
         out = np.empty(idx.shape + (self.d,), dtype=np.int64)
-        rem = idx.copy()
-        for i in range(self.d - 1, -1, -1):
-            out[..., i] = rem % self.side - self.radius
-            rem //= self.side
+        for axis in range(self.d):
+            np.subtract(self.digit(idx, axis), self.radius, out=out[..., axis])
         return out
 
     def contains(self, coords):
@@ -234,18 +240,25 @@ def _displacement_classes(box: Box, memory_cap_bytes: int) -> np.ndarray:
     L = box.radius
     if box.d == 1:
         return np.arange(2, 2 * L + 1, dtype=np.int64).reshape(-1, 1)
-    raw_rows = (2 * L + 1) * (4 * L + 1) ** (box.d - 1)
-    # the mesh, the kept rows (about half of it) and np.delete's keep mask
-    _check_memory(raw_rows * (box.d * 12 + 1), memory_cap_bytes, "displacement class enumeration")
-    axes = [np.arange(0, 2 * L + 1, dtype=np.int64)]
-    axes += [np.arange(-2 * L, 2 * L + 1, dtype=np.int64)] * (box.d - 1)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, box.d)
+    shape = (2 * L + 1,) + (4 * L + 1,) * (box.d - 1)
+    raw_rows = math.prod(shape)
     # An "ij" mesh of ascending axes is in lexicographic order, so the canonical
-    # rows are exactly those after the zero vector, and the unit vector e_i sits
-    # grid_strides[i] rows after it.
+    # rows are exactly those after the zero vector, less the unit vector e_i
+    # grid_strides[i] rows after it: the rows strictly between two cuts.
     grid_strides = _grid_strides(box)
     zero = int(grid_strides[0] - 1) // 2
-    return np.delete(mesh[zero + 1:], grid_strides - 1, axis=0)
+    cuts = [zero, *(zero + grid_strides[::-1]).tolist(), raw_rows]
+    # one mesh column and the kept rows
+    kept = raw_rows - zero - 1 - box.d
+    _check_memory(8.0 * (raw_rows + box.d * kept), memory_cap_bytes, "displacement class enumeration")
+    classes = np.empty((kept, box.d), dtype=np.int64, order="F")
+    mesh_column = np.empty(shape, dtype=np.int64)
+    for i in range(box.d):
+        values = np.arange(0 if i == 0 else -2 * L, 2 * L + 1, dtype=np.int64)
+        mesh_column[...] = values.reshape([-1 if j == i else 1 for j in range(box.d)])
+        flat = mesh_column.reshape(-1)
+        np.concatenate([flat[lo + 1:hi] for lo, hi in zip(cuts, cuts[1:])], out=classes[:, i])
+    return classes
 
 
 def _grid_strides(box: Box) -> np.ndarray:
@@ -255,7 +268,10 @@ def _grid_strides(box: Box) -> np.ndarray:
 
 def _class_pair_counts(box: Box, classes: np.ndarray) -> np.ndarray:
     """Number of vertex pairs in the box at each displacement: prod(2L+1-|v_i|)."""
-    return np.prod(box.side - np.abs(classes), axis=1, dtype=np.int64)
+    counts = box.side - np.abs(classes[:, 0])
+    for i in range(1, box.d):
+        counts *= box.side - np.abs(classes[:, i])
+    return counts
 
 
 def _class_codes(box: Box, classes: np.ndarray) -> np.ndarray:
@@ -384,58 +400,86 @@ def _edge_classes(box: Box, edges: np.ndarray) -> np.ndarray:
     offset, grid_strides[i], is smaller.  v_i is the difference of the
     endpoints' i-th index digits, so no coordinate array is built.
     """
-    grid_strides = _grid_strides(box)
-    offset = np.zeros(len(edges), dtype=np.int64)
-    for stride, grid_stride in zip(box.strides.tolist(), grid_strides.tolist()):
-        digit = edges[:, 1] // stride % box.side
-        digit -= edges[:, 0] // stride % box.side
-        digit *= grid_stride
+    grid_strides = _grid_strides(box).tolist()
+    last = box.d - 1  # its grid stride is 1
+    offset = box.digit(edges[:, 1], last) - box.digit(edges[:, 0], last)
+    for axis in range(last):
+        digit = box.digit(edges[:, 1], axis)
+        digit -= box.digit(edges[:, 0], axis)
+        digit *= grid_strides[axis]
         offset += digit
     rows = offset - 1
-    for grid_stride in grid_strides.tolist():
+    for grid_stride in grid_strides:
         rows -= offset > grid_stride
     return rows
 
 
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
-    """The per-vertex bytes of ``_edge_stage_memory``, which need no class or edge count."""
-    return (68.0 + 24.0 * (n_rungs - 1)) * box.n_vertices
+    """The per-vertex bytes of ``_edge_stage_memory``'s search stage, which need no class or edge count.
+
+    The replica's annulus mask (1); the rung's row pointers and long
+    degrees (20) and distances (4); a bottom-up level's arrays (35: the
+    unvisited vertices' indices beside the last frontier's, the found mask,
+    one axis's digits, neighbour indices, gathered distances and masks);
+    the lattice share of a top-down level's candidates (16 bytes for a
+    third of the 2d moves: 32d / 3); and, past one rung, each lower rung's
+    cached row pointers and degrees (20) and the previous rung's distances (4).
+    """
+    lower = n_rungs - 1
+    return (60.0 + 32.0 * box.d / 3 + 20.0 * lower + 4.0 * (lower > 0)) * box.n_vertices
 
 
-def _edge_stage_memory(box: Box, n_classes: int, n_rungs: int, expected_edges: float,
+def _edge_stage_memory(box: Box, n_classes: int, rung_edges: list, sparse_edges: float,
                        max_class_pairs: float) -> float:
     """Peak bytes of sampling plus the adjacency and BFS a consumer runs on each rung.
 
-    Per class: the class rows, pair counts, codes, edge counts and one
-    probability per rung.  Per expected top-rung edge, the largest of the
-    stages that hold arrays at once: decoding (the key array, the sparse
-    draws' class rows and pair indices, and one axis's widths and digits:
-    40 bytes), the sorted key beside the edge array (24), a consumer's
-    adjacency build (edges 16, the uint64 in-half keys 8 and the uint32
-    in-half 4: 28; the out-half is a view of the edges), and a BFS (edges
-    and in-half 20, plus one level's long-edge candidates: 24, of which a
-    level above n/8 uses 16, one half's gather positions and neighbours,
-    for its mask finish; a stamped level holds at most n/8 candidates).
-    Each lower rung keeps its edges and cached in-half (20 per edge) and
-    two row-pointer arrays, long degrees and distances (24 per vertex)
-    alive.  Every vertex also has the replica's float64 norm field and
-    annulus mask (9), the out- and in-row pointers (16), the int32 long
-    degrees (4), the int32 BFS distances, which are also its stamp (4), and
-    the largest of the build's degree counts, a top-down level's frontier
-    with its nearest-neighbour candidates (or stamped candidates, or the
-    mask finish's two masks), and a bottom-up level's arrays (35).  A
-    bottom-up level holds the unvisited vertices' indices (8) and found
-    mask (1), one axis's digits, neighbour indices, gathered distances and
-    masks (23), then for the vertices still unfound their mask, indices,
-    row pointers and counts; it runs only when the unvisited vertices'
-    work is below twice the frontier's.  The dense
-    classes' partial shuffle holds a permutation of at most the largest
-    class.
+    ``rung_edges`` are the expected edges of each rung, the top rung last,
+    and ``sparse_edges`` the top rung's expected edges in classes expected
+    to be sparse.  The peak is the largest of four stages, each counted by
+    what it holds at once; every stage also holds the replica's annulus
+    mask (1 byte per vertex).
+
+    * Decoding the top rung: the class tables (class rows, pair counts, edge
+      counts, sparse or dense row indices and one probability per rung:
+      8d + 24 + 8 per rung, per class), the keys (8 per edge), and the
+      largest of sparse round 0 (58 per sparse edge: its class rows, raw
+      words, gathered pair counts and thresholds, products and their low
+      halves, the accepted mask and the values), the sorted keys' edge
+      array (16 per edge) and a dense class's partial shuffle (8 per pair
+      of the largest class).
+    * Thinning, past one rung: the class tables plus each lower rung's
+      ratio per class, the top rung's edges and uniforms (24 per edge), and
+      the larger of ``_edge_classes``' digits (8 + 8 min(d, 3) per edge)
+      and a rung's draw: every edge's class, gathered ratio and keep mask
+      (17 per edge), with the kept indices and edges of the lower rungs
+      (24 per lower-rung edge).
+    * The top rung's adjacency build, the last and largest: every rung's
+      edges (16 per edge), the lower rungs' cached in-halves (4 per edge),
+      row pointers and degrees (20 per vertex), the previous rung's
+      distances (4 per vertex), and the new row pointers (16 per vertex)
+      beside the uint64 keys and uint32 in-half (12 per top-rung edge).
+    * The top rung's BFS: every rung's edges and in-half (20 per edge), the
+      per-vertex arrays of ``_vertex_stage_memory``, and one level's
+      long-edge candidates, 16 bytes (gather positions and neighbours) per
+      entry of one half, for at most a third of the top rung's 2m entries:
+      a level runs top-down only while its frontier holds at most a third
+      of the work.
+
+    The norm field the replica builds before sampling (at most 24 bytes
+    per vertex) stays below the search stage.
     """
-    per_vertex = _vertex_stage_memory(box, n_rungs)
-    per_class = (8.0 * box.d + 32.0 + 8.0 * n_rungs) * n_classes
-    per_edge = 44.0 + 20.0 * (n_rungs - 1)
-    return per_vertex + per_class + per_edge * expected_edges + 8.0 * max_class_pairs
+    n, d = box.n_vertices, box.d
+    top, lower = rung_edges[-1], sum(rung_edges[:-1])
+    n_lower = len(rung_edges) - 1
+    tables = (8.0 * d + 24.0 + 8.0 * len(rung_edges)) * n_classes
+    decode = tables + 8.0 * top + max(58.0 * sparse_edges, 16.0 * top, 8.0 * max_class_pairs) + n
+    thinning = 0.0
+    if n_lower:
+        thinning = (tables + 8.0 * n_lower * n_classes + 24.0 * top
+                    + max((8.0 + 8.0 * min(d, 3)) * top, 17.0 * top + 24.0 * lower) + n)
+    build = 28.0 * top + 20.0 * lower + (17.0 + 20.0 * n_lower + 4.0 * (n_lower > 0)) * n
+    search = 20.0 * (top + lower) + 32.0 * top / 3 + _vertex_stage_memory(box, len(rung_edges))
+    return max(decode, thinning, build, search)
 
 
 def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int) -> list:
@@ -454,11 +498,13 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     classes = _displacement_classes(box, memory_cap_bytes)
     N = _class_pair_counts(box, classes)
     P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
-    expected = float((N * P[:, -1]).sum())
-    _check_memory(_edge_stage_memory(box, len(classes), len(params_list), expected, float(N.max(initial=0))),
+    p_top = P[:, -1]
+    sparse_edges = float(N @ np.where(p_top * 64 <= 1, p_top, 0.0))  # K * 64 <= N in expectation
+    _check_memory(_edge_stage_memory(box, len(classes), (N @ P).tolist(), sparse_edges,
+                                     float(N.max(initial=0))),
                   memory_cap_bytes, "graph sampling")
 
-    K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, P[:, -1])
+    K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, p_top)
     sparse = np.flatnonzero((K > 0) & (K * 64 <= N))
     dense = np.flatnonzero(K * 64 > N)
     keys = np.empty(int(K.sum()), dtype=np.int64)

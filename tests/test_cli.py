@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,38 @@ class TestSampleCommand:
         assert len(rows) == 50
         for row in rows:
             assert float(row[2]) == pytest.approx(abs(float(row[1])), rel=1e-12)
+
+    def test_holds_no_coordinate_arrays(self, tmp_path):
+        # edges.csv is written block by block from the index columns, so the
+        # command's peak is the sampler's own plus one block's cells (32 bytes
+        # each, 2d cells per row); (m, d) coordinate copies would add 32 bytes
+        # per edge, about 20 MiB here.
+        params, seed = ModelParams(d=2, s=3.0, beta=2.0), 1
+        argv = ["sample", "--d", "2", "--s", "3", "--beta", "2", "--L", "200", "--seed", str(seed)]
+        assert run(tmp_path, *argv) == 0  # first-call allocations stay out of the peaks
+        tracemalloc.start()
+        try:
+            sample_graph(params, Box(2, 200), seed)
+            sampler_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert run(tmp_path, *argv) == 0
+            command_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert command_peak <= sampler_peak + _BLOCK_ROWS * 4 * 32
+
+    def test_coordinate_columns_match_coords_of(self):
+        box = Box(2, 3)
+        index = np.array([0, 48, 17, 24, 5])
+        for axis in range(2):
+            column = lrplab.cli._VertexCoords(box, axis, index)
+            assert len(column) == 5
+            np.testing.assert_array_equal(column[1:4], box.coords_of(index[1:4])[:, axis])
+            np.testing.assert_array_equal(lrplab.cli._VertexCoords(box, axis)[10:20],
+                                          box.coords_of(np.arange(10, 20))[:, axis])
+        for bad in ([0, 49], [-1, 3]):
+            with pytest.raises(ValueError, match="out of range"):
+                lrplab.cli._VertexCoords(box, 0, np.array(bad))
 
 
 class TestDistancesCommand:
@@ -687,6 +720,7 @@ class TestTableMemoryCap:
 # quadrature) then loads scipy.integrate, which shows the check can fail.
 _IMPORT_PROBE = """
 import sys
+import tracemalloc
 import lrplab, lrplab.cli
 outdir = sys.argv[1]
 for argv in (["exponents", "--n-max", "63"],

@@ -103,15 +103,16 @@ class TestEstimatePhi:
         assert info.value.stage == "annulus field and masks"
         assert peak <= 8 * 2**20
 
-    @pytest.mark.parametrize("d, betas, r", [
-        (1, [5.0], 2**16),
-        (1, [1.0, 2.0, 5.0, 10.0], 16384),
-        (2, [2.0], 200),
-        (2, [1.0, 4.0], 120),
+    @pytest.mark.parametrize("d, betas, r, slack", [
+        (1, [5.0], 2**16, 1.5),
+        (1, [1.0, 2.0, 5.0, 10.0], 16384, 1.5),
+        (2, [2.0], 200, 1.5),
+        (2, [1.0, 4.0], 120, None),
     ], ids=["d1", "d1-ladder", "d2", "d2-ladder"])
-    def test_memory_estimate_bounds_the_replica_peak(self, monkeypatch, d, betas, r):
+    def test_memory_estimate_bounds_the_replica_peak(self, monkeypatch, d, betas, r, slack):
         # The sampler's estimate covers the adjacency and BFS of every rung;
-        # the replica adds one mask per shell beyond the first.
+        # the replica adds one mask per shell beyond the first.  Where a slack
+        # is given, the estimate also stays within that factor of the peak.
         estimates = []
         check = lrplab.sampler._check_memory
 
@@ -132,6 +133,8 @@ class TestEstimatePhi:
             tracemalloc.stop()
         [estimate] = estimates
         assert estimate + (len(radii) - 1) * box.n_vertices >= peak
+        if slack is not None:
+            assert estimate <= slack * peak
 
     def test_annulus_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -262,6 +265,17 @@ class TestTheorem1Fraction:
         f_half = theorem1_fraction(field_r2000, 2000.0, scale, 0.5)
         f_quarter = theorem1_fraction(field_r2000, 2000.0, scale, 0.25)
         assert f_half < f_quarter
+
+    def test_memory_cap_checked_before_the_ball_field(self, field_r2000, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("norm field built before the memory check")
+
+        monkeypatch.setattr(lrplab.estimator, "DEFAULT_MEMORY_CAP", 9 * 4001 - 1)
+        monkeypatch.setattr(Box, "norm_field", refuse)
+        with pytest.raises(MemoryCapExceeded) as info:
+            theorem1_fraction(field_r2000, 500.0, 7.0, 0.5)
+        assert info.value.stage == "ball field and mask"
+        assert info.value.estimated_bytes == 9 * 4001
 
     def test_validation(self, field_r2000):
         with pytest.raises(ValueError):

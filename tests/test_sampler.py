@@ -49,6 +49,22 @@ class TestBox:
             assert len({tuple(c) for c in coords}) == box.n_vertices
             assert np.abs(coords).max() == radius
 
+    @pytest.mark.parametrize("d, radius", [(1, 5), (2, 3), (3, 2)])
+    def test_digit_is_coordinate_plus_radius(self, d, radius):
+        box = Box(d=d, radius=radius)
+        flat = np.arange(box.n_vertices)
+        for index in (flat, flat[::-1].reshape(-1, box.side)):
+            coords = box.coords_of(index)
+            for axis in range(d):
+                np.testing.assert_array_equal(box.digit(index, axis), coords[..., axis] + radius)
+
+    def test_coords_of_rejects_out_of_range(self):
+        box = Box(d=2, radius=3)
+        for bad in ([-1], [0, 49], [[0], [49]]):
+            with pytest.raises(ValueError, match="out of range"):
+                box.coords_of(np.array(bad))
+        assert box.coords_of(np.empty(0, dtype=np.int64)).shape == (0, 2)
+
     @given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=6),
            st.data())
     @settings(max_examples=60)
