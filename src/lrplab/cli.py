@@ -32,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -176,21 +177,18 @@ def _write_json(path: Path, payload: dict, created: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Option declaration and resolution
+# Option parsing and resolution
 
 
-def _pint(raw: str) -> int:
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
+def _at_least(k: int):
+    """A parser of decimal integers >= k."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < k:
+            raise ValueError(f"must be >= {k}, got {value}")
+        return value
 
-
-def _nnint(raw: str) -> int:
-    value = int(raw)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _pfloat(raw: str) -> float:
@@ -218,81 +216,38 @@ def _int_vector(raw: str) -> tuple:
 
 
 def _float_vector(raw: str) -> tuple:
-    return tuple(float(part) for part in raw.split(","))
+    values = tuple(float(part) for part in raw.split(","))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"every value must be finite, got {raw}")
+    return values
 
 
 def _optional(parse):
-    def wrapped(raw: str):
-        return None if raw == "" else parse(raw)
-
-    return wrapped
+    return lambda raw: None if raw == "" else parse(raw)
 
 
-class _Opt:
-    def __init__(self, name: str, parse, default: str, help: str):
-        self.name = name
-        self.parse = parse
-        self.default = default
-        self.help = help
+class _Opt(NamedTuple):
+    name: str
+    parse: Callable[[str], object]
+    default: str
+    help: str
+
+
+class _Command(NamedTuple):
+    """One CLI command: its options, its post-parse check, and its runner."""
+    options: list
+    check: Callable[[dict], None]
+    run: Callable[..., None]
 
 
 _MODEL_OPTS = [
-    _Opt("d", _pint, "1", "lattice dimension"),
+    _Opt("d", _at_least(1), "1", "lattice dimension"),
     _Opt("s", _pfloat, "1.5", "kernel decay exponent, d < s < 2d"),
 ]
 _BETA_OPT = _Opt("beta", _pfloat, "1.0", "inverse temperature (edge intensity)")
 _NORM_OPT = _Opt("norm", _norm, "ell2", "kernel norm: ell1, ell2, or ellinf")
 _SEED_OPT = _Opt("seed", _seed, "0", "base seed; replica i uses seed + i")
-_JOBS_OPT = _Opt("jobs", _pint, "1", "max parallel replica processes")
-
-_OPTIONS = {
-    "exponents": _MODEL_OPTS + [
-        _Opt("n_max", _pint, "64", "largest index n tabulated (>= 2)"),
-    ],
-    "limit-curve": _MODEL_OPTS + [
-        _Opt("n_points", _pint, "1001", "grid points on [0, 1] (>= 2)"),
-    ],
-    "sample": _MODEL_OPTS + [
-        _BETA_OPT, _NORM_OPT,
-        _Opt("L", _pint, "50", "box radius (box is [-L, L]^d)"),
-        _SEED_OPT,
-        _Opt("z_draws", _nnint, "0", "also draw this many Z variables"),
-        _Opt("eta", _pfloat, "1.0", "Z density parameter eta"),
-    ],
-    "distances": _MODEL_OPTS + [
-        _BETA_OPT, _NORM_OPT,
-        _Opt("L", _pint, "100", "box radius"),
-        _SEED_OPT,
-        _Opt("beta2", _optional(_pfloat), "", "if set (> beta), add a coupled distance column at this beta"),
-        _Opt("source", _optional(_int_vector), "", "BFS source (comma ints; default origin)"),
-        _Opt("target", _optional(_int_vector), "", "if set, also report the restricted-distance chain to this vertex"),
-        _Opt("gamma_bar", _optional(_pfloat), "", "confinement exponent base in (gamma, 1); default (1+gamma)/2"),
-        _Opt("k_max", _nnint, "3", "largest k in the restricted-distance chain"),
-        _Opt("epsilon", _optional(_pfloat), "", "if set, report the deviation fraction at this tolerance"),
-        _Opt("scale", _optional(_pfloat), "", "distance scale for the deviation fraction; default median over the ball"),
-    ],
-    "figure1": [_SEED_OPT],
-    "estimate-phi": _MODEL_OPTS + [
-        _BETA_OPT, _NORM_OPT,
-        _Opt("r", _pfloat, "2000", "outer annulus radius (> 1)"),
-        _Opt("n_replicas", _pint, "8", "independent replicas"),
-        _SEED_OPT,
-        _Opt("delta", _pfloat, "0.1", "inner annulus cutoff fraction"),
-        _JOBS_OPT,
-    ],
-    "collapse": _MODEL_OPTS + [
-        _NORM_OPT,
-        _Opt("log_betas", _float_vector, "3,4", "comma list of log(beta) values, each > 1, increasing"),
-        _Opt("t_points", _pint, "21", "grid points on [0, 1] (>= 2)"),
-        _Opt("n_replicas", _pint, "4", "replicas per cell"),
-        _SEED_OPT,
-        _Opt("m_offset", _nnint, "4", "dyadic radius offset (log-log periods subtracted)"),
-        _Opt("box_radius_cap", _pint, "10000000", "cells needing a larger box are marked missing"),
-        _Opt("delta", _pfloat, "0.1", "inner annulus cutoff fraction"),
-        _JOBS_OPT,
-    ],
-    "selfcheck": [],
-}
+_JOBS_OPT = _Opt("jobs", _at_least(1), "1", "max parallel replica processes")
 
 _OUTDIR_HELP = "output directory (default: $LRPLAB_OUTDIR or ./lrplab_out)"
 
@@ -306,11 +261,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lrplab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, metavar="command")
     sub.required = True
-    for command, opts in _OPTIONS.items():
+    for command, spec in _COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--outdir", default=None, help=_OUTDIR_HELP)
-        for opt in opts:
+        for opt in spec.options:
             p.add_argument(f"--{opt.name.replace('_', '-')}", dest=opt.name,
                            default=None, help=f"{opt.help} (default {opt.default!r})")
     return parser
@@ -334,10 +289,15 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(argv):
-    """Parse argv into (command, validated config dict, raw string echo, outdir)."""
+    """Parse argv into (command, validated config dict, raw string echo, outdir).
+
+    A command that declares ``s`` gets ``cfg["params"]``, its ModelParams at
+    the config's beta and norm (1.0 and ell2 where it declares none), before
+    the command's own check runs.
+    """
     ns = _build_parser().parse_args(argv)
     command = ns.command
-    opts = _OPTIONS[command]
+    opts = _COMMANDS[command].options
     known = {opt.name for opt in opts}
 
     raw = {opt.name: opt.default for opt in opts}
@@ -360,15 +320,14 @@ def _resolve(argv):
             cfg[opt.name] = opt.parse(raw[opt.name])
         except ValueError as exc:
             raise ConfigError(f"{opt.name}: {exc}") from exc
-    _FINALIZERS[command](cfg)
+    if "s" in known:
+        try:
+            cfg["params"] = ModelParams(d=cfg["d"], s=cfg["s"], beta=cfg.get("beta", 1.0),
+                                        norm=cfg.get("norm", "ell2"))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    _COMMANDS[command].check(cfg)
     return command, cfg, raw, Path(raw["outdir"])
-
-
-def _make_params(cfg: dict, beta: float = 1.0, norm: str = "ell2") -> ModelParams:
-    try:
-        return ModelParams(d=cfg["d"], s=cfg["s"], beta=beta, norm=norm)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _check_table_memory(name: str, rows: int, arrays: int) -> None:
@@ -379,26 +338,27 @@ def _check_table_memory(name: str, rows: int, arrays: int) -> None:
                           f"over the memory cap of {DEFAULT_MEMORY_CAP} bytes")
 
 
-def _finalize_exponents(cfg: dict) -> None:
-    cfg["params"] = _make_params(cfg)
-    if cfg["n_max"] < 2:
-        raise ConfigError("n_max: must be >= 2")
+# Post-parse checks: each refuses a config its command cannot run, raising
+# ConfigError, and may fill options whose defaults depend on other options.
+
+
+def _no_check(cfg: dict) -> None:
+    pass
+
+
+def _check_exponents(cfg: dict) -> None:
     # 5 table columns and up to 11 working arrays of exponent_table and
     # ratio_report (tracemalloc: 104 bytes per row at n_max = 262143)
     _check_table_memory("n_max", cfg["n_max"] + 1, 16)
 
 
-def _finalize_limit_curve(cfg: dict) -> None:
-    cfg["params"] = _make_params(cfg)
-    if cfg["n_points"] < 2:
-        raise ConfigError("n_points: must be >= 2")
+def _check_limit_curve(cfg: dict) -> None:
     # 4 table columns and up to 4 working arrays of psi_limit and lower_curve
     # (tracemalloc: 56 bytes per row at n_points = 1000001)
     _check_table_memory("n_points", cfg["n_points"], 8)
 
 
-def _finalize_sample(cfg: dict) -> None:
-    cfg["params"] = _make_params(cfg, beta=cfg["beta"], norm=cfg["norm"])
+def _check_sample(cfg: dict) -> None:
     # sample_z's first proposal batch (about 2.3 proposals per draw) sets the
     # peak, above the output rows and the radius column (tracemalloc at
     # 10**6 draws: 136, 199 and 281 bytes per draw at d = 1, 2, 3 under ell1,
@@ -406,9 +366,8 @@ def _finalize_sample(cfg: dict) -> None:
     _check_table_memory("z_draws", cfg["z_draws"], 9 * (cfg["d"] + 1))
 
 
-def _finalize_distances(cfg: dict) -> None:
-    params = _make_params(cfg, beta=cfg["beta"], norm=cfg["norm"])
-    cfg["params"] = params
+def _check_distances(cfg: dict) -> None:
+    params = cfg["params"]
     if cfg["beta2"] is not None and cfg["beta2"] <= cfg["beta"]:
         raise ConfigError(f"beta2: must exceed beta={cfg['beta']} for a coupled ladder")
     gamma, _ = derived_constants(params)
@@ -428,10 +387,6 @@ def _finalize_distances(cfg: dict) -> None:
             raise ConfigError(f"{name}: {vec} lies outside the box of radius {cfg['L']}")
 
 
-def _finalize_figure1(cfg: dict) -> None:
-    pass
-
-
 def _check_replica_seeds(cfg: dict) -> None:
     """Refuse a base seed whose replica seeds seed + i (i < n_replicas) pass 2**64 - 1."""
     if cfg["seed"] + cfg["n_replicas"] - 1 >= 2**64:
@@ -439,43 +394,23 @@ def _check_replica_seeds(cfg: dict) -> None:
                           f"must stay below 2**64")
 
 
-def _finalize_estimate_phi(cfg: dict) -> None:
-    cfg["params"] = _make_params(cfg, beta=cfg["beta"], norm=cfg["norm"])
+def _check_estimate_phi(cfg: dict) -> None:
     if not cfg["r"] > 1:
         raise ConfigError("r: must be > 1")
     _check_replica_seeds(cfg)
 
 
-def _finalize_collapse(cfg: dict) -> None:
+def _check_collapse(cfg: dict) -> None:
     log_betas = cfg["log_betas"]
     if not log_betas or any(lb <= 1.0 for lb in log_betas):
         raise ConfigError("log_betas: every value must be > 1 (beta > e)")
     if any(a >= b for a, b in zip(log_betas, log_betas[1:])):
         raise ConfigError("log_betas: values must be strictly increasing")
-    if cfg["t_points"] < 2:
-        raise ConfigError("t_points: must be >= 2")
     _check_replica_seeds(cfg)
-    base = _make_params(cfg)
-    cfg["params_list"] = [
-        ModelParams(d=base.d, s=base.s, beta=math.exp(lb), norm=cfg["norm"])
-        for lb in log_betas
-    ]
-
-
-def _finalize_selfcheck(cfg: dict) -> None:
-    pass
-
-
-_FINALIZERS = {
-    "exponents": _finalize_exponents,
-    "limit-curve": _finalize_limit_curve,
-    "sample": _finalize_sample,
-    "distances": _finalize_distances,
-    "figure1": _finalize_figure1,
-    "estimate-phi": _finalize_estimate_phi,
-    "collapse": _finalize_collapse,
-    "selfcheck": _finalize_selfcheck,
-}
+    try:
+        cfg["params_list"] = [replace(cfg["params"], beta=math.exp(lb)) for lb in log_betas]
+    except OverflowError as exc:
+        raise ConfigError(f"log_betas: beta = exp({log_betas[-1]}) overflows a float") from exc
 
 
 def _config_hash(command: str, raw: dict) -> str:
@@ -840,14 +775,55 @@ def _cmd_selfcheck(cfg, config_hash, outdir, created):
 
 
 _COMMANDS = {
-    "exponents": _cmd_exponents,
-    "limit-curve": _cmd_limit_curve,
-    "sample": _cmd_sample,
-    "distances": _cmd_distances,
-    "figure1": _cmd_figure1,
-    "estimate-phi": _cmd_estimate_phi,
-    "collapse": _cmd_collapse,
-    "selfcheck": _cmd_selfcheck,
+    "exponents": _Command(_MODEL_OPTS + [
+        _Opt("n_max", _at_least(2), "64", "largest index n tabulated (>= 2)"),
+    ], _check_exponents, _cmd_exponents),
+    "limit-curve": _Command(_MODEL_OPTS + [
+        _Opt("n_points", _at_least(2), "1001", "grid points on [0, 1] (>= 2)"),
+    ], _check_limit_curve, _cmd_limit_curve),
+    "sample": _Command(_MODEL_OPTS + [
+        _BETA_OPT, _NORM_OPT,
+        _Opt("L", _at_least(1), "50", "box radius (box is [-L, L]^d)"),
+        _SEED_OPT,
+        _Opt("z_draws", _at_least(0), "0", "also draw this many Z variables"),
+        _Opt("eta", _pfloat, "1.0", "Z density parameter eta"),
+    ], _check_sample, _cmd_sample),
+    "distances": _Command(_MODEL_OPTS + [
+        _BETA_OPT, _NORM_OPT,
+        _Opt("L", _at_least(1), "100", "box radius"),
+        _SEED_OPT,
+        _Opt("beta2", _optional(_pfloat), "", "if set (> beta), add a coupled distance column at this beta"),
+        _Opt("source", _optional(_int_vector), "",
+             "BFS source (comma ints; default origin; write --source=-3,2 if the first is negative)"),
+        _Opt("target", _optional(_int_vector), "",
+             "if set, also report the restricted-distance chain to this vertex "
+             "(comma ints; write --target=-3,2 if the first is negative)"),
+        _Opt("gamma_bar", _optional(_pfloat), "", "confinement exponent base in (gamma, 1); default (1+gamma)/2"),
+        _Opt("k_max", _at_least(0), "3", "largest k in the restricted-distance chain"),
+        _Opt("epsilon", _optional(_pfloat), "", "if set, report the deviation fraction at this tolerance"),
+        _Opt("scale", _optional(_pfloat), "", "distance scale for the deviation fraction; default median over the ball"),
+    ], _check_distances, _cmd_distances),
+    "figure1": _Command([_SEED_OPT], _no_check, _cmd_figure1),
+    "estimate-phi": _Command(_MODEL_OPTS + [
+        _BETA_OPT, _NORM_OPT,
+        _Opt("r", _pfloat, "2000", "outer annulus radius (> 1)"),
+        _Opt("n_replicas", _at_least(1), "8", "independent replicas"),
+        _SEED_OPT,
+        _Opt("delta", _pfloat, "0.1", "inner annulus cutoff fraction"),
+        _JOBS_OPT,
+    ], _check_estimate_phi, _cmd_estimate_phi),
+    "collapse": _Command(_MODEL_OPTS + [
+        _NORM_OPT,
+        _Opt("log_betas", _float_vector, "3,4", "comma list of finite log(beta) values, each > 1, increasing"),
+        _Opt("t_points", _at_least(2), "21", "grid points on [0, 1] (>= 2)"),
+        _Opt("n_replicas", _at_least(1), "4", "replicas per cell"),
+        _SEED_OPT,
+        _Opt("m_offset", _at_least(0), "4", "dyadic radius offset (log-log periods subtracted)"),
+        _Opt("box_radius_cap", _at_least(1), "10000000", "cells needing a larger box are marked missing"),
+        _Opt("delta", _pfloat, "0.1", "inner annulus cutoff fraction"),
+        _JOBS_OPT,
+    ], _check_collapse, _cmd_collapse),
+    "selfcheck": _Command([], _no_check, _cmd_selfcheck),
 }
 
 
@@ -879,7 +855,7 @@ def main(argv=None) -> int:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         config_hash = _config_hash(command, raw)
-        _COMMANDS[command](cfg, config_hash, outdir, created)
+        _COMMANDS[command].run(cfg, config_hash, outdir, created)
         _write_manifest(command, raw, config_hash, outdir, created, time.perf_counter() - t0)
     except Exception as exc:  # deliberate catch-all: the CLI contract is exit codes
         for path in created:

@@ -440,6 +440,7 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
         raise ValueError("shell_halfwidth must be in (0, 1)")
     box = Box(params.d, int(math.ceil(max(radii) * (1 + shell_halfwidth))))
     envs = [tail_envelope(params, n, rho, c, c_tilde, p) for rho in radii]  # validates n, c, p
+    _check_ladder([params], n_replicas, seed0)
     points, hits = np.zeros((2, len(radii)), dtype=np.int64)
     for i in range(n_replicas):
         [(_, hists)] = _replica(([params], box, seed0 + i, (_shell_masks, radii, shell_halfwidth),

@@ -28,7 +28,7 @@ from lrplab import (
     theta_recursive,
 )
 import lrplab.cli
-from lrplab.cli import _BLOCK_ROWS, _OPTIONS, ConfigError, _resolve, _write_csv, main
+from lrplab.cli import _BLOCK_ROWS, _COMMANDS, ConfigError, _resolve, _write_csv, main
 from lrplab.sampler import DEFAULT_MEMORY_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -385,6 +385,36 @@ class TestConfigHandling:
         assert (target / "exponents.csv").exists()
 
 
+class TestConfigRules:
+    """Every post-parse rule of a command is a config error: exit 2, one stderr line naming
+    the option, and nothing written."""
+
+    @pytest.mark.parametrize("key, argv", [
+        ("n_max", ["exponents", "--n-max", "1"]),
+        ("n_points", ["limit-curve", "--n-points", "1"]),
+        ("t_points", ["collapse", "--t-points", "1"]),
+        ("L", ["sample", "--L", "0"]),
+        ("k_max", ["distances", "--k-max", "-1"]),
+        ("m_offset", ["collapse", "--m-offset", "-1"]),
+        ("log_betas", ["collapse", "--log-betas", "1"]),
+        ("log_betas", ["collapse", "--log-betas", "4,3"]),
+        ("log_betas", ["collapse", "--log-betas", "nan"]),
+        ("log_betas", ["collapse", "--log-betas", "inf"]),
+        ("log_betas", ["collapse", "--log-betas", "3,nan"]),
+        ("log_betas", ["collapse", "--log-betas", "710"]),  # exp overflows a float
+        ("r", ["estimate-phi", "--r", "1"]),
+        ("gamma_bar", ["distances", "--gamma-bar", "1"]),
+        ("gamma_bar", ["distances", "--gamma-bar", "0.75"]),  # gamma itself at d=1, s=1.5
+        ("source", ["distances", "--source", "0,0"]),
+        ("target", ["distances", "--L", "10", "--target", "11"]),
+    ])
+    def test_rule_exits_2(self, tmp_path, capsys, key, argv):
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key}:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestManifest:
     def test_fields_and_outputs_list(self, tmp_path):
         run(tmp_path, "exponents", "--d", "1", "--s", "1.5", "--n-max", "8")
@@ -440,7 +470,7 @@ def readme_commands():
 class TestReadme:
     def test_every_command_line_resolves(self):
         commands = readme_commands()
-        assert {argv[0] for argv in commands} == set(_OPTIONS)
+        assert {argv[0] for argv in commands} == set(_COMMANDS)
         for argv in commands:
             try:
                 _resolve(argv)

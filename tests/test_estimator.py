@@ -511,6 +511,11 @@ class TestTailComparison:
         radii = count_samples(monkeypatch)
         with pytest.raises(ValueError, match="n must be >= 1"):
             tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 0, [15.0], 3, 0, 1.0, 1.0, 9.0)
+        with pytest.raises(ValueError, match="n_replicas must be >= 1"):
+            tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [15.0], 0, 0, 1.0, 1.0, 9.0)
+        with pytest.raises(ValueError, match="seed must fit"):
+            tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [15.0], 2, 2**64 - 1,
+                            1.0, 1.0, 9.0)
         assert radii == []
 
     def test_diameter_gives_probability_one(self):
