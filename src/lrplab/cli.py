@@ -274,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -37,7 +37,7 @@ from .sampler import (
     sample_graph_coupled,
 )
 from .metric import DistanceField, distances_from
-from .limits import beta_phase, collapse_radius, psi_limit, tail_envelope
+from .limits import collapse_radius, psi_limit, tail_envelope
 
 _BOOTSTRAP_TAG = 0xB007
 _GAP_TAG = 0x6A7
@@ -321,8 +321,9 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     r = exp(gamma**(-t) * u(beta)/(2d-s) * gamma**(-m_offset)); the dyadic
     offset keeps r simulable and is exact to the log-log period.  One coupled
     sample of the ladder per replica (seed0 + i), on the box of the largest
-    live radius, serves every cell.  Cells whose box exceeds ``box_radius_cap``,
-    whose annulus is too thin, or whose norm field (checked before it is
+    live radius, serves every cell.  Every beta must exceed e.  Cells whose
+    box exceeds ``box_radius_cap`` (a radius past the float range among
+    them), whose annulus is too thin, or whose norm field (checked before it is
     built) or sample the memory cap refuses are marked missing with a
     reason, never fabricated.
     """
@@ -333,7 +334,7 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError(f"collapse expects strictly increasing betas, got {betas}")
     for pm in params_list:
-        if beta_phase(pm, pm.beta).m < 0:
+        if not math.log(pm.beta) > 1.0:
             raise ValueError(f"collapse requires beta > e, got beta={pm.beta}")
     t_vals = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_vals):
@@ -346,8 +347,8 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     reasons = {}  # radius -> why its cells are missing
     for r in radii:
         try:
-            if math.ceil(r) > box_radius_cap:
-                raise ValueError(f"box radius {math.ceil(r)} over cap {box_radius_cap}")
+            if r > box_radius_cap:  # an integer cap: the same test as math.ceil(r) > cap
+                raise ValueError(f"box radius {math.ceil(r) if r < math.inf else r} over cap {box_radius_cap}")
             box = Box(params_list[0].d, math.ceil(r))
             _check_memory(9.0 * box.n_vertices, memory_cap_bytes, "annulus field and mask")
             _annulus_masks(box.norm_field((0,) * box.d, params_list[0].norm), [r], delta)

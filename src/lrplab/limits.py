@@ -173,12 +173,15 @@ def collapse_radius(params: ModelParams, beta: float, t: float, m_offset: int) -
 
     r = exp(gamma**(-t) * u(beta)/(2d-s) * gamma**(-m_offset)).  The dyadic
     offset m_offset shifts the probe by an exact period of the log-log
-    clock, bringing r into a feasible simulation range.
+    clock, bringing r into a feasible simulation range.  A radius past
+    the float range is math.inf.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"collapse t-grid lives in [0, 1]; got {t}")
     gamma, _ = derived_constants(params)
     phase = beta_phase(params, beta)
-    exponent = gamma ** (-t) * (phase.u / (2 * params.d - params.s)) * gamma ** (-m_offset)
-    return math.exp(exponent)
+    try:
+        return math.exp(gamma ** (-t) * (phase.u / (2 * params.d - params.s)) * gamma ** (-m_offset))
+    except OverflowError:  # u > 0, so the exponent overflows upwards
+        return math.inf

@@ -306,8 +306,8 @@ def _restricted_bfs(sample: GraphSample, x, y, radius: float, strict: bool) -> R
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.int64))
 
     # extreme admissible coordinate deviation along an axis (unit vectors have
-    # norm 1 in every supported norm)
-    delta_star = math.ceil(radius) - 1 if strict else math.floor(radius)
+    # norm 1 in every supported norm); a float, so an infinite radius passes
+    delta_star = np.ceil(radius) - 1 if strict else np.floor(radius)
     truncated = bool(np.any(np.abs(x_arr) + delta_star > box.radius))
 
     if xi == yi:
@@ -340,7 +340,9 @@ def restricted_k_distance(sample: GraphSample, x, y, k: int, gamma_bar: float) -
     Confinement radius 2 * norm(x - y)**(gamma_bar**(-k)) with weak
     inequality, kernel norm on both sides; gamma_bar must lie strictly
     between gamma and 1.  Monotone non-increasing in k and stabilizes at
-    the chemical distance once the radius swallows the whole box.
+    the chemical distance once the radius swallows the whole box.  A
+    radius past the float range is math.inf, with the box truncation flag
+    set.
     """
     gamma, _ = derived_constants(sample.params)
     if not gamma < gamma_bar < 1.0:
@@ -350,7 +352,10 @@ def restricted_k_distance(sample: GraphSample, x, y, k: int, gamma_bar: float) -
     x_arr = np.asarray(x, dtype=np.int64)
     y_arr = np.asarray(y, dtype=np.int64)
     base = norm_value(y_arr - x_arr, sample.params.norm)
-    radius = 2.0 * base ** (gamma_bar ** (-float(k))) if base > 0 else 0.0
+    try:  # base is 0, 1 or above 1 on the lattice
+        radius = 2.0 * base ** (gamma_bar ** (-float(k))) if base > 1 else 2.0 * base
+    except OverflowError:
+        radius = math.inf
     return _restricted_bfs(sample, x, y, radius, strict=False)
 
 

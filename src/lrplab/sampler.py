@@ -5,7 +5,7 @@ class v (one binomial count for the number of edges at displacement v, then
 a uniform without-replacement choice of which pairs), which costs
 O(#classes + #edges) instead of O(#pairs).
 
-Randomness layout ``philox4x64-v2`` (counter-based, splittable):
+Randomness layout ``philox4x64-v3`` (counter-based, splittable):
 
 * generator: numpy Philox 4x64, keyed with two 64-bit words
   ``(seed, stream)``.
@@ -25,9 +25,13 @@ Randomness layout ``philox4x64-v2`` (counter-based, splittable):
 * stream ``2**63 + 2`` (thinning) serves coupled sampling over an
   ascending beta ladder: the top rung (largest beta) is drawn exactly as
   ``sample_graph`` does, so it is ``sample_graph``'s output; then every
-  top-rung edge, in sorted order, takes one word read as the uniform
+  top-rung edge takes one word read as the uniform
   ``U = (raw_word >> 11) * 2**-53`` and stays at rung i iff
-  ``U < p_i(v) / p_top(v)``.  A ladder of one draws no such words.
+  ``U < p_i(v) / p_top(v)``.  The words go to the edges in the order
+  their keys are built, grouped by class: first the sparse classes in
+  canonical order, each class's pairs in ascending pair index, then the
+  dense classes in canonical order, each in its ``Generator.choice``
+  order.  A ladder of one draws no such words.
 
 The binomial and partial-shuffle draws ride numpy Generator methods,
 which numpy pins per version; within one environment the output is
@@ -59,7 +63,7 @@ from .model import (
 DEFAULT_MEMORY_CAP = 2 * 2**30
 Z_REJECTION_CAP = 10**6
 
-GENERATOR_TAG = "philox4x64-v2"
+GENERATOR_TAG = "philox4x64-v3"
 
 # Reserved Philox stream keys; per-class streams use class codes below 2**63.
 _COUNTS_STREAM = np.uint64(1) << np.uint64(63)
@@ -392,28 +396,6 @@ def _check_edge_keys(box: Box):
         raise ValueError(f"box too large: {n} vertices, and edge keys tail * n + head need n**2 < 2**63")
 
 
-def _edge_classes(box: Box, edges: np.ndarray) -> np.ndarray:
-    """Class row of every edge, from its endpoints' canonical displacement v.
-
-    v @ grid_strides is v's mesh offset past the zero vector (see
-    _displacement_classes), and the unit vectors before it are those whose
-    offset, grid_strides[i], is smaller.  v_i is the difference of the
-    endpoints' i-th index digits, so no coordinate array is built.
-    """
-    grid_strides = _grid_strides(box).tolist()
-    last = box.d - 1  # its grid stride is 1
-    offset = box.digit(edges[:, 1], last) - box.digit(edges[:, 0], last)
-    for axis in range(last):
-        digit = box.digit(edges[:, 1], axis)
-        digit -= box.digit(edges[:, 0], axis)
-        digit *= grid_strides[axis]
-        offset += digit
-    rows = offset - 1
-    for grid_stride in grid_strides:
-        rows -= offset > grid_stride
-    return rows
-
-
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
     """The per-vertex bytes of ``_edge_stage_memory``'s search stage, which need no class or edge count.
 
@@ -447,12 +429,15 @@ def _edge_stage_memory(box: Box, n_classes: int, rung_edges: list, sparse_edges:
       halves, the accepted mask and the values), the sorted keys' edge
       array (16 per edge) and a dense class's partial shuffle (8 per pair
       of the largest class).
-    * Thinning, past one rung: the class tables plus each lower rung's
-      ratio per class, the top rung's edges and uniforms (24 per edge), and
-      the larger of ``_edge_classes``' digits (8 + 8 min(d, 3) per edge)
-      and a rung's draw: every edge's class, gathered ratio and keep mask
-      (17 per edge), with the kept indices and edges of the lower rungs
-      (24 per lower-rung edge).
+    * Thinning, past one rung: the class tables plus each class's place
+      in the key order, its count and the lower rungs' ratios with the
+      probabilities they are divided from (8 (3 + 2 lower rungs) per
+      class), the keys and uniforms (16 per top-rung edge), the rungs
+      drawn so far (16 per lower-rung edge), and a rung's draw: the
+      repeated ratios and the keep mask (9 per top-rung edge), then the
+      mask, the kept keys and their edge array (1 per top-rung edge and 24
+      per kept edge).  This also bounds the top rung's sort that follows:
+      the keys, their edge array and the lower rungs' edges.
     * The top rung's adjacency build, the last and largest: every rung's
       edges (16 per edge), the lower rungs' cached in-halves (4 per edge),
       row pointers and degrees (20 per vertex), the previous rung's
@@ -475,8 +460,8 @@ def _edge_stage_memory(box: Box, n_classes: int, rung_edges: list, sparse_edges:
     decode = tables + 8.0 * top + max(58.0 * sparse_edges, 16.0 * top, 8.0 * max_class_pairs) + n
     thinning = 0.0
     if n_lower:
-        thinning = (tables + 8.0 * n_lower * n_classes + 24.0 * top
-                    + max((8.0 + 8.0 * min(d, 3)) * top, 17.0 * top + 24.0 * lower) + n)
+        thinning = (tables + 8.0 * (3 + 2 * n_lower) * n_classes + 16.0 * top
+                    + max(9.0 * top + 16.0 * lower, top + 24.0 * lower) + n)
     build = 28.0 * top + 20.0 * lower + (17.0 + 20.0 * n_lower + 4.0 * (n_lower > 0)) * n
     search = 20.0 * (top + lower) + 32.0 * top / 3 + _vertex_stage_memory(box, len(rung_edges))
     return max(decode, thinning, build, search)
@@ -489,10 +474,12 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     from the counts stream, then a uniform choice of pairs per class, from
     the sparse stream for every sparse class at once and from the class's
     keyed stream for each dense one.  Lower rungs thin it: each top-rung
-    edge, in sorted order, takes one uniform U from the thinning stream and
-    stays at rung i iff U < p_i(v) / p_top(v), so every rung is
-    Bernoulli(p_i) per pair, independent across pairs, and the rungs are
-    nested.
+    edge takes one uniform U from the thinning stream and stays at rung i
+    iff U < p_i(v) / p_top(v), so every rung is Bernoulli(p_i) per pair,
+    independent across pairs, and the rungs are nested.  The uniforms go
+    to the keys in the order they are built (sparse classes, then dense
+    ones; module docstring), so key j's class is entry j of
+    ``np.repeat(order, K[order])`` and is never recovered from an edge.
     """
     _check_edge_keys(box)  # n**2 < 2**63 also bounds every class's N below 2**32
     classes = _displacement_classes(box, memory_cap_bytes)
@@ -516,20 +503,16 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
         sel = _select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, code)))
         _pair_keys(box, classes[c:c + 1], 0, sel, keys[at:at + sel.size])
         at += sel.size
-    top = _edges_from_keys(keys, box.n_vertices)
-    del keys
-    if len(params_list) == 1:
-        return [top]
-    u = (_stream(seed, _THIN_STREAM).random_raw(len(top)) >> np.uint64(11)) * 2.0**-53
-    edge_class = _edge_classes(box, top)
     rungs = []
-    for ratio in P[:, :-1].T / P[:, -1]:
-        kept = np.flatnonzero(u < ratio[edge_class])
-        rung = np.empty((kept.size, 2), dtype=np.int64, order="F")
-        for j in range(2):  # column by column; "clip" lets take write into ``out`` without a copy
-            np.take(top[:, j], kept, out=rung[:, j], mode="clip")
-        rungs.append(rung)
-    return rungs + [top]
+    if len(params_list) > 1:
+        u = (_stream(seed, _THIN_STREAM).random_raw(keys.size) >> np.uint64(11)) * 2.0**-53
+        order = np.concatenate([sparse, dense])
+        counts = K[order]
+        # np.compress, as a boolean index of the keys runs 2-4x slower under numpy 2.4
+        for ratio in P[order, :-1].T / P[order, -1]:
+            rungs.append(_edges_from_keys(np.compress(u < np.repeat(ratio, counts), keys), box.n_vertices))
+        del u
+    return rungs + [_edges_from_keys(keys, box.n_vertices)]
 
 
 def sample_graph(params: ModelParams, box: Box, seed: int,
@@ -555,9 +538,9 @@ def sample_graph_coupled(params_list, box: Box, seed: int,
 
     All parameter sets must share (d, s, norm, kernel) and be sorted by
     beta.  The top rung is ``sample_graph`` at the largest beta (a ladder
-    of one), bit for bit; each of its edges, in sorted order, then takes
-    one uniform U from the thinning stream and is kept at rung i iff
-    U < p_i(v) / p_top(v).
+    of one), bit for bit; each of its edges then takes one uniform U from
+    the thinning stream, in the class order its key was built in (module
+    docstring), and is kept at rung i iff U < p_i(v) / p_top(v).
     Every rung is thus an exact sample at its own beta, and edge sets are
     nested along the ladder by construction.
 

@@ -189,6 +189,24 @@ def naive_edge_counts(probs: np.ndarray, n_seeds: int, seed0: int) -> np.ndarray
     return counts
 
 
+def naive_class_laws(d: int, radius: int, s: float, beta: float,
+                     norm: str = "ell2") -> dict:
+    """{v: (pair count, connection probability)} per non-nearest-neighbor displacement.
+
+    v = b - a over the pairs a < b in lexicographic order, so its first
+    nonzero component is positive.
+    """
+    fn = NORM_FN[norm]
+    laws = {}
+    for a, b in combinations(_box_vertices(d, radius), 2):
+        v = tuple(bi - ai for ai, bi in zip(a, b))
+        if sum(abs(c) for c in v) == 1:
+            continue
+        n_pairs, p = laws.get(v, (0, -math.expm1(-beta * fn(v) ** (-s))))
+        laws[v] = (n_pairs + 1, p)
+    return laws
+
+
 def expected_edge_total(d: int, radius: int, s: float, beta: float,
                         norm: str = "ell2") -> float:
     """Exact mean long-edge count: sum of per-pair probabilities."""

@@ -219,6 +219,14 @@ class TestDistancesCommand:
         assert values["D"] <= values["D_restricted_forward"]
         assert values["D_restricted_forward"] <= values["ell1"]
 
+    def test_chain_runs_past_the_float_range(self, tmp_path):
+        # From k = 18 on, the confinement radius passes 2**63.
+        assert run(tmp_path, "distances", "--d", "1", "--s", "1.5", "--L", "200",
+                   "--target=50", "--k-max", "20") == 0
+        _, rows = read_csv(tmp_path / "chain.csv")
+        values = dict(rows)
+        assert values["D_restricted_k18"] == values["D_restricted_k20"] == values["D"]
+
 
 class TestFigure1Command:
     def test_outputs(self, tmp_path):
@@ -301,6 +309,13 @@ class TestCollapseCommand:
         assert missing
         assert all("cap" in row[9] for row in missing)
 
+    def test_radius_past_the_float_range_missing(self, tmp_path):
+        # At m_offset 19 the t >= 0.6 radii pass the float range; the rest are over the box cap.
+        assert run(tmp_path, "collapse", "--d", "1", "--s", "1.5", "--m-offset", "19") == 0
+        _, rows = read_csv(tmp_path / "collapse_cells.csv")
+        assert "inf" in {row[2] for row in rows}
+        assert all(row[8] == "1" and "over cap" in row[9] for row in rows)
+
 
 class TestReplicaSeeds:
     """Every replica seed seed + i (i < n_replicas) must fit in 64 bits, checked before any work."""
@@ -368,6 +383,15 @@ class TestConfigHandling:
         assert main(["exponents", "--config", str(cfg),
                      "--outdir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: config:")
+
+    def test_undecodable_file_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"d=1\n\xff\xfe=2\n")
+        out = tmp_path / "out"
+        assert main(["exponents", "--config", str(cfg), "--outdir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: cannot read config file") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_invalid_s_rejected(self, tmp_path, capsys):
         code = run(tmp_path, "exponents", "--d", "1", "--s", "2.5")
@@ -522,34 +546,34 @@ _OUTPUT_PINS = {
         'limit_curve.csv': '84c7a6447e6363cb6ef18a130e5b96437e9dd257e3f7c02d6b16a781ea6a6c7f',
     },
     'sample --d 1 --s 1.5 --beta 5 --L 1000 --seed 0': {
-        'edges.csv': '0921d849dbff505f61adf3a7e937d54524294241a4217cfab82bc4503b4fafa2',
+        'edges.csv': '3bfeb4946a2675046a238d794c4494e20122aced94f9a51cf381a8a907daed37',
     },
     'sample --z-draws 50 --d 1 --s 1.5 --eta 1.0 --seed 0': {
-        'edges.csv': 'f2a286abbab93f4b9133b230b47178be5d862c0e3d85799db8f9840346653e44',
+        'edges.csv': 'e998c6521e4b793845ee9b8f18c3b19e84636788112ef6f033d794f18538fa45',
         'z_samples.csv': '3a4c9db5f93ecd5985d450644e6d6d9beeeb7e358ca78b5344a507cbc78058c5',
     },
     'distances --d 1 --s 1.5 --beta 1 --L 1000 --seed 0 --beta2 5.0': {
-        'distances.csv': '6d78590bfc9c6d68ea6abbbf5f2c5bb687ad338c010ab5e685fe5e46f72068a4',
-        'summary.json': 'b407f7cfd09f29c825d85a550b885c623ed983b9be6c0103cc2e669117ac2873',
+        'distances.csv': '6d4180149185c5d5746c092f73d18d60cd21a83f6057d635ddc047ed09c11e8f',
+        'summary.json': 'c3ad450cf5b6ecf9a50dfd8222c56e61f895e57610f69f1f330d9d9aa15d9e4c',
     },
     'figure1 --seed 0': {
-        'figure1.csv': '4558ecc18eb62a9584cd09016ebdfff53317331f7a380467bf3980c4c2b5167e',
-        'long_edges.csv': '61d4646b512468b46f67a309bbae8c844918bcd6464079da333fd799b6b78b4c',
+        'figure1.csv': '407359883f1fb6c074c96c147b9a7d09cccbbbfa70bcc457de750148897917a6',
+        'long_edges.csv': '6883a600ec24724f2e45a72cdf2ffd8703a3ae218945b28ea5583741e8a840ea',
     },
     'estimate-phi --d 1 --s 1.5 --beta 1 --r 2000 --n-replicas 32 --seed 0 --jobs 2': {
         'phi_records.csv': '83b329a1805741d090f12a6ca12df85558c95fb7c3fe4eb93996bca08a1fa0c9',
         'phi_summary.csv': '06a3deed4f6f007646bf605631e97e298a8f5d4803a04f0e654a94e3529744da',
     },
     'collapse --log-betas 3,4 --t-points 21 --n-replicas 4 --seed 0': {
-        'collapse_cells.csv': 'f146a1e77a31856733c0dd0312380afd4a57d1277f07020817b2498881226b86',
-        'collapse_records.csv': 'db81faf0d60dd438d7baccd394f976d4533b04161fcad7f3ef8e95ee3c707eca',
-        'collapse_summary.csv': '39609c74b5adb2ea7ea9f0a3aa025ccd88ebed3c3483bca46268910d83d1a8ce',
+        'collapse_cells.csv': 'e847bb137a5152eab13b1b8d4c7555fa8fbbf4a62404c75a37e09f8b8bfac5b0',
+        'collapse_records.csv': '9e1cc09855fe8aee11a5f6ea5a981927e9696c16134aa56301625efc6da4a96f',
+        'collapse_summary.csv': '40a49ea39554eb6981fe03b40511eaf9729ef72073dab7fa905c2a887da845c7',
     },
     'selfcheck': {
         'selfcheck.json': 'c24cbc4861bc2919081a520efb7d229c15bbb6f70d23c2c693b4810f41ae161d',
     },
     'sample --d 2 --s 3 --beta 2 --L 12 --seed 123': {
-        'edges.csv': 'bc882c8b01d7b353316518848d32c13b7926f1441b5defd3ec9bedd77b8818a6',
+        'edges.csv': 'e0e55b721d6e87c01f069227609cee109674d285096427b8930df936e1c23de3',
     },
     'distances --d 2 --s 3 --beta 2 --L 12 --seed 123 --target=5,-4 --epsilon 0.5 --k-max 3': {
         'chain.csv': 'bd602e06938482a5dcd0d6b025cb955e78437db1d85ab9b5b7579ba2cc097fcf',
@@ -564,17 +588,17 @@ _OUTPUT_PINS = {
         'limit_curve.csv': '84c7a6447e6363cb6ef18a130e5b96437e9dd257e3f7c02d6b16a781ea6a6c7f',
     },
     'sample --z-draws 20 --d 2 --s 3 --L 4 --seed 7': {
-        'edges.csv': '95548ce8014def20fd2f0740a4985ab37e73b891147e76fc90c6acf5b63f1d38',
+        'edges.csv': '1b06d53efca3c16ceead57289161d13080b5236f4556f13897109d37d74c28a5',
         'z_samples.csv': 'db6ae732437b3c6617347ee480760a346125bc06e6c8a08df7652cdcd9d9ff1f',
     },
     'sample --z-draws 20 --d 3 --s 4.2 --L 2 --norm ellinf --seed 8': {
-        'edges.csv': 'a8399a274058cdfde80a789745269dacabde0df04f6eebad9c654523f41bf6ba',
+        'edges.csv': '547318db128049cb4c6587c3add7b3ace3bad5a4b6235f1995bb0d8d2a825a61',
         'z_samples.csv': '02532457d3473633f8fe215b2e8aa9e72265dbd3b78e744621e90c5de57df5c9',
     },
     'distances --d 3 --s 4.2 --beta 2 --beta2 6 --L 6 --norm ellinf --seed 5 --source 1,-2,0 --target 3,1,-2': {
-        'chain.csv': 'af720eabfdb19a6678baf219accdc668d2207e4c84ec6f1ab14c722e4a836b50',
-        'distances.csv': 'e5f61ec0ad8501c5eaf66d8247541e55c931aefcf4c2f7e01b84f8bd0e0ea43e',
-        'summary.json': 'f2eb9cf7bde8e6a56def26b8aab8b0c340986308f412963db54166804d1da52d',
+        'chain.csv': '65cef7175a803e1bdad239ebb864a8cc18d5a31c5f3e7f14c748e8b91c82c674',
+        'distances.csv': '9188f93e4e3851eb1a6f05955423693eea49f02d7a124fe6dbc5b0eba6395d8d',
+        'summary.json': '355251c9c0328055eb7a1110637fee23224975e2be6df1bedaca0da25396b0e8',
     },
     'collapse --d 1 --s 1.5 --log-betas 3 --t-points 2 --n-replicas 2 --seed 0 --m-offset 2 --box-radius-cap 100': {
         'collapse_cells.csv': 'e8a548abacc28c09ac8ef4f66104b8f0d6e6be2b3874d6ac6f571ac3c356086f',

@@ -470,6 +470,25 @@ class TestCollapseReport:
             assert math.isnan(cell.phi_hat) and math.isnan(cell.value)
         assert report.summaries[0].n_missing == len(missing)
 
+    def test_radius_past_the_float_range_missing(self, monkeypatch):
+        # m_offset = 18 gives r = 9.75e259 at t = 1, over the box cap; at 19
+        # that radius passes the float range and is missing on the cap too.
+        radii = count_samples(monkeypatch)
+        pm = ModelParams(d=1, s=1.5, beta=math.e**3)
+        report = collapse_report([pm], [0.5, 1.0], n_replicas=1, seed0=0, m_offset=19)
+        assert [math.isinf(c.r) for c in report.cells] == [False, True]
+        assert report.cells[0].reason == f"box radius {math.ceil(report.cells[0].r)} over cap 10000000"
+        assert report.cells[1].reason == "box radius inf over cap 10000000"
+        assert all(c.missing and math.isnan(c.phi_hat) for c in report.cells)
+        assert radii == []
+
+    def test_beta_e_refused_before_sampling(self, monkeypatch):
+        # log beta = 1 has m(beta) = 0, so the phase alone does not refuse it.
+        radii = count_samples(monkeypatch)
+        with pytest.raises(ValueError, match="beta > e"):
+            collapse_report([ModelParams(d=1, s=1.5, beta=math.e)], [0.0], 1, 0, m_offset=2)
+        assert radii == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             collapse_report([ModelParams(d=1, s=1.5, beta=2.0)], [0.0],

@@ -296,6 +296,18 @@ class TestRestrictedKDistance:
             base = distance_pair(g, x, y)
             assert restricted_k_distance(g, x, y, 8, 0.8).value == base
 
+    def test_settles_past_the_float_range(self):
+        # At gamma_bar = 0.875, the CLI's default here, the radius
+        # 2 * 50**(gamma_bar**-k) passes 2**63 at k = 18 and the float range
+        # before k = 40; every such member is the chemical distance.
+        g = sample_graph(PM, Box(d=1, radius=200), seed=0)
+        x, y = np.array([0]), np.array([50])
+        for k in (18, 40, 6000):
+            got = restricted_k_distance(g, x, y, k, 0.875)
+            assert got.value == distance_pair(g, x, y)
+            assert got.truncated_by_box
+            assert math.isinf(got.constraint_radius) == (k > 18)
+
     def test_matches_brute_force_oracle(self):
         pm = ModelParams(d=1, s=1.5, beta=2.0)
         g = sample_graph(pm, Box(d=1, radius=10), seed=13)
