@@ -45,6 +45,7 @@ from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, compute_c0, graph_
                       sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import (
+    _check_ladder,
     _deviation_fraction,
     collapse_report,
     estimate_phi,
@@ -222,6 +223,13 @@ def _float_vector(raw: str) -> tuple:
     return values
 
 
+def _open_unit(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < 1:
+        raise ValueError(f"must lie in (0, 1), got {raw}")
+    return value
+
+
 def _optional(parse):
     return lambda raw: None if raw == "" else parse(raw)
 
@@ -387,17 +395,22 @@ def _check_distances(cfg: dict) -> None:
             raise ConfigError(f"{name}: {vec} lies outside the box of radius {cfg['L']}")
 
 
-def _check_replica_seeds(cfg: dict) -> None:
-    """Refuse a base seed whose replica seeds seed + i (i < n_replicas) pass 2**64 - 1."""
-    if cfg["seed"] + cfg["n_replicas"] - 1 >= 2**64:
-        raise ConfigError(f"seed: replica seeds {cfg['seed']} + i for i < {cfg['n_replicas']} "
-                          f"must stay below 2**64")
+def _check_replicas(cfg: dict, params_list: list) -> None:
+    """The library's replica pre-flight, as a config error.
+
+    The options already fix every rule of ``_check_ladder`` but the one on
+    the replica seeds seed + i (i < n_replicas), so a refusal is the seed's.
+    """
+    try:
+        _check_ladder(params_list, cfg["n_replicas"], cfg["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"seed: {exc}") from exc
 
 
 def _check_estimate_phi(cfg: dict) -> None:
     if not cfg["r"] > 1:
         raise ConfigError("r: must be > 1")
-    _check_replica_seeds(cfg)
+    _check_replicas(cfg, [cfg["params"]])
 
 
 def _check_collapse(cfg: dict) -> None:
@@ -406,11 +419,11 @@ def _check_collapse(cfg: dict) -> None:
         raise ConfigError("log_betas: every value must be > 1 (beta > e)")
     if any(a >= b for a, b in zip(log_betas, log_betas[1:])):
         raise ConfigError("log_betas: values must be strictly increasing")
-    _check_replica_seeds(cfg)
     try:
         cfg["params_list"] = [replace(cfg["params"], beta=math.exp(lb)) for lb in log_betas]
     except OverflowError as exc:
         raise ConfigError(f"log_betas: beta = exp({log_betas[-1]}) overflows a float") from exc
+    _check_replicas(cfg, cfg["params_list"])
 
 
 def _config_hash(command: str, raw: dict) -> str:
@@ -809,7 +822,7 @@ _COMMANDS = {
         _Opt("r", _pfloat, "2000", "outer annulus radius (> 1)"),
         _Opt("n_replicas", _at_least(1), "8", "independent replicas"),
         _SEED_OPT,
-        _Opt("delta", _pfloat, "0.1", "inner annulus cutoff fraction"),
+        _Opt("delta", _open_unit, "0.1", "inner annulus cutoff fraction, in (0, 1)"),
         _JOBS_OPT,
     ], _check_estimate_phi, _cmd_estimate_phi),
     "collapse": _Command(_MODEL_OPTS + [
@@ -820,7 +833,7 @@ _COMMANDS = {
         _SEED_OPT,
         _Opt("m_offset", _at_least(0), "4", "dyadic radius offset (log-log periods subtracted)"),
         _Opt("box_radius_cap", _at_least(1), "10000000", "cells needing a larger box are marked missing"),
-        _Opt("delta", _pfloat, "0.1", "inner annulus cutoff fraction"),
+        _Opt("delta", _open_unit, "0.1", "inner annulus cutoff fraction, in (0, 1)"),
         _JOBS_OPT,
     ], _check_collapse, _cmd_collapse),
     "selfcheck": _Command([], _no_check, _cmd_selfcheck),

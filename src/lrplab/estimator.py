@@ -36,7 +36,8 @@ from .sampler import (
     sample_graph,  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it (ROADMAP item 1)
     sample_graph_coupled,
 )
-from .metric import DistanceField, distances_from
+from .metric import DistanceField, _bfs
+from .metric import distances_from  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it
 from .limits import collapse_radius, psi_limit, tail_envelope
 
 _BOOTSTRAP_TAG = 0xB007
@@ -90,27 +91,54 @@ def _shell_masks(nrm: np.ndarray, radii, halfwidth: float) -> list:
     return [np.abs(nrm - rho) <= halfwidth * rho for rho in radii]
 
 
-def _replica(args) -> list:
+def _replica(args, last_level: int | None = None) -> list:
     """One coupled sample on ``box`` and one BFS per rung: (wall_time, hists) per rung.
 
     The caller owns the shells: ``shell_masks(norm_field, radii, width)``, a
     module-level function so that it pickles, gives one mask per shell, and
-    ``hists[j]`` is the bincount of the distances over shell j.  The memory
-    cap is checked before the norm field is built.
+    ``hists[j]`` is the histogram of the distances over shell j.  Each
+    search stops once what the caller reads is fixed.  A caller that gives
+    ``last_level`` reads the counts of distances up to it, and the search
+    stops at that level; otherwise it reads each shell's median, and the
+    search stops at the first level where every shell has more than half
+    its vertices reached.  A shell's unreached vertices go into one
+    overflow bin just above the last level searched, so ``hist.sum()``,
+    every prefix sum up to that level and ``_hist_median`` equal their
+    values over the whole box's distances.  The memory cap is checked
+    before the norm field is built.
     """
     params_list, box, seed, (shell_masks, radii, width), memory_cap_bytes = args
     t0 = time.perf_counter()
     _check_memory(_vertex_stage_memory(box, len(params_list)) + (len(radii) - 1) * box.n_vertices,
                   memory_cap_bytes, "annulus field and masks")
     masks = shell_masks(box.norm_field((0,) * box.d, params_list[0].norm), radii, width)
+    halves = [int(np.count_nonzero(mask)) // 2 for mask in masks]
     samples = sample_graph_coupled(params_list, box, seed,
                                    memory_cap_bytes=memory_cap_bytes - (len(masks) - 1) * box.n_vertices)
     shared = time.perf_counter() - t0
+    origin = box.index_of(np.zeros(box.d, dtype=np.int64))
     rungs = []
     for sample in samples:
         t1 = time.perf_counter()
-        dist = distances_from(sample, np.zeros(box.d, dtype=np.int64)).dist
-        hists = [np.bincount(dist[mask]) for mask in masks]
+        level = -1
+        reached = [0] * len(masks)
+
+        def settled(frontier):
+            nonlocal level
+            level += 1
+            if last_level is not None:
+                return level >= last_level
+            for j, mask in enumerate(masks):
+                if reached[j] <= halves[j]:
+                    reached[j] += int(np.count_nonzero(mask[frontier]))
+            return all(got > half for got, half in zip(reached, halves))
+
+        dist = _bfs(sample, origin, stop=settled)
+        hists = []
+        for mask in masks:
+            shell = dist[mask]
+            shell[shell < 0] = level + 1
+            hists.append(np.bincount(shell))
         rungs.append((shared + time.perf_counter() - t1, hists))
     return rungs
 
@@ -147,11 +175,18 @@ def _check_ladder(params_list: list, n_replicas: int, seed0: int) -> None:
     _check_coupled_ladder(params_list, seed0, n_replicas)
 
 
+def _check_delta(delta: float) -> None:
+    """Refuse an inner cutoff that leaves no annulus {delta * r <= |x| < r}, or all of the ball."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int, delta: float,
                      n_bootstrap: int, executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
     """PhiEstimates [rung][radius]; rung i's bootstrap is seeded by bootstrap_keys[i] at every radius."""
     if any(not r > 1 for r in radii):
         raise ValueError(f"r must be > 1, got {radii}")
+    _check_delta(delta)
     _check_ladder(params_list, n_replicas, seed0)
     box = Box(params_list[0].d, int(math.ceil(max(radii))))
     args = [(params_list, box, seed0 + i, (_annulus_masks, radii, delta), memory_cap_bytes)
@@ -184,7 +219,8 @@ def estimate_phi(params: ModelParams, r: float, n_replicas: int, seed0: int,
     """Estimate phi(r) over independent replicas seeded seed0 + i.
 
     Each replica samples its own graph on the box of radius ceil(r) and
-    takes the median distance over the annulus.  ``executor`` may be a
+    takes the median distance over the annulus {delta * r <= |x| < r},
+    with delta in (0, 1).  ``executor`` may be a
     concurrent.futures executor; replica order (and hence output) is
     deterministic either way.  This is a ladder of one: its phi_hat and
     records equal those of ``estimate_phi_ladder([params], ...)``.
@@ -321,11 +357,12 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     r = exp(gamma**(-t) * u(beta)/(2d-s) * gamma**(-m_offset)); the dyadic
     offset keeps r simulable and is exact to the log-log period.  One coupled
     sample of the ladder per replica (seed0 + i), on the box of the largest
-    live radius, serves every cell.  Every beta must exceed e.  Cells whose
-    box exceeds ``box_radius_cap`` (a radius past the float range among
-    them), whose annulus is too thin, or whose norm field (checked before it is
-    built) or sample the memory cap refuses are marked missing with a
-    reason, never fabricated.
+    live radius, serves every cell.  Every beta must exceed e, and delta
+    must lie in (0, 1).  Cells whose box exceeds ``box_radius_cap`` (a
+    radius past the float range among them), whose annulus is too thin,
+    whose norm field (checked before it is built) or sample the memory cap
+    refuses, or whose beta's (log beta)**Delta overflows a float
+    are marked missing with a reason, never fabricated.
     """
     from scipy import stats  # deferred: importing scipy.stats takes about 1.2 s
 
@@ -339,6 +376,7 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     t_vals = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_vals):
         raise ValueError("t grid must lie in [0, 1]")
+    _check_delta(delta)
     _check_ladder(params_list, n_replicas, seed0)
 
     plan = [(bi, pm, t, collapse_radius(pm, pm.beta, t, m_offset))
@@ -365,22 +403,30 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
             reasons[radii.pop()] = str(exc)
     estimates = {(bi, r): est for bi, row in enumerate(ladder) for r, est in zip(radii, row)} if radii else {}
 
+    scales, overflows = [], []  # (log beta)**Delta per beta, and why its cells are missing if it overflows
+    for pm in params_list:
+        try:
+            scales.append(math.log(pm.beta) ** derived_constants(pm).delta)
+            overflows.append("")
+        except OverflowError:
+            scales.append(math.inf)
+            overflows.append(f"(log beta)**Delta overflows a float at beta={pm.beta}")
+
     cells = []
     nan_est = PhiEstimate(None, math.nan, n_replicas, seed0, math.nan, math.nan, math.nan, ())
     for bi, pm, t, r in plan:
-        est = estimates.get((bi, r), nan_est)  # nan_est stands in for a missing cell
+        reason = reasons.get(r) or overflows[bi]
+        est = nan_est if reason else estimates[(bi, r)]  # nan_est stands in for a missing cell
         cells.append(CollapseCell(
             beta=pm.beta, t=t, r=r, phi_hat=est.phi_hat, ci_low=est.ci_low, ci_high=est.ci_high,
-            value=math.log(pm.beta) ** derived_constants(pm).delta * est.phi_hat,
-            limit=float(psi_limit(pm, t)), missing=r in reasons, reason=reasons.get(r, ""),
+            value=scales[bi] * est.phi_hat, limit=float(psi_limit(pm, t)),
+            missing=bool(reason), reason=reason,
             replica_phis=tuple(rec.phi_hat for rec in est.records),
         ))
 
     summaries = []
     rng = np.random.default_rng([seed0, _COLLAPSE_TAG])
-    for pm in params_list:
-        _, delta_exp = derived_constants(pm)
-        lb_pow = math.log(pm.beta) ** delta_exp
+    for pm, lb_pow in zip(params_list, scales):
         mine = [c for c in cells if c.beta == pm.beta]
         live = [c for c in mine if not c.missing]
         discrepancies = np.array([abs(c.value - c.limit) for c in live] or [math.nan])
@@ -445,7 +491,7 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     points, hits = np.zeros((2, len(radii)), dtype=np.int64)
     for i in range(n_replicas):
         [(_, hists)] = _replica(([params], box, seed0 + i, (_shell_masks, radii, shell_halfwidth),
-                                 memory_cap_bytes))
+                                 memory_cap_bytes), last_level=n)
         points += [hist.sum() for hist in hists]
         hits += [hist[:n + 1].sum() for hist in hists]
 

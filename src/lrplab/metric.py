@@ -97,13 +97,16 @@ def _adjacency(sample: GraphSample):
     """Long-edge adjacency ((out_ptr, heads), (in_ptr, tails), degree), cached on the sample.
 
     ``degree`` is every vertex's long degree, out plus in, as int32.
-    Raises ValueError if ``sample.long_edges`` breaks its documented order.
+    Raises ValueError if ``sample.long_edges`` breaks its documented order;
+    that check runs only on hand-built samples, since the samplers and
+    ``graph_from_edges`` mark theirs as already in order.
     """
     if sample._adjacency is not None:
         return sample._adjacency
     n = sample.box.n_vertices
     e = sample.long_edges
-    _check_long_edges(e, n)
+    if not sample._validated:
+        _check_long_edges(e, n)
     tail, head = e[:, 0], e[:, 1]
     out_ptr, in_ptr = np.zeros((2, n + 1), dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=out_ptr[1:])
@@ -205,7 +208,7 @@ def _mask_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray) -> np
 
 
 def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
-         max_level: int | None = None, allow=None) -> np.ndarray:
+         max_level: int | None = None, allow=None, stop=None) -> np.ndarray:
     """Level-synchronous BFS from src_idx; returns int32 distances, -1 = unreached.
 
     Each level takes the top-down or the bottom-up step, by the work rule
@@ -215,6 +218,10 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
     once this vertex's level is fixed.  ``max_level``: do not expand past
     this level.  ``allow``: boolean mask over box vertices; only vertices
     it admits are entered, by either step (used for restricted distances).
+    ``stop``: a private hook for callers that read only part of the field,
+    called with each level's frontier (the source's first) once that level
+    is written; the search ends when it returns true, so every vertex at or
+    below that level has its distance and every other one reads -1.
     """
     box = sample.box
     *halves, degree = _adjacency(sample)
@@ -233,6 +240,8 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
         if until is not None and dist[until] >= 0:
             break
         if max_level is not None and level >= max_level:
+            break
+        if stop is not None and stop(frontier):
             break
         level += 1
         frontier_work = int(degree[frontier].sum()) + lattice * frontier.size

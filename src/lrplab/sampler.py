@@ -203,6 +203,9 @@ class GraphSample:
     seed: int | None
     long_edges: np.ndarray
     _adjacency: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Set by the samplers and graph_from_edges, whose long_edges are in order by construction,
+    # so that the first search skips re-checking them.
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def n_long_edges(self) -> int:
@@ -226,7 +229,8 @@ def _check_coupled_ladder(params_list: list, seed, n_seeds: int = 1) -> None:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if int(seed) < 0 or int(seed) + n_seeds > 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit word")
+        replicas = f", with its replica seeds {int(seed)} + i for i < {n_seeds}" if n_seeds > 1 else ""
+        raise ValueError(f"seed must fit in an unsigned 64-bit word{replicas}")
 
 
 def _check_memory(estimated_bytes: float, cap_bytes: int, stage: str):
@@ -329,10 +333,11 @@ def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
     word per slot still missing (a rejected or an in-class duplicate draw).
     Each row's set is thus the first K[i] distinct values of an i.i.d.
     uniform sequence, hence uniform over K[i]-subsets.  Requires N < 2**32.
-    Each row's rejection threshold 2**32 mod N[i] is computed once.  Round
-    0 sorts its keys; a later round draws words for the short rows only and
-    merges its few new distinct keys into the sorted keys, so it costs
-    O(words drawn) plus one copy of the keys.
+    Each row's rejection threshold 2**32 mod N[i] is computed once, and a
+    round repeats it and N[i] once per word of the row, not by a gather.
+    Round 0 sorts its keys; a later round draws words for the short rows
+    only and merges its few new distinct keys into the sorted keys, so it
+    costs O(words drawn) plus one copy of the keys.
     Returns (row, index) arrays sorted by (row, index).
     """
     n = N.astype(np.uint64)
@@ -341,10 +346,14 @@ def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
     missing = K.astype(np.int64)
     while (total := int(missing.sum())) > 0:
         short = np.flatnonzero(missing)
-        rows = np.repeat(short, missing[short])
-        values, accepted = _bounded(bit_generator.random_raw(total), n[rows], threshold[rows])
-        new = (rows[accepted] << 32) | values[accepted]
-        del rows, values, accepted
+        repeats = missing[short]
+        values, accepted = _bounded(bit_generator.random_raw(total), np.repeat(n[short], repeats),
+                                    np.repeat(threshold[short], repeats))
+        new = np.repeat(short << 32, repeats)
+        new |= values
+        if not accepted.all():
+            new = np.compress(accepted, new)
+        del values, accepted
         new.sort()
         new = new[np.diff(new, prepend=-1) != 0]
         if keys.size:
@@ -486,9 +495,10 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     N = _class_pair_counts(box, classes)
     P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
     p_top = P[:, -1]
-    sparse_edges = float(N @ np.where(p_top * 64 <= 1, p_top, 0.0))  # K * 64 <= N in expectation
-    _check_memory(_edge_stage_memory(box, len(classes), (N @ P).tolist(), sparse_edges,
-                                     float(N.max(initial=0))),
+    # Elementwise sums, not N @ P: a float matmul would wake BLAS's worker threads.
+    sparse_edges = float((N * np.where(p_top * 64 <= 1, p_top, 0.0)).sum())  # K * 64 <= N in expectation
+    rung_edges = [float((N * p).sum()) for p in P.T]
+    _check_memory(_edge_stage_memory(box, len(classes), rung_edges, sparse_edges, float(N.max(initial=0))),
                   memory_cap_bytes, "graph sampling")
 
     K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, p_top)
@@ -552,8 +562,14 @@ def sample_graph_coupled(params_list, box: Box, seed: int,
     if params_list[0].d != box.d:
         raise ValueError(f"params dimension {params_list[0].d} does not match box dimension {box.d}")
     rungs = _sample_rungs(params_list, box, seed, memory_cap_bytes)
-    return [GraphSample(params=pm, box=box, seed=seed, long_edges=edges)
+    return [_mark_validated(GraphSample(params=pm, box=box, seed=seed, long_edges=edges))
             for pm, edges in zip(params_list, rungs)]
+
+
+def _mark_validated(sample: GraphSample) -> GraphSample:
+    """Mark a sample whose ``long_edges`` its builder put in the documented order."""
+    sample._validated = True
+    return sample
 
 
 def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = None) -> GraphSample:
@@ -582,7 +598,7 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
     edges_sorted = _edges_from_keys(keys, box.n_vertices)
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("duplicate edges")
-    return GraphSample(params=params, box=box, seed=seed, long_edges=edges_sorted)
+    return _mark_validated(GraphSample(params=params, box=box, seed=seed, long_edges=edges_sorted))
 
 
 @dataclass(frozen=True)

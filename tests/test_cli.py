@@ -316,6 +316,16 @@ class TestCollapseCommand:
         assert "inf" in {row[2] for row in rows}
         assert all(row[8] == "1" and "over cap" in row[9] for row in rows)
 
+    def test_scale_past_the_float_range_missing(self, tmp_path):
+        # Delta = 1 / log2(4 / 3.9999) is about 27725, so (log beta)**Delta
+        # overflows a float; every probe radius is past the float range too.
+        assert run(tmp_path, "collapse", "--d", "2", "--s", "3.9999", "--t-points", "2",
+                   "--m-offset", "2", "--box-radius-cap", "40") == 0
+        _, rows = read_csv(tmp_path / "collapse_cells.csv")
+        assert len(rows) == 4 and all(row[8] == "1" and row[9] for row in rows)
+        _, srows = read_csv(tmp_path / "collapse_summary.csv")
+        assert [row[2] for row in srows] == ["2", "2"]
+
 
 class TestReplicaSeeds:
     """Every replica seed seed + i (i < n_replicas) must fit in 64 bits, checked before any work."""
@@ -431,6 +441,10 @@ class TestConfigRules:
         ("gamma_bar", ["distances", "--gamma-bar", "0.75"]),  # gamma itself at d=1, s=1.5
         ("source", ["distances", "--source", "0,0"]),
         ("target", ["distances", "--L", "10", "--target", "11"]),
+        ("delta", ["estimate-phi", "--delta", "1", "--r", "50", "--n-replicas", "1"]),
+        ("delta", ["estimate-phi", "--delta", "2"]),
+        ("delta", ["estimate-phi", "--delta", "nan"]),
+        ("delta", ["collapse", "--delta", "1"]),
     ])
     def test_rule_exits_2(self, tmp_path, capsys, key, argv):
         assert run(tmp_path, *argv) == 2

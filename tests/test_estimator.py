@@ -192,6 +192,83 @@ class TestLadder:
                             [0.0], n_replicas=2, seed0=seed0, m_offset=2)
 
 
+def full_search_hists(params_list, box, seed, masks) -> list:
+    """Per rung, the bincount of each mask's distances from a search of the whole box."""
+    hists = []
+    for sample in sample_graph_coupled(params_list, box, seed):
+        dist = distances_from(sample, np.zeros(box.d, dtype=np.int64)).dist
+        hists.append([np.bincount(dist[mask]) for mask in masks])
+    return hists
+
+
+def assert_overflow_bin(hist, full):
+    """``hist`` is ``full`` with every bin from its last one on merged into that bin."""
+    assert hist.size <= full.size
+    np.testing.assert_array_equal(hist[:-1], full[:hist.size - 1])
+    assert hist[-1] == full[hist.size - 1:].sum()
+
+
+class TestReplicaStop:
+    """A replica's search stops once what its caller reads is fixed, and reads as a full search."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_annulus_medians_match_the_full_search(self, seed):
+        # d = 1, 2, 3 in turn; ladders of 1, 2 and 3 rungs; one to three radii
+        # sharing the box of the largest, as a collapse sweep does.
+        rng = np.random.default_rng([seed, 0x5709])
+        d = 1 + seed % 3
+        radius = {1: 3000, 2: 50, 3: 13}[d]
+        s = d * rng.uniform(1.1, 1.9)
+        norm = ("ell1", "ell2", "ellinf")[int(rng.integers(3))]
+        betas = np.sort(rng.uniform(0.2, 6.0, size=1 + seed // 3 % 3))
+        params_list = [ModelParams(d=d, s=s, beta=float(b), norm=norm) for b in betas]
+        radii = [*sorted(radius * rng.uniform(0.4, 1.0, size=seed % 3)), float(radius)]
+        delta = float(rng.uniform(0.05, 0.5))
+        box = Box(d, radius)
+        masks = lrplab.estimator._annulus_masks(box.norm_field((0,) * d, norm), radii, delta)
+        rungs = lrplab.estimator._replica((params_list, box, seed, (lrplab.estimator._annulus_masks,
+                                                                    radii, delta), 2**31))
+        for (_, hists), full in zip(rungs, full_search_hists(params_list, box, seed, masks), strict=True):
+            for hist, full_hist in zip(hists, full, strict=True):
+                assert_overflow_bin(hist, full_hist)
+                assert hist.sum() == full_hist.sum()
+                assert lrplab.estimator._hist_median(hist) == lrplab.estimator._hist_median(full_hist)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tail_counts_match_the_full_search(self, seed):
+        rng = np.random.default_rng([seed, 0x7A11])
+        d = 1 + seed % 3
+        pm = ModelParams(d=d, s=d * rng.uniform(1.1, 1.9), beta=float(rng.uniform(0.5, 4.0)))
+        radii = sorted({1: 400, 2: 30, 3: 9}[d] * rng.uniform(0.3, 1.0, size=3))
+        box = Box(d, math.ceil(radii[-1] * 1.2))
+        n = [1, 3, 1000][seed % 3]  # 1000: past the diameter, so no bin overflows
+        masks = lrplab.estimator._shell_masks(box.norm_field((0,) * d, pm.norm), radii, 0.2)
+        [(_, hists)] = lrplab.estimator._replica(
+            ([pm], box, seed, (lrplab.estimator._shell_masks, radii, 0.2), 2**31), last_level=n)
+        [full] = full_search_hists([pm], box, seed, masks)
+        for hist, full_hist in zip(hists, full, strict=True):
+            assert_overflow_bin(hist, full_hist)
+            assert hist.sum() == full_hist.sum()
+            assert hist[:n + 1].sum() == full_hist[:n + 1].sum()
+
+    @pytest.mark.parametrize("last_level", [None, 2])
+    def test_search_stops_before_the_box_is_covered(self, monkeypatch, last_level):
+        unreached = []
+        bfs = lrplab.estimator._bfs
+
+        def recorded(*args, **kwargs):
+            dist = bfs(*args, **kwargs)
+            unreached.append(int(np.count_nonzero(dist < 0)))
+            return dist
+
+        monkeypatch.setattr(lrplab.estimator, "_bfs", recorded)
+        pm = ModelParams(d=1, s=1.5, beta=5.0)
+        lrplab.estimator._replica(([pm], Box(1, 2**14), 0, (lrplab.estimator._annulus_masks, [2.0**14], 0.1),
+                                   2**31), last_level=last_level)
+        [count] = unreached
+        assert count > 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.lists(st.integers(0, 400), min_size=1, max_size=60),  # odd and even lengths
@@ -487,6 +564,31 @@ class TestCollapseReport:
         radii = count_samples(monkeypatch)
         with pytest.raises(ValueError, match="beta > e"):
             collapse_report([ModelParams(d=1, s=1.5, beta=math.e)], [0.0], 1, 0, m_offset=2)
+        assert radii == []
+
+    def test_scale_past_the_float_range_missing(self, monkeypatch):
+        # At s = 1.993, Delta = 1 / log2(2 / 1.993) is about 198, so
+        # (log beta)**Delta overflows a float at log beta = 40, while
+        # (log r)**Delta does not at r = 300.  With the probe radius pinned
+        # there the cells could be sampled but not rescaled.
+        monkeypatch.setattr(lrplab.estimator, "collapse_radius", lambda pm, beta, t, m_offset: 300.0)
+        pm = ModelParams(d=1, s=1.993, beta=math.e**40)
+        report = collapse_report([pm], [0.0, 1.0], n_replicas=2, seed0=0, m_offset=2)
+        for cell in report.cells:
+            assert cell.missing
+            assert cell.reason == f"(log beta)**Delta overflows a float at beta={pm.beta}"
+            assert math.isnan(cell.phi_hat) and math.isnan(cell.value) and cell.replica_phis == ()
+        [summary] = report.summaries
+        assert summary.n_missing == 2 and math.isnan(summary.mean_abs_discrepancy)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, math.nan])
+    def test_delta_outside_the_unit_interval_refused(self, monkeypatch, delta):
+        radii = count_samples(monkeypatch)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            collapse_report([ModelParams(d=1, s=1.5, beta=math.e**3)], [0.0, 1.0], 1, 0,
+                            m_offset=2, delta=delta)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            estimate_phi(PM, 300.0, 1, 0, delta=delta)
         assert radii == []
 
     def test_validation(self):

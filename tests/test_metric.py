@@ -488,6 +488,39 @@ class TestAdjacency:
             distances_from(g, np.array([0]))
         assert g._adjacency is None
 
+    def test_sampler_built_samples_skip_the_order_check(self, monkeypatch):
+        calls = []
+        check = metric._check_long_edges
+
+        def counted(edges, n):
+            calls.append(n)
+            check(edges, n)
+
+        monkeypatch.setattr(metric, "_check_long_edges", counted)
+        pm = ModelParams(d=2, s=3.0, beta=3.0)
+        box = Box(d=2, radius=7)
+        g = sample_graph(pm, box, seed=5)
+        rungs = sample_graph_coupled([replace(pm, beta=b) for b in (0.5, 1.0, 3.0)], box, seed=5)
+        built = graph_from_edges(pm, box, g.long_edges[::-1])
+        for sample in [g, built, *rungs]:
+            distances_from(sample, np.array([0, 0]))
+        assert calls == []
+        twin = GraphSample(params=pm, box=box, seed=None, long_edges=g.long_edges.copy())
+        distances_from(twin, np.array([0, 0]))
+        assert calls == [box.n_vertices]
+
+    def test_sampler_edges_out_of_order_rejected_once_hand_built(self):
+        # The mark that skips the check belongs to the sample its builder
+        # made: neither a new GraphSample nor dataclasses.replace carries it.
+        pm = ModelParams(d=2, s=3.0, beta=3.0)
+        g = sample_graph(pm, Box(d=2, radius=7), seed=5)
+        unsorted = g.long_edges[::-1]
+        for sample in [GraphSample(params=pm, box=g.box, seed=g.seed, long_edges=unsorted),
+                       replace(g, long_edges=unsorted)]:
+            with pytest.raises(ValueError, match="sorted by strictly increasing"):
+                distances_from(sample, np.array([0, 0]))
+            assert sample._adjacency is None
+
 
 def key_order_accepts(edges, n):
     """The order check as first written: strictly increasing int64 keys tail * n + head."""

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +117,34 @@ def brute_force_pairs(params, box):
             continue
         out[(i, j)] = connection_probability(params, disp)
     return out
+
+
+def other_thread_ticks() -> dict:
+    """utime + stime clock ticks of every other thread of this process, by thread id."""
+    me = threading.get_native_id()
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == me:
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread has ended
+            continue
+        ticks[tid] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads per-thread times from Linux /proc")
+def test_sampling_leaves_other_threads_idle():
+    # A float matrix product on the sampling path wakes BLAS's worker
+    # threads, which then spin for about 0.1 s each time.
+    pm = ModelParams(d=1, s=1.5, beta=5.0)
+    sample_graph(pm, Box(1, 2**10), 0)  # any lazy set-up happens here
+    before = other_thread_ticks()
+    sample_graph(pm, Box(1, 2**17), 0)
+    after = other_thread_ticks()
+    assert {tid: t - before.get(tid, 0) for tid, t in after.items() if t != before.get(tid, 0)} == {}
 
 
 class TestSampleGraph:
@@ -654,6 +684,7 @@ class TestSampleW:
         assert w.value.shape == (1,)
         assert np.all(w.value != 0)
 
+    @pytest.mark.slow
     def test_tolerance_insensitivity_of_second_moment(self):
         # Common random numbers per draw: both tolerances consume the same
         # factor stream, so the mean shift isolates the truncation error.
@@ -666,6 +697,7 @@ class TestSampleW:
             moments.append(np.mean(vals**2))
         assert abs(moments[0] - moments[1]) / moments[1] < 0.02
 
+    @pytest.mark.slow
     def test_small_ball_probabilities_decay(self):
         rng = np.random.default_rng(3)
         vals = np.abs(np.array([sample_w(PM, 1.0, 0.75, rng=rng).value[0]
