@@ -41,11 +41,12 @@ from . import __version__
 from .model import NORMS, ModelParams, derived_constants, norm_value
 from .exponents import exponent_table, ratio_report, theta_closed_form, theta_fast, theta_recursive
 from .limits import lambda_of_t, lower_curve, psi_limit
-from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, compute_c0, graph_from_edges,
+from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, _check_box, compute_c0, graph_from_edges,
                       sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import (
     _check_ladder,
+    _check_radii,
     _deviation_fraction,
     collapse_report,
     estimate_phi,
@@ -366,7 +367,16 @@ def _check_limit_curve(cfg: dict) -> None:
     _check_table_memory("n_points", cfg["n_points"], 8)
 
 
+def _check_sampled_box(cfg: dict) -> None:
+    """The library's box pre-flight on --L, as a config error."""
+    try:
+        _check_box(cfg["d"], cfg["L"])
+    except ValueError as exc:
+        raise ConfigError(f"L: {exc}") from exc
+
+
 def _check_sample(cfg: dict) -> None:
+    _check_sampled_box(cfg)
     # sample_z's first proposal batch (about 2.3 proposals per draw) sets the
     # peak, above the output rows and the radius column (tracemalloc at
     # 10**6 draws: 136, 199 and 281 bytes per draw at d = 1, 2, 3 under ell1,
@@ -375,6 +385,7 @@ def _check_sample(cfg: dict) -> None:
 
 
 def _check_distances(cfg: dict) -> None:
+    _check_sampled_box(cfg)
     params = cfg["params"]
     if cfg["beta2"] is not None and cfg["beta2"] <= cfg["beta"]:
         raise ConfigError(f"beta2: must exceed beta={cfg['beta']} for a coupled ladder")
@@ -408,8 +419,10 @@ def _check_replicas(cfg: dict, params_list: list) -> None:
 
 
 def _check_estimate_phi(cfg: dict) -> None:
-    if not cfg["r"] > 1:
-        raise ConfigError("r: must be > 1")
+    try:
+        _check_radii(cfg["params"], [cfg["r"]], cfg["delta"])
+    except ValueError as exc:
+        raise ConfigError(f"r: {exc}") from exc
     _check_replicas(cfg, [cfg["params"]])
 
 

@@ -30,6 +30,7 @@ from .sampler import (
     DEFAULT_MEMORY_CAP,
     Box,
     MemoryCapExceeded,
+    _check_box,
     _check_coupled_ladder,
     _check_memory,
     _vertex_stage_memory,
@@ -80,10 +81,14 @@ def _annulus_masks(nrm: np.ndarray, radii, delta: float) -> list:
     """
     masks = [(nrm >= delta * r) & (nrm < r) for r in radii]
     for r, mask in zip(radii, masks):
-        if (n_points := int(np.count_nonzero(mask))) < 100:
-            raise ValueError(f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices "
-                             f"at r={r}; need at least 100")
+        _check_annulus_size(int(np.count_nonzero(mask)), r, delta)
     return masks
+
+
+def _check_annulus_size(n_points: int, r: float, delta: float) -> None:
+    if n_points < 100:
+        raise ValueError(f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices "
+                         f"at r={r}; need at least 100")
 
 
 def _shell_masks(nrm: np.ndarray, radii, halfwidth: float) -> list:
@@ -181,13 +186,94 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _ball_count(d: int, norm: str, t: int, memo: dict) -> int:
+    """Lattice points x in Z^d with h(x) <= t, h = sum |x_i|, max |x_i| or sum x_i**2 for ell1, ellinf,
+    ell2; ``memo`` keeps the ell2 counts of fewer dimensions."""
+    if t < 0:
+        return 0
+    if norm == "ellinf":
+        return (2 * t + 1) ** d
+    if norm == "ell1":
+        return sum(2**i * math.comb(d, i) * math.comb(t, i) for i in range(min(d, t) + 1))
+    m = math.isqrt(t)
+    if d == 1:
+        return 2 * m + 1
+    if d == 2:
+        rest = t - np.arange(-m, m + 1, dtype=np.int64) ** 2
+        root = np.sqrt(rest).astype(np.int64)  # rest < 2**53, so off by at most one
+        root -= root * root > rest
+        root += (root + 1) ** 2 <= rest
+        return int((2 * root + 1).sum())
+    if (d, t) not in memo:
+        memo[d, t] = sum((2 - (x == 0)) * _ball_count(d - 1, norm, t - x * x, memo) for x in range(m + 1))
+    return memo[d, t]
+
+
+def _annulus_size(d: int, norm: str, r: float, delta: float) -> int:
+    """The vertices ``_annulus_masks`` counts in {delta * r <= |x| < r}, found with no norm field.
+
+    In d = 1 every norm is |x|, exactly.  Otherwise, for a box that passes
+    ``_check_box``, the norm field holds g(h(x)) with h an integer that
+    float64 keeps exact (``_ball_count``) and g the identity or, under
+    ell2, the correctly rounded square root.  g is monotone, so g(h) >= a
+    holds exactly from the least integer h that meets it on, and the
+    annulus count is a difference of two ball counts.
+    """
+    if d == 1:
+        return 2 * max(0, math.ceil(r) - math.ceil(delta * r))
+    least = _least_root_at_least if norm == "ell2" else math.ceil
+    lo, hi, memo = least(delta * r), least(r), {}
+    return _ball_count(d, norm, hi - 1, memo) - _ball_count(d, norm, lo - 1, memo)
+
+
+def _least_root_at_least(a: float) -> int:
+    """The least integer h >= 0 with sqrt(h) >= a in float64."""
+    h = max(0, math.ceil(a * a))
+    while h > 0 and math.sqrt(h - 1) >= a:
+        h -= 1
+    while math.sqrt(h) < a:
+        h += 1
+    return h
+
+
+def _log_scale(params: ModelParams, r: float) -> float:
+    """(log r)**Delta, the divisor of phi_hat; ValueError unless it is a positive finite float."""
+    delta_exponent = derived_constants(params).delta
+    try:
+        scale = math.log(r) ** delta_exponent
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise ValueError(f"(log r)**Delta = {math.log(r)!r}**{delta_exponent!r} at r={r} is not "
+                         f"a positive finite float")
+    return scale
+
+
+def _check_radii(params: ModelParams, radii, delta: float) -> list:
+    """Refuse, before any sampling, radii the config alone rules out; their (log r)**Delta otherwise.
+
+    Each radius must be a finite real above 1, the box of radius
+    ceil(max r) must pass ``_check_box``, each annulus
+    {delta * r <= |x| < r} must hold 100 lattice points, and each
+    (log r)**Delta must be a positive finite float; delta is taken to lie
+    in (0, 1) already.
+    """
+    if any(not 1 < r < math.inf for r in radii):
+        raise ValueError(f"r must be a finite real > 1, got {radii}")
+    _check_box(params.d, math.ceil(max(radii)))
+    for r in radii:
+        # The 2d axis points at distance k from 0, delta * r <= k < r, lie in the annulus under every norm.
+        if 2 * params.d * (math.ceil(r) - math.ceil(delta * r)) < 100:
+            _check_annulus_size(_annulus_size(params.d, params.norm, r, delta), r, delta)
+    return [_log_scale(params, r) for r in radii]
+
+
 def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int, delta: float,
                      n_bootstrap: int, executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
     """PhiEstimates [rung][radius]; rung i's bootstrap is seeded by bootstrap_keys[i] at every radius."""
-    if any(not r > 1 for r in radii):
-        raise ValueError(f"r must be > 1, got {radii}")
     _check_delta(delta)
     _check_ladder(params_list, n_replicas, seed0)
+    scales = _check_radii(params_list[0], radii, delta)
     box = Box(params_list[0].d, int(math.ceil(max(radii))))
     args = [(params_list, box, seed0 + i, (_annulus_masks, radii, delta), memory_cap_bytes)
             for i in range(n_replicas)]
@@ -197,7 +283,7 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
     def record(i, bi, ri):
         (wall_time, hists), r, pm = per_replica[i][bi], radii[ri], params_list[bi]
         return ExperimentRecord(params=pm, r=float(r), seed=int(seed0 + i),
-                                phi_hat=_hist_median(hists[ri]) / math.log(r) ** derived_constants(pm).delta,
+                                phi_hat=_hist_median(hists[ri]) / scales[ri],
                                 n_points=int(hists[ri].sum()),
                                 annulus_fraction=int(hists[ri].sum()) / box.n_vertices, wall_time=wall_time)
 
@@ -361,8 +447,8 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     must lie in (0, 1).  Cells whose box exceeds ``box_radius_cap`` (a
     radius past the float range among them), whose annulus is too thin,
     whose norm field (checked before it is built) or sample the memory cap
-    refuses, or whose beta's (log beta)**Delta overflows a float
-    are marked missing with a reason, never fabricated.
+    refuses, or whose (log r)**Delta or beta's (log beta)**Delta overflows
+    a float are marked missing with a reason, never fabricated.
     """
     from scipy import stats  # deferred: importing scipy.stats takes about 1.2 s
 
@@ -390,6 +476,7 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
             box = Box(params_list[0].d, math.ceil(r))
             _check_memory(9.0 * box.n_vertices, memory_cap_bytes, "annulus field and mask")
             _annulus_masks(box.norm_field((0,) * box.d, params_list[0].norm), [r], delta)
+            _log_scale(params_list[0], r)
         except (MemoryCapExceeded, ValueError) as exc:
             reasons[r] = str(exc)
     radii = [r for r in radii if r not in reasons]

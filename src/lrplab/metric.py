@@ -111,8 +111,7 @@ def _adjacency(sample: GraphSample):
     out_ptr, in_ptr = np.zeros((2, n + 1), dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=out_ptr[1:])
     np.cumsum(np.bincount(head, minlength=n), out=in_ptr[1:])
-    keys = head.astype(np.uint64)
-    keys <<= np.uint64(32)
+    keys = np.left_shift(head.view(np.uint64), np.uint64(32))
     keys |= tail.view(np.uint64)
     keys.sort()
     tails = keys.astype(np.uint32)

@@ -39,7 +39,11 @@ bit-stable.  Pair indices within a class enumerate the admissible tail
 vertices (the lexicographically smaller endpoints) in row-major order over
 the rectangle of tails; edges are finally sorted by the int64 key
 ``tail * n_vertices + head``, i.e. by (tail, head), so the output is
-independent of construction order.
+independent of construction order.  Each rung's keys are written into the
+head column of the (m, 2) column-major edge array that is returned, sorted
+there and split into tail and head in place.  Sparse round 0 maps, sorts
+and deduplicates its words in blocks of about 2**16 words of whole rows;
+the block size decides no word's use, so no output bit depends on it.
 """
 
 from __future__ import annotations
@@ -64,6 +68,13 @@ DEFAULT_MEMORY_CAP = 2 * 2**30
 Z_REJECTION_CAP = 10**6
 
 GENERATOR_TAG = "philox4x64-v3"
+
+# Round-0 words of the sparse stream mapped, sorted and deduplicated at a time (_select_sparse).
+_BLOCK_WORDS = 2**16
+
+# Bytes the memory estimate adds for numpy's own allocations: the first binomial draw in a
+# process holds about 0.7 MiB beside the arrays the estimate counts.
+_UNPLANNED_BYTES = 2**20
 
 # Reserved Philox stream keys; per-class streams use class codes below 2**63.
 _COUNTS_STREAM = np.uint64(1) << np.uint64(63)
@@ -325,6 +336,19 @@ def _bounded(words: np.ndarray, n: np.ndarray, threshold: np.ndarray):
     return (prod >> np.uint64(32)).astype(np.int64), accepted
 
 
+def _row_keys(words: np.ndarray, rows: np.ndarray, repeats: np.ndarray, n: np.ndarray,
+              threshold: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys row << 32 | index that ``words`` give ``rows``, repeats[i] words each."""
+    values, accepted = _bounded(words, np.repeat(n[rows], repeats), np.repeat(threshold[rows], repeats))
+    keys = np.repeat(rows << 32, repeats)
+    keys |= values
+    if not accepted.all():
+        keys = np.compress(accepted, keys)
+    del values, accepted
+    keys.sort()
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
     """Distinct uniform pair indices for many classes at once: K[i] of range(N[i]) for row i.
 
@@ -335,36 +359,45 @@ def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
     uniform sequence, hence uniform over K[i]-subsets.  Requires N < 2**32.
     Each row's rejection threshold 2**32 mod N[i] is computed once, and a
     round repeats it and N[i] once per word of the row, not by a gather.
-    Round 0 sorts its keys; a later round draws words for the short rows
-    only and merges its few new distinct keys into the sorted keys, so it
-    costs O(words drawn) plus one copy of the keys.
+    Round 0 draws all its words in one call, then maps, sorts and
+    deduplicates them in blocks of whole rows of about ``_BLOCK_WORDS``
+    words (a longer row is a block of its own) into one key array: keys
+    lead with the row, so the blocks' keys, laid one after another, are
+    sorted, and no temporary outgrows a block.  A later round draws words
+    for the short rows only and keeps the new keys that neither round 0
+    nor an earlier later round holds; all of them are merged into the
+    sorted keys with one ``np.insert`` at the end.
     Returns (row, index) arrays sorted by (row, index).
     """
     n = N.astype(np.uint64)
     threshold = np.uint64(2**32) % n
-    keys = np.empty(0, dtype=np.int64)  # row << 32 | index, sorted and distinct
-    missing = K.astype(np.int64)
+    counts = K.astype(np.int64)
+    ends = np.cumsum(counts)
+    keys = np.empty(int(counts.sum()), dtype=np.int64)  # row << 32 | index
+    words = bit_generator.random_raw(keys.size) if keys.size else keys
+    at = lo = row = 0
+    while row < len(counts):
+        stop = max(int(np.searchsorted(ends, lo + _BLOCK_WORDS, side="right")), row + 1)
+        hi = int(ends[stop - 1])
+        block = _row_keys(words[lo:hi], np.arange(row, stop), counts[row:stop], n, threshold)
+        keys[at:at + block.size] = block
+        at, lo, row = at + block.size, hi, stop
+    del words
+    keys = keys[:at]
+    missing = counts - np.bincount(keys >> 32, minlength=len(n))
+    later = np.empty(0, dtype=np.int64)  # the later rounds' keys, sorted and distinct
     while (total := int(missing.sum())) > 0:
         short = np.flatnonzero(missing)
-        repeats = missing[short]
-        values, accepted = _bounded(bit_generator.random_raw(total), np.repeat(n[short], repeats),
-                                    np.repeat(threshold[short], repeats))
-        new = np.repeat(short << 32, repeats)
-        new |= values
-        if not accepted.all():
-            new = np.compress(accepted, new)
-        del values, accepted
-        new.sort()
-        new = new[np.diff(new, prepend=-1) != 0]
-        if keys.size:
-            at = np.searchsorted(keys, new)
-            fresh = at == np.searchsorted(keys, new, side="right")
-            new = new[fresh]
-            keys = np.insert(keys, at[fresh], new)
-        else:
-            keys = new
+        new = _row_keys(bit_generator.random_raw(total), short, missing[short], n, threshold)
+        for held in (keys, later):
+            new = new[np.searchsorted(held, new) == np.searchsorted(held, new, side="right")]
+        later = np.insert(later, np.searchsorted(later, new), new)
         missing -= np.bincount(new >> 32, minlength=len(n))
-    return keys >> 32, keys & 0xFFFFFFFF
+    if later.size:
+        keys = np.insert(keys, np.searchsorted(keys, later), later)
+    rows = keys >> 32
+    keys &= 0xFFFFFFFF
+    return rows, keys
 
 
 def _pair_keys(box: Box, classes: np.ndarray, cls, sel: np.ndarray, out: np.ndarray):
@@ -382,98 +415,125 @@ def _pair_keys(box: Box, classes: np.ndarray, cls, sel: np.ndarray, out: np.ndar
     out[...] = ((np.maximum(0, -classes) * n1 + classes) @ strides)[cls]
     for i in range(box.d - 1, 0, -1):
         width = (box.side - np.abs(classes[:, i]))[cls]
-        out += (sel % width) * (strides[i] * n1)
+        digit = np.remainder(sel, width)
+        digit *= strides[i] * n1
+        out += digit
         sel //= width
     sel *= strides[0] * n1
     out += sel
 
 
-def _edges_from_keys(keys: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Sort edge keys tail * n + head in place; the (m, 2) (tail, head) array in that order.
-
-    The array is column-major, so each endpoint column is one contiguous run.
-    """
+def _sort_and_decode(edges: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Sort the keys tail * n + head in the head column of column-major (m, 2) ``edges`` and decode
+    them in place into (tail, head) rows; returns ``edges``."""
+    keys = edges[:, 1]
     keys.sort()
-    edges = np.empty((keys.size, 2), dtype=np.int64, order="F")
-    np.divmod(keys, n_vertices, out=(edges[:, 0], edges[:, 1]))
+    np.divmod(keys, n_vertices, out=(edges[:, 0], keys))
     return edges
 
 
-def _check_edge_keys(box: Box):
-    n = box.n_vertices
+def _check_box(d: int, radius: int) -> None:
+    """Raise ValueError unless graphs can be sampled on the box of ``radius`` in dimension ``d``.
+
+    Its n = (2 radius + 1)**d vertex indices must fit in 62 bits, as for
+    every Box, and the edge keys tail * n + head in an int64 (n**2 < 2**63,
+    so every class's pair count is below 2**32).  Pure integer arithmetic,
+    so a caller can refuse a config before it builds anything.
+    """
+    n = (2 * radius + 1) ** d
+    if n >= 2**62:
+        raise ValueError("box too large: vertex indices must fit in 62 bits")
     if n * n >= 2**63:
         raise ValueError(f"box too large: {n} vertices, and edge keys tail * n + head need n**2 < 2**63")
 
 
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
-    """The per-vertex bytes of ``_edge_stage_memory``'s search stage, which need no class or edge count.
+    """The per-vertex bytes of ``_edge_stage_memory``'s search stage at a bottom-up level, which need
+    no class or edge count.
 
     The replica's annulus mask (1); the rung's row pointers and long
     degrees (20) and distances (4); a bottom-up level's arrays (35: the
     unvisited vertices' indices beside the last frontier's, the found mask,
     one axis's digits, neighbour indices, gathered distances and masks);
-    the lattice share of a top-down level's candidates (16 bytes for a
-    third of the 2d moves: 32d / 3); and, past one rung, each lower rung's
-    cached row pointers and degrees (20) and the previous rung's distances (4).
+    and, past one rung, each lower rung's cached row pointers and degrees
+    (20) and the previous rung's distances (4).
     """
     lower = n_rungs - 1
-    return (60.0 + 32.0 * box.d / 3 + 20.0 * lower + 4.0 * (lower > 0)) * box.n_vertices
+    return (60.0 + 20.0 * lower + 4.0 * (lower > 0)) * box.n_vertices
 
 
-def _edge_stage_memory(box: Box, n_classes: int, rung_edges: list, sparse_edges: float,
-                       max_class_pairs: float) -> float:
+def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges: list,
+                       sparse_edges: float, max_class_pairs: float) -> float:
     """Peak bytes of sampling plus the adjacency and BFS a consumer runs on each rung.
 
     ``rung_edges`` are the expected edges of each rung, the top rung last,
-    and ``sparse_edges`` the top rung's expected edges in classes expected
-    to be sparse.  The peak is the largest of four stages, each counted by
-    what it holds at once; every stage also holds the replica's annulus
-    mask (1 byte per vertex).
+    ``sparse_edges`` the top rung's expected edges in classes expected to
+    be sparse, and ``kept_classes`` a bound on the expected number of
+    classes that hold edges (the sum of min(1, expected edges)).  The
+    peak is the largest of five stages, each counted by what it holds at
+    once; every stage also holds the replica's annulus mask (1 byte per
+    vertex).
 
-    * Decoding the top rung: the class tables (class rows, pair counts, edge
-      counts, sparse or dense row indices and one probability per rung:
-      8d + 24 + 8 per rung, per class), the keys (8 per edge), and the
-      largest of sparse round 0 (58 per sparse edge: its class rows, raw
-      words, gathered pair counts and thresholds, products and their low
-      halves, the accepted mask and the values), the sorted keys' edge
-      array (16 per edge) and a dense class's partial shuffle (8 per pair
-      of the largest class).
-    * Thinning, past one rung: the class tables plus each class's place
-      in the key order, its count and the lower rungs' ratios with the
-      probabilities they are divided from (8 (3 + 2 lower rungs) per
-      class), the keys and uniforms (16 per top-rung edge), the rungs
-      drawn so far (16 per lower-rung edge), and a rung's draw: the
-      repeated ratios and the keep mask (9 per top-rung edge), then the
-      mask, the kept keys and their edge array (1 per top-rung edge and 24
-      per kept edge).  This also bounds the top rung's sort that follows:
-      the keys, their edge array and the lower rungs' edges.
+    * Drawing the counts, over every class: the class rows, pair counts and
+      one probability per rung, then the edge counts and their sparse and
+      dense tests (8d + 8 + 8 per rung + 18 per class), or while the
+      probabilities are stacked, a second copy of them; and the copies of
+      the tables cut down to the classes that hold edges, with their
+      sparse and dense positions.
+    * Choosing the pairs, over the classes that hold edges (8d + 16 + 8 per
+      rung each: rows, pair counts, edge counts, probabilities): the top
+      rung's edge array, whose head column takes the keys (16 per edge),
+      and the largest of sparse round 0 (its raw words and keys, 16 per
+      sparse edge, and one block's mapping and sorting, 48 per word of at
+      most ``_BLOCK_WORDS`` plus the longest row), the sparse keys' pair
+      arithmetic (row and pair index, one gather, past d = 1 one digit:
+      24 or 32 per sparse edge) and a dense class's partial shuffle and
+      draw (16 per pair of the largest class, 24 past d = 1).
+    * Thinning, past one rung: the kept classes' tables and lower rungs'
+      ratios (8 per class per lower rung), the keys' edge array and the
+      uniforms (24 per top-rung edge), the rungs drawn so far (16 per
+      lower-rung edge), and a rung's draw: the repeated ratios and the keep
+      mask (9 per top-rung edge), then the mask, the kept keys' positions
+      and the rung's edge array (1 per top-rung edge and 24 per kept edge).
+      Each rung's keys are sorted and decoded in place.
     * The top rung's adjacency build, the last and largest: every rung's
       edges (16 per edge), the lower rungs' cached in-halves (4 per edge),
       row pointers and degrees (20 per vertex), the previous rung's
       distances (4 per vertex), and the new row pointers (16 per vertex)
       beside the uint64 keys and uint32 in-half (12 per top-rung edge).
-    * The top rung's BFS: every rung's edges and in-half (20 per edge), the
-      per-vertex arrays of ``_vertex_stage_memory``, and one level's
-      long-edge candidates, 16 bytes (gather positions and neighbours) per
-      entry of one half, for at most a third of the top rung's 2m entries:
-      a level runs top-down only while its frontier holds at most a third
-      of the work.
+    * The top rung's BFS: every rung's edges and in-half (20 per edge) and
+      the per-vertex arrays of ``_vertex_stage_memory`` at a bottom-up
+      level; a top-down level holds in place of the bottom-up level's 35
+      bytes per vertex its frontier's candidates: the last frontier's
+      indices (8 per vertex) and 16 bytes per lattice move and per long
+      candidate (gather positions and neighbours, of one half), for at most
+      a third of the 2d moves per vertex and of the top rung's 2m entries,
+      since a level runs top-down only while its frontier holds at most a
+      third of the work.
 
     The norm field the replica builds before sampling (at most 24 bytes
-    per vertex) stays below the search stage.
+    per vertex) stays below the search stage.  ``_UNPLANNED_BYTES`` is added
+    for what numpy holds outside these arrays.
     """
     n, d = box.n_vertices, box.d
     top, lower = rung_edges[-1], sum(rung_edges[:-1])
-    n_lower = len(rung_edges) - 1
-    tables = (8.0 * d + 24.0 + 8.0 * len(rung_edges)) * n_classes
-    decode = tables + 8.0 * top + max(58.0 * sparse_edges, 16.0 * top, 8.0 * max_class_pairs) + n
+    n_rungs = len(rung_edges)
+    n_lower = n_rungs - 1
+    kept = (8.0 * d + 16.0 + 8.0 * n_rungs) * kept_classes
+    counts = ((8.0 * d + 8.0 + 8.0 * n_rungs + max(18.0, 8.0 * n_rungs)) * n_classes
+              + kept + 16.0 * kept_classes + n)
+    block = min(sparse_edges, _BLOCK_WORDS + max_class_pairs / 64)
+    choose = kept + 16.0 * top + max(16.0 * sparse_edges + 48.0 * block,
+                                     (24.0 + 8.0 * (d > 1)) * sparse_edges,
+                                     (16.0 + 8.0 * (d > 1)) * max_class_pairs) + n
     thinning = 0.0
     if n_lower:
-        thinning = (tables + 8.0 * (3 + 2 * n_lower) * n_classes + 16.0 * top
+        thinning = (kept + 8.0 * n_lower * kept_classes + 24.0 * top
                     + max(9.0 * top + 16.0 * lower, top + 24.0 * lower) + n)
     build = 28.0 * top + 20.0 * lower + (17.0 + 20.0 * n_lower + 4.0 * (n_lower > 0)) * n
-    search = 20.0 * (top + lower) + 32.0 * top / 3 + _vertex_stage_memory(box, len(rung_edges))
-    return max(decode, thinning, build, search)
+    search = (20.0 * (top + lower) + _vertex_stage_memory(box, n_rungs)
+              + max(0.0, (8.0 + 32.0 * d / 3 - 35.0) * n + 32.0 * top / 3))
+    return max(counts, choose, thinning, build, search) + _UNPLANNED_BYTES
 
 
 def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int) -> list:
@@ -487,42 +547,59 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     iff U < p_i(v) / p_top(v), so every rung is Bernoulli(p_i) per pair,
     independent across pairs, and the rungs are nested.  The uniforms go
     to the keys in the order they are built (sparse classes, then dense
-    ones; module docstring), so key j's class is entry j of
-    ``np.repeat(order, K[order])`` and is never recovered from an edge.
+    ones; module docstring).  Once K is drawn the class tables keep only
+    the classes with edges, in that order, so key j's class is entry j of
+    ``np.repeat(np.arange(len(K)), K)`` and is never recovered from an edge.
     """
-    _check_edge_keys(box)  # n**2 < 2**63 also bounds every class's N below 2**32
+    _check_box(box.d, box.radius)
     classes = _displacement_classes(box, memory_cap_bytes)
     N = _class_pair_counts(box, classes)
     P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
     p_top = P[:, -1]
     # Elementwise sums, not N @ P: a float matmul would wake BLAS's worker threads.
-    sparse_edges = float((N * np.where(p_top * 64 <= 1, p_top, 0.0)).sum())  # K * 64 <= N in expectation
-    rung_edges = [float((N * p).sum()) for p in P.T]
-    _check_memory(_edge_stage_memory(box, len(classes), rung_edges, sparse_edges, float(N.max(initial=0))),
+    expected = N * p_top  # each class's expected top-rung edges
+    sparse_edges = float(np.where(p_top * 64 <= 1, expected, 0.0).sum())  # K * 64 <= N in expectation
+    kept_classes = float(np.minimum(expected, 1.0).sum())  # P(K > 0) <= min(1, E[K]) per class
+    rung_edges = [float((N * p).sum()) for p in P.T[:-1]] + [float(expected.sum())]
+    del expected
+    _check_memory(_edge_stage_memory(box, len(classes), kept_classes, rung_edges, sparse_edges,
+                                     float(N.max(initial=0))),
                   memory_cap_bytes, "graph sampling")
 
     K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, p_top)
+    del p_top  # a view that would keep the full P alive past the cut below
+    # From here on only the classes with edges count, sparse ones first and then dense
+    # ones: the order their keys are built and thinned in.
     sparse = np.flatnonzero((K > 0) & (K * 64 <= N))
-    dense = np.flatnonzero(K * 64 > N)
-    keys = np.empty(int(K.sum()), dtype=np.int64)
-    cls, sel = _select_sparse(N[sparse], K[sparse], _stream(seed, _SPARSE_STREAM))
+    order = np.concatenate([sparse, np.flatnonzero(K * 64 > N)])
+    classes, N, K, P = classes[order], N[order], K[order], P[order]
+    n_sparse = sparse.size
+    del sparse, order
+    top = np.empty((int(K.sum()), 2), dtype=np.int64, order="F")
+    keys = top[:, 1]  # built in class order, then sorted and decoded in place
+    cls, sel = _select_sparse(N[:n_sparse], K[:n_sparse], _stream(seed, _SPARSE_STREAM))
     at = sel.size
-    _pair_keys(box, classes[sparse], cls, sel, keys[:at])
+    _pair_keys(box, classes[:n_sparse], cls, sel, keys[:at])
     del cls, sel
-    for c, code in zip(dense, _class_codes(box, classes[dense])):
+    for c, code in enumerate(_class_codes(box, classes[n_sparse:]), start=n_sparse):
         sel = _select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, code)))
         _pair_keys(box, classes[c:c + 1], 0, sel, keys[at:at + sel.size])
         at += sel.size
     rungs = []
     if len(params_list) > 1:
         u = (_stream(seed, _THIN_STREAM).random_raw(keys.size) >> np.uint64(11)) * 2.0**-53
-        order = np.concatenate([sparse, dense])
-        counts = K[order]
-        # np.compress, as a boolean index of the keys runs 2-4x slower under numpy 2.4
-        for ratio in P[order, :-1].T / P[order, -1]:
-            rungs.append(_edges_from_keys(np.compress(u < np.repeat(ratio, counts), keys), box.n_vertices))
+        for ratio in P[:, :-1].T / P[:, -1]:
+            kept = u < np.repeat(ratio, K)
+            positions = np.flatnonzero(kept)
+            del kept
+            rung = np.empty((positions.size, 2), dtype=np.int64, order="F")
+            # A take of in-range positions: mode "clip" writes straight into the column, where
+            # np.compress buffers its output and a boolean index runs 2-4x slower under numpy 2.4.
+            np.take(keys, positions, out=rung[:, 1], mode="clip")
+            del positions
+            rungs.append(_sort_and_decode(rung, box.n_vertices))
         del u
-    return rungs + [_edges_from_keys(keys, box.n_vertices)]
+    return rungs + [_sort_and_decode(top, box.n_vertices)]
 
 
 def sample_graph(params: ModelParams, box: Box, seed: int,
@@ -580,7 +657,7 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
     Validates box membership, rejects self-loops, nearest-neighbor pairs
     (implicit edges), and duplicates; normalizes orientation and order.
     """
-    _check_edge_keys(box)
+    _check_box(box.d, box.radius)
     e = np.asarray(edges, dtype=np.int64)
     if e.size == 0:
         e = np.empty((0, 2), dtype=np.int64)
@@ -594,9 +671,14 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
         raise ValueError("self-loops are not allowed")
     if np.any(np.abs(box.coords_of(e[:, 1]) - box.coords_of(e[:, 0])).sum(axis=1) == 1):
         raise ValueError("nearest-neighbor pairs are implicit and must not be listed")
-    keys = e.min(axis=1) * box.n_vertices + e.max(axis=1)
-    edges_sorted = _edges_from_keys(keys, box.n_vertices)
-    if np.any(keys[1:] == keys[:-1]):
+    edges_sorted = np.empty((len(e), 2), dtype=np.int64, order="F")
+    tail, head = edges_sorted[:, 0], edges_sorted[:, 1]
+    np.minimum(e[:, 0], e[:, 1], out=tail)
+    np.maximum(e[:, 0], e[:, 1], out=head)
+    tail *= box.n_vertices
+    head += tail  # the key tail * n + head, which _sort_and_decode sorts and splits again
+    _sort_and_decode(edges_sorted, box.n_vertices)
+    if np.any((tail[1:] == tail[:-1]) & (head[1:] == head[:-1])):
         raise ValueError("duplicate edges")
     return _mark_validated(GraphSample(params=params, box=box, seed=seed, long_edges=edges_sorted))
 

@@ -273,15 +273,13 @@ class TestEstimatePhiCommand:
             assert bytes_a == (b / name).read_bytes()
             assert bytes_a == (c / name).read_bytes()
 
-    def test_annulus_error_is_runtime(self, tmp_path, capsys):
+    def test_annulus_error_is_a_config_error(self, tmp_path, capsys):
         code = run(tmp_path, "estimate-phi", "--d", "1", "--s", "1.5",
                    "--beta", "1.0", "--r", "20", "--n-replicas", "1", "--seed", "0")
-        assert code == 3
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: runtime:")
-        # Partial outputs are removed on failure.
-        leftovers = [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".json")]
-        assert leftovers == []
+        assert err.startswith("error: config: r: annulus") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCollapseCommand:
@@ -346,6 +344,29 @@ class TestReplicaSeeds:
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: seed:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestConfigDecidedRefusals:
+    """A refusal that the options alone decide is a config error: exit 2, one stderr line naming
+    the option, and nothing written, before any sampling."""
+
+    @pytest.mark.parametrize("key, argv, match", [
+        ("L", ["sample", "--d", "3", "--s", "4.5", "--L", "3000"], "n**2 < 2**63"),
+        ("r", ["estimate-phi", "--r", "2", "--n-replicas", "1"], "holds only 2 vertices"),
+        ("r", ["estimate-phi", "--r", "50", "--delta", "0.999"], "holds only 0 vertices"),
+        ("r", ["estimate-phi", "--r", "1e300"], "62 bits"),
+        ("r", ["estimate-phi", "--s", "1.9999", "--r", "300"], "(log r)**Delta"),
+    ], ids=["sample-edge-keys", "phi-small-annulus", "phi-thin-annulus", "phi-62-bits", "phi-log-scale"])
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, key, argv, match):
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampling reached")
+
+        monkeypatch.setattr(lrplab.cli, "sample_graph", sampled)
+        monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", sampled)
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key}:") and match in err and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 

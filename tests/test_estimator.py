@@ -108,7 +108,8 @@ class TestEstimatePhi:
         (1, [1.0, 2.0, 5.0, 10.0], 16384, 1.5),
         (2, [2.0], 200, 1.5),
         (2, [1.0, 4.0], 120, None),
-    ], ids=["d1", "d1-ladder", "d2", "d2-ladder"])
+        (1, [0.5], 2**18, None),
+    ], ids=["d1", "d1-ladder", "d2", "d2-ladder", "d1-sparse"])
     def test_memory_estimate_bounds_the_replica_peak(self, monkeypatch, d, betas, r, slack):
         # The sampler's estimate covers the adjacency and BFS of every rung;
         # the replica adds one mask per shell beyond the first.  Where a slack
@@ -139,6 +140,30 @@ class TestEstimatePhi:
     def test_annulus_too_small_rejected(self):
         with pytest.raises(ValueError):
             estimate_phi(PM, 20.0, n_replicas=1, seed0=0)
+
+    @pytest.mark.parametrize("norm", ["ell1", "ell2", "ellinf"])
+    @pytest.mark.parametrize("d, r, delta", [(1, 60.0, 0.1), (1, 49.5, 0.99), (2, 12.0, 0.1), (2, 30.5, 0.97),
+                                             (2, 25.0, 0.96), (3, 9.0, 0.5), (3, 10.3, 0.9)])
+    def test_annulus_size_matches_the_norm_field(self, d, r, delta, norm):
+        nrm = Box(d, math.ceil(r)).norm_field((0,) * d, norm)
+        expected = int(np.count_nonzero((nrm >= delta * r) & (nrm < r)))
+        assert lrplab.estimator._annulus_size(d, norm, r, delta) == expected
+
+    @pytest.mark.parametrize("params, r, delta, match", [
+        (PM, 2.0, 0.1, "holds only 2 vertices"),
+        (PM, 50.0, 0.999, "holds only 0 vertices"),
+        (ModelParams(d=2, s=3.0, beta=1.0, norm="ell2"), 1000.3, 0.99999, "holds only 56 vertices"),
+        (PM, 1e300, 0.1, "62 bits"),
+        (ModelParams(d=3, s=4.5, beta=1.0), 3000.0, 0.1, "n\\*\\*2"),
+        (ModelParams(d=1, s=1.9999, beta=1.0), 300.0, 0.1, "positive finite"),
+    ])
+    def test_config_refusals_come_before_sampling(self, monkeypatch, params, r, delta, match):
+        def sampled(*args, **kwargs):
+            raise AssertionError("sampling reached")
+
+        monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", sampled)
+        with pytest.raises(ValueError, match=match):
+            estimate_phi(params, r, n_replicas=1, seed0=0, delta=delta)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -319,6 +319,21 @@ class TestGeneratorV2:
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(sel, ref_sel)
 
+    @pytest.mark.parametrize("block_words", [1, 7, 64])
+    def test_round_zero_blocks_draw_the_resorting_stream(self, monkeypatch, block_words):
+        # Round 0 is mapped and deduplicated in blocks of whole rows; the
+        # 300-word rows are longer than every block here.
+        monkeypatch.setattr(sampler, "_BLOCK_WORDS", block_words)
+        k = np.repeat([2, 5, 40, 300, 0, 3], [400, 100, 10, 2, 5, 50])
+        n = 64 * np.maximum(k, 1)
+        blocked = _CountingWords(np.random.Philox(key=[13, 14]))
+        rows, sel = sampler._select_sparse(n, k, blocked)
+        resorted = _CountingWords(np.random.Philox(key=[13, 14]))
+        ref_rows, ref_sel = select_sparse_resorting(n, k, resorted)
+        assert blocked.rounds == resorted.rounds and len(blocked.rounds) >= 2
+        np.testing.assert_array_equal(rows, ref_rows)
+        np.testing.assert_array_equal(sel, ref_sel)
+
     def test_sparse_rejection_thresholds_per_class(self):
         # 2**32 mod n is 2**30 for n = 3 * 2**30, so that class's round 0
         # rejects about a quarter of its words, and 55296 for n = 64000; each
@@ -397,11 +412,18 @@ class TestLongEdgePins:
     Every box mixes dense and sparse classes (dense/sparse non-empty
     classes: d1 47/1000, d2 40/1144, d3 75/1613, ladder 38/741), so the
     shared sparse block and each dense class's block all reach the keys.
+    The two d1-blocks cases, read before sparse round 0 ran in blocks, draw
+    about 536k round-0 words: over eight blocks.
     """
 
     CASES = {
         "d1": (ModelParams(d=1, s=1.5, beta=5.0), 2000, 21, None,
                [(23996, "dc4e4ed8dff80a8a6d6f04fa6b2c7188ac0147a6b57adddcdf69b0d2b4c7fac1")]),
+        "d1-blocks": (ModelParams(d=1, s=1.1, beta=0.5), 2**17, 25, None,
+                      [(823038, "b68f985149d0d45b2f0ec71376fb31d6e5d8f5105551776fa5931d026c54d122")]),
+        "d1-blocks-ladder": (ModelParams(d=1, s=1.1, beta=0.5), 2**17, 26, (0.2, 0.5),
+                             [(332442, "f2abe2278268dca9b2e3bbc816819ca3667b679f915d4796127b1ba2df2a8ebd"),
+                              (821790, "2bf316e6bb1d9e688600f209af48648579f4f3cd6172357cbd064f319ed5adbe")]),
         "d2": (ModelParams(d=2, s=3.0, beta=2.0), 40, 22, None,
                [(26314, "52fed0d725e5f763ef921435e8556d1bfbade09f3fecfcff18a2f118c019c5da")]),
         "d3": (ModelParams(d=3, s=4.5, beta=2.0, norm="ellinf"), 8, 23, None,
@@ -423,6 +445,16 @@ class TestLongEdgePins:
         got = [(g.n_long_edges, hashlib.sha256(np.ascontiguousarray(g.long_edges).tobytes()).hexdigest())
                for g in samples]
         assert got == pins
+
+    def test_edge_arrays_are_column_major(self):
+        box = Box(d=2, radius=30)
+        pm = ModelParams(d=2, s=3.0, beta=2.0)
+        samples = [sample_graph(pm, box, 1),
+                   *sample_graph_coupled([replace(pm, beta=b) for b in (0.5, 2.0)], box, 2),
+                   graph_from_edges(pm, box, [[40, 3], [7, 900], [3, 38]])]
+        for g in samples:
+            assert g.long_edges.shape == (g.n_long_edges, 2) and g.long_edges.flags.f_contiguous
+            assert g.long_edges[:, 0].flags.c_contiguous and g.long_edges[:, 1].flags.c_contiguous
 
 
 class TestCoupledSampling:
@@ -561,8 +593,10 @@ class TestGraphFromEdges:
             graph_from_edges(PM, box, np.array([[[0], [1]]]))  # nearest neighbor
         with pytest.raises(ValueError):
             graph_from_edges(PM, box, np.array([[[0], [25]]]))  # outside box
-        with pytest.raises(ValueError):
-            graph_from_edges(PM, box, np.array([[[0], [5]], [[5], [0]]]))  # duplicate
+        with pytest.raises(ValueError, match="duplicate"):
+            graph_from_edges(PM, box, np.array([[[0], [5]], [[5], [0]]]))
+        with pytest.raises(ValueError, match="duplicate"):
+            graph_from_edges(PM, box, np.array([[3, 10], [4, 30], [10, 3]]))  # in both orientations
 
     def test_input_array_left_unchanged(self):
         box = Box(d=1, radius=20)
