@@ -45,6 +45,7 @@ from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, _check_box, comput
                       sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import (
+    _check_collapse_betas,
     _check_ladder,
     _check_radii,
     _deviation_fraction,
@@ -427,15 +428,15 @@ def _check_estimate_phi(cfg: dict) -> None:
 
 
 def _check_collapse(cfg: dict) -> None:
+    """The ladder at betas exp(log_betas), through the library's collapse pre-flight."""
     log_betas = cfg["log_betas"]
-    if not log_betas or any(lb <= 1.0 for lb in log_betas):
-        raise ConfigError("log_betas: every value must be > 1 (beta > e)")
-    if any(a >= b for a, b in zip(log_betas, log_betas[1:])):
-        raise ConfigError("log_betas: values must be strictly increasing")
     try:
         cfg["params_list"] = [replace(cfg["params"], beta=math.exp(lb)) for lb in log_betas]
+        _check_collapse_betas(cfg["params_list"])
     except OverflowError as exc:
-        raise ConfigError(f"log_betas: beta = exp({log_betas[-1]}) overflows a float") from exc
+        raise ConfigError(f"log_betas: beta = exp({max(log_betas)}) overflows a float") from exc
+    except ValueError as exc:
+        raise ConfigError(f"log_betas: {exc}") from exc
     _check_replicas(cfg, cfg["params_list"])
 
 

@@ -34,7 +34,7 @@ from .sampler import (
     _check_coupled_ladder,
     _check_memory,
     _vertex_stage_memory,
-    sample_graph,  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it (ROADMAP item 1)
+    sample_graph,  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it (ROADMAP item 2)
     sample_graph_coupled,
 )
 from .metric import DistanceField, _bfs
@@ -74,21 +74,8 @@ class PhiEstimate:
 
 
 def _annulus_masks(nrm: np.ndarray, radii, delta: float) -> list:
-    """Each radius's annulus {delta * r <= |x| < r} as a mask over the norm field ``nrm``.
-
-    An annulus lies inside the box of radius ceil(r), so its size depends on
-    (r, delta, d, norm) only; fewer than 100 vertices raise ValueError.
-    """
-    masks = [(nrm >= delta * r) & (nrm < r) for r in radii]
-    for r, mask in zip(radii, masks):
-        _check_annulus_size(int(np.count_nonzero(mask)), r, delta)
-    return masks
-
-
-def _check_annulus_size(n_points: int, r: float, delta: float) -> None:
-    if n_points < 100:
-        raise ValueError(f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices "
-                         f"at r={r}; need at least 100")
+    """Each radius's annulus {delta * r <= |x| < r} as a mask over the norm field ``nrm``."""
+    return [(nrm >= delta * r) & (nrm < r) for r in radii]
 
 
 def _shell_masks(nrm: np.ndarray, radii, halfwidth: float) -> list:
@@ -180,6 +167,17 @@ def _check_ladder(params_list: list, n_replicas: int, seed0: int) -> None:
     _check_coupled_ladder(params_list, seed0, n_replicas)
 
 
+def _check_collapse_betas(params_list: list) -> None:
+    """Refuse, before any sampling, a collapse ladder whose betas do not strictly increase or
+    do not all exceed e (the limit curve's rescaling needs log beta > 1)."""
+    betas = [pm.beta for pm in params_list]
+    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise ValueError(f"collapse expects strictly increasing betas, got {betas}")
+    for beta in betas:
+        if not math.log(beta) > 1.0:
+            raise ValueError(f"collapse requires beta > e, got beta={beta}")
+
+
 def _check_delta(delta: float) -> None:
     """Refuse an inner cutoff that leaves no annulus {delta * r <= |x| < r}, or all of the ball."""
     if not 0 < delta < 1:
@@ -264,7 +262,10 @@ def _check_radii(params: ModelParams, radii, delta: float) -> list:
     for r in radii:
         # The 2d axis points at distance k from 0, delta * r <= k < r, lie in the annulus under every norm.
         if 2 * params.d * (math.ceil(r) - math.ceil(delta * r)) < 100:
-            _check_annulus_size(_annulus_size(params.d, params.norm, r, delta), r, delta)
+            n_points = _annulus_size(params.d, params.norm, r, delta)
+            if n_points < 100:
+                raise ValueError(f"annulus {{{delta}*r <= |x| < r}} holds only {n_points} vertices "
+                                 f"at r={r}; need at least 100")
     return [_log_scale(params, r) for r in radii]
 
 
@@ -443,22 +444,18 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     r = exp(gamma**(-t) * u(beta)/(2d-s) * gamma**(-m_offset)); the dyadic
     offset keeps r simulable and is exact to the log-log period.  One coupled
     sample of the ladder per replica (seed0 + i), on the box of the largest
-    live radius, serves every cell.  Every beta must exceed e, and delta
-    must lie in (0, 1).  Cells whose box exceeds ``box_radius_cap`` (a
-    radius past the float range among them), whose annulus is too thin,
-    whose norm field (checked before it is built) or sample the memory cap
-    refuses, or whose (log r)**Delta or beta's (log beta)**Delta overflows
-    a float are marked missing with a reason, never fabricated.
+    live radius, serves every cell.  The betas must strictly increase, each
+    above e, and delta must lie in (0, 1).  Cells whose box exceeds
+    ``box_radius_cap`` (a radius past the float range among them), whose
+    radius ``_check_radii`` refuses (a box past the index limits, an
+    annulus too thin, a (log r)**Delta past the float range), whose sweep
+    the memory cap refuses, or whose beta's (log beta)**Delta overflows a
+    float are marked missing with a reason, never fabricated.
     """
     from scipy import stats  # deferred: importing scipy.stats takes about 1.2 s
 
     params_list = list(params_list)
-    betas = [pm.beta for pm in params_list]
-    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError(f"collapse expects strictly increasing betas, got {betas}")
-    for pm in params_list:
-        if not math.log(pm.beta) > 1.0:
-            raise ValueError(f"collapse requires beta > e, got beta={pm.beta}")
+    _check_collapse_betas(params_list)
     t_vals = [float(t) for t in t_grid]
     if any(not 0.0 <= t <= 1.0 for t in t_vals):
         raise ValueError("t grid must lie in [0, 1]")
@@ -473,20 +470,17 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
         try:
             if r > box_radius_cap:  # an integer cap: the same test as math.ceil(r) > cap
                 raise ValueError(f"box radius {math.ceil(r) if r < math.inf else r} over cap {box_radius_cap}")
-            box = Box(params_list[0].d, math.ceil(r))
-            _check_memory(9.0 * box.n_vertices, memory_cap_bytes, "annulus field and mask")
-            _annulus_masks(box.norm_field((0,) * box.d, params_list[0].norm), [r], delta)
-            _log_scale(params_list[0], r)
-        except (MemoryCapExceeded, ValueError) as exc:
+            _check_radii(params_list[0], [r], delta)
+        except ValueError as exc:
             reasons[r] = str(exc)
     radii = [r for r in radii if r not in reasons]
-    while radii:  # a refusal grows with the radius: drop the largest and sweep the rest
+    while radii:  # a memory refusal grows with the radius: drop the largest and sweep the rest
         try:
             ladder = _estimate_ladder(params_list, radii, n_replicas, seed0, delta, n_bootstrap,
                                       executor, memory_cap_bytes,
                                       [[seed0, _BOOTSTRAP_TAG]] * len(params_list))
             break
-        except (MemoryCapExceeded, ValueError) as exc:
+        except MemoryCapExceeded as exc:
             reasons[radii.pop()] = str(exc)
     estimates = {(bi, r): est for bi, row in enumerate(ladder) for r, est in zip(radii, row)} if radii else {}
 

@@ -435,14 +435,12 @@ def _sort_and_decode(edges: np.ndarray, n_vertices: int) -> np.ndarray:
 def _check_box(d: int, radius: int) -> None:
     """Raise ValueError unless graphs can be sampled on the box of ``radius`` in dimension ``d``.
 
-    Its n = (2 radius + 1)**d vertex indices must fit in 62 bits, as for
-    every Box, and the edge keys tail * n + head in an int64 (n**2 < 2**63,
-    so every class's pair count is below 2**32).  Pure integer arithmetic,
-    so a caller can refuse a config before it builds anything.
+    The ``Box`` must exist, and its n vertices' edge keys tail * n + head
+    must fit in an int64 (n**2 < 2**63, so every class's pair count is
+    below 2**32).  Pure integer arithmetic, so a caller can refuse a config
+    before it builds anything.
     """
-    n = (2 * radius + 1) ** d
-    if n >= 2**62:
-        raise ValueError("box too large: vertex indices must fit in 62 bits")
+    n = Box(d, radius).n_vertices
     if n * n >= 2**63:
         raise ValueError(f"box too large: {n} vertices, and edge keys tail * n + head need n**2 < 2**63")
 

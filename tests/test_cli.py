@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -472,6 +473,95 @@ class TestConfigRules:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {key}:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# Boundary values of each option, as (values its parser takes, values it
+# refuses).  Sizes stay small enough for tier-1: L <= 8, r <= 20 and
+# box_radius_cap <= 40 (both <= 8 at d = 4), at most 2 replicas and 17 rows.
+_REFUSED_EVERYWHERE = ["x", "1e", "0x10", "1,,2", "nan", "inf", "-inf"]
+
+
+def _counts(k: int, *more: str) -> tuple:
+    """_at_least(k)."""
+    return [str(k), str(k + 1), *more], [*_REFUSED_EVERYWHERE, "", str(k - 1), "-1", "1.5"]
+
+
+def _reals(*taken: str, optional: bool = False) -> tuple:
+    """_pfloat, or _optional(_pfloat), which takes "" as unset."""
+    refused = [*_REFUSED_EVERYWHERE, "0", "-1"]
+    return (["", *taken], refused) if optional else (list(taken), [*refused, ""])
+
+
+_CLI_VALUES = {
+    "d": _counts(1, "3", "4"),
+    "beta": _reals("1e-300", "0.5", "1", "5"),
+    "norm": (["ell1", "ell2", "ellinf"], ["", "x", "ELL2", "l2"]),
+    "seed": (["0", "1", str(2**64 - 2), str(2**64 - 1)],
+             [*_REFUSED_EVERYWHERE, "", "-1", "1.5", str(2**64)]),
+    "n_max": _counts(2, "17"),
+    "n_points": _counts(2, "17"),
+    "L": _counts(1, "8"),
+    "z_draws": _counts(0, "5"),
+    "eta": _reals("1e-300", "0.5", "1", "1e300"),
+    "beta2": _reals("1e-300", "1", "5", optional=True),
+    "gamma_bar": _reals("0.5", "0.75", "0.9", "0.99", "1", optional=True),
+    "k_max": _counts(0, "3", "17"),
+    "epsilon": _reals("1e-300", "0.1", "1", optional=True),
+    "scale": _reals("1e-300", "1", "1e300", optional=True),
+    "r": _reals("1e-300", "1", "1.5", "2", "3.5", "8", "12.5", "20"),
+    "n_replicas": _counts(1),
+    "delta": (["1e-300", "0.1", "0.5", "0.999"], [*_REFUSED_EVERYWHERE, "", "0", "1", "2", "-1"]),
+    "jobs": (["1"], _counts(1)[1]),
+    "log_betas": (["1", "1.5", "3", "3,4", "4,3", "3,3", "1.5,2,6", "40", "710", "710,3", "-800"],
+                  [*_REFUSED_EVERYWHERE, "", "3,nan", "3,,4"]),
+    "t_points": _counts(2),
+    "m_offset": _counts(0, "4", "19"),
+    "box_radius_cap": _counts(1, "8", "40"),
+}
+
+
+def _values_at(d: int) -> dict:
+    """``_CLI_VALUES`` with the options whose boundaries move with d: s from d to 2d, and
+    points on and off the box of radius 8 (one of them with d + 1 coordinates)."""
+    points = ["", *(",".join([c] + ["0"] * (d - 1)) for c in ("0", "-3", "8", "9")), "0," * d + "0"]
+    return {**_CLI_VALUES, "s": _reals(*(repr(f * d) for f in (1, 1.0001, 1.25, 1.5, 1.75, 1.9999, 2))),
+            "source": (points, _REFUSED_EVERYWHERE), "target": (points, _REFUSED_EVERYWHERE)}
+
+
+def cli_argv(pick) -> list:
+    """One command line over ``_COMMANDS`` (selfcheck aside), every option drawn by ``pick``
+    (a choice of one item from a sequence) from ``_values_at(d)``, at most two of them from
+    the refused values."""
+    command = pick(sorted(set(_COMMANDS) - {"selfcheck"}))
+    options = [opt.name for opt in _COMMANDS[command].options]
+    refused = {pick(options) for _ in range(pick([0, 1, 2]))}
+    argv, d = [command], 1
+    for name in options:
+        taken, bad = _values_at(d)[name]
+        if d == 4 and name in ("r", "box_radius_cap"):
+            taken = [v for v in taken if not float(v) > 8]
+        value = pick(bad if name in refused else taken)
+        if name == "d" and value in taken:
+            d = int(value)
+        argv.append(f"--{name.replace('_', '-')}={value}")
+    return argv
+
+
+class TestCommandTable:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_config_exits_0_or_2(self, tmp_path_factory, data):
+        argv = cli_argv(lambda seq: data.draw(st.sampled_from(seq)))
+        outdir = tmp_path_factory.mktemp("cli") / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--outdir", str(outdir)])
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: config:") and err.getvalue().count("\n") == 1
+            assert not outdir.exists()
+        else:
+            assert (outdir / "manifest.json").exists()
 
 
 class TestManifest:

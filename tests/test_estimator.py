@@ -524,6 +524,25 @@ class TestCollapseReport:
             assert not cell.missing and cell.reason == "" and cell.phi_hat > 0
         assert report.summaries[0].n_missing == 3
 
+    def test_refused_cells_build_no_field(self, monkeypatch):
+        # m_offset = 1 puts the t <= 0.5 radii (29 to 49) below 100 annulus
+        # vertices, and the cap of 60 refuses the rest (66 and 90): the
+        # pre-flights decide every cell, with no norm field and no sample.
+        radii = count_samples(monkeypatch)
+        fields = []
+        norm_field = Box.norm_field
+
+        def counted(box, *args, **kwargs):
+            fields.append(box.radius)
+            return norm_field(box, *args, **kwargs)
+
+        monkeypatch.setattr(Box, "norm_field", counted)
+        report = collapse_report([ModelParams(d=1, s=1.5, beta=math.e**3)], np.linspace(0.0, 1.0, 5),
+                                 n_replicas=2, seed0=0, m_offset=1, box_radius_cap=60)
+        assert [c.reason.split(" ", 1)[0] for c in report.cells] == ["annulus"] * 3 + ["box"] * 2
+        assert all(c.missing for c in report.cells)
+        assert fields == [] and radii == []
+
     def test_memory_cap_drops_only_the_largest_box(self):
         params_list = [ModelParams(d=1, s=1.5, beta=math.e**3),
                        ModelParams(d=1, s=1.5, beta=math.e**4)]
@@ -545,8 +564,9 @@ class TestCollapseReport:
         assert [c for c in report.cells if not c.missing] == list(rest.cells)
 
     def test_memory_cap_checked_before_the_pre_check_field(self):
-        # At m_offset = 6 the d=2 radii are 1226 and 13115: the thin-annulus
-        # pre-check would build norm fields of 46 MiB and 5.1 GiB.
+        # At m_offset = 6 the d=2 radii are 1226 and 13115, whose norm fields
+        # would take 46 MiB and 5.1 GiB: the sweep's memory check refuses
+        # each box before its field is built.
         from scipy import stats  # noqa: F401  collapse_report's own import is not the field
 
         tracemalloc.start()
@@ -559,7 +579,7 @@ class TestCollapseReport:
         assert peak <= 8 * 2**20
         assert [c.missing for c in report.cells] == [True, True]
         for cell in report.cells:
-            assert cell.reason.startswith("annulus field and mask needs an estimated")
+            assert cell.reason.startswith("annulus field and masks needs an estimated")
 
     def test_missing_cells_on_box_cap(self):
         params_list = [ModelParams(d=1, s=1.5, beta=math.e**3)]
