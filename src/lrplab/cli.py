@@ -41,13 +41,14 @@ from . import __version__
 from .model import NORMS, ModelParams, derived_constants, norm_value
 from .exponents import exponent_table, ratio_report, theta_closed_form, theta_fast, theta_recursive
 from .limits import lambda_of_t, lower_curve, psi_limit
-from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, _check_box, compute_c0, graph_from_edges,
-                      sample_graph, sample_graph_coupled, sample_z)
+from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, MemoryCapExceeded, _check_box, _check_class_memory,
+                      compute_c0, graph_from_edges, sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import (
     _check_collapse_betas,
     _check_ladder,
     _check_radii,
+    _check_replica_memory,
     _deviation_fraction,
     collapse_report,
     estimate_phi,
@@ -369,10 +370,11 @@ def _check_limit_curve(cfg: dict) -> None:
 
 
 def _check_sampled_box(cfg: dict) -> None:
-    """The library's box pre-flight on --L, as a config error."""
+    """The library's box and class-enumeration pre-flights on --L, as config errors."""
     try:
         _check_box(cfg["d"], cfg["L"])
-    except ValueError as exc:
+        _check_class_memory(Box(cfg["d"], cfg["L"]), DEFAULT_MEMORY_CAP)
+    except (ValueError, MemoryCapExceeded) as exc:
         raise ConfigError(f"L: {exc}") from exc
 
 
@@ -422,7 +424,8 @@ def _check_replicas(cfg: dict, params_list: list) -> None:
 def _check_estimate_phi(cfg: dict) -> None:
     try:
         _check_radii(cfg["params"], [cfg["r"]], cfg["delta"])
-    except ValueError as exc:
+        _check_replica_memory(Box(cfg["d"], math.ceil(cfg["r"])), 1, 1, DEFAULT_MEMORY_CAP)
+    except (ValueError, MemoryCapExceeded) as exc:
         raise ConfigError(f"r: {exc}") from exc
     _check_replicas(cfg, [cfg["params"]])
 

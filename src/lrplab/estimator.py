@@ -10,7 +10,7 @@ Replicas are independent jobs with seeds seed0, seed0 + 1, ...; every
 estimator here is a deterministic function of (params, radii, n_replicas,
 seed0), and one runner, ``_replica``, samples and searches every replica.
 Confidence intervals are seeded percentile bootstraps with 1000
-resamples by default.
+resamples.
 
 Finite-volume caveat: the graph is sampled on the box of the largest radius
 in the call, so shortest paths cannot leave the box and distances near its
@@ -20,7 +20,6 @@ boundary carry a small upward bias; this is inherent to any finite window.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .sampler import (
     Box,
     MemoryCapExceeded,
     _check_box,
+    _check_class_memory,
     _check_coupled_ladder,
     _check_memory,
     _vertex_stage_memory,
@@ -44,6 +44,7 @@ from .limits import collapse_radius, psi_limit, tail_envelope
 _BOOTSTRAP_TAG = 0xB007
 _GAP_TAG = 0x6A7
 _COLLAPSE_TAG = 0xC077
+_BOOTSTRAP_RESAMPLES = 1000
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class ExperimentRecord:
     phi_hat: float
     n_points: int
     annulus_fraction: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,24 @@ def _shell_masks(nrm: np.ndarray, radii, halfwidth: float) -> list:
     return [np.abs(nrm - rho) <= halfwidth * rho for rho in radii]
 
 
+def _check_replica_memory(box: Box, n_rungs: int, n_shells: int, memory_cap_bytes: int) -> int:
+    """Raise MemoryCapExceeded unless a replica of ``n_rungs`` rungs and ``n_shells`` shells on ``box``
+    fits ``memory_cap_bytes``; returns the cap left to its sampler.
+
+    Its per-vertex arrays (``_vertex_stage_memory`` and one mask per shell
+    past the first) are checked, then, under the cap less those masks, the
+    sampler's class enumeration.  Pure arithmetic on the box and the
+    counts, so a caller can refuse a config before it builds anything.
+    """
+    _check_memory(_vertex_stage_memory(box, n_rungs) + (n_shells - 1) * box.n_vertices,
+                  memory_cap_bytes, "annulus field and masks")
+    sampler_cap = memory_cap_bytes - (n_shells - 1) * box.n_vertices
+    _check_class_memory(box, sampler_cap)
+    return sampler_cap
+
+
 def _replica(args, last_level: int | None = None) -> list:
-    """One coupled sample on ``box`` and one BFS per rung: (wall_time, hists) per rung.
+    """One coupled sample on ``box`` and one BFS per rung: each rung's shell histograms.
 
     The caller owns the shells: ``shell_masks(norm_field, radii, width)``, a
     module-level function so that it pickles, gives one mask per shell, and
@@ -96,28 +112,22 @@ def _replica(args, last_level: int | None = None) -> list:
     its vertices reached.  A shell's unreached vertices go into one
     overflow bin just above the last level searched, so ``hist.sum()``,
     every prefix sum up to that level and ``_hist_median`` equal their
-    values over the whole box's distances.  The memory cap is checked
+    values over the whole box's distances.  ``_check_replica_memory`` runs
     before the norm field is built.
     """
     params_list, box, seed, (shell_masks, radii, width), memory_cap_bytes = args
-    t0 = time.perf_counter()
-    _check_memory(_vertex_stage_memory(box, len(params_list)) + (len(radii) - 1) * box.n_vertices,
-                  memory_cap_bytes, "annulus field and masks")
+    sampler_cap = _check_replica_memory(box, len(params_list), len(radii), memory_cap_bytes)
     masks = shell_masks(box.norm_field((0,) * box.d, params_list[0].norm), radii, width)
     halves = [int(np.count_nonzero(mask)) // 2 for mask in masks]
-    samples = sample_graph_coupled(params_list, box, seed,
-                                   memory_cap_bytes=memory_cap_bytes - (len(masks) - 1) * box.n_vertices)
-    shared = time.perf_counter() - t0
+    samples = sample_graph_coupled(params_list, box, seed, memory_cap_bytes=sampler_cap)
     origin = box.index_of(np.zeros(box.d, dtype=np.int64))
     rungs = []
     for sample in samples:
-        t1 = time.perf_counter()
-        level = -1
-        reached = [0] * len(masks)
+        reached, last = [0] * len(masks), 0
 
-        def settled(frontier):
-            nonlocal level
-            level += 1
+        def settled(level, frontier):
+            nonlocal last
+            last = level
             if last_level is not None:
                 return level >= last_level
             for j, mask in enumerate(masks):
@@ -129,9 +139,9 @@ def _replica(args, last_level: int | None = None) -> list:
         hists = []
         for mask in masks:
             shell = dist[mask]
-            shell[shell < 0] = level + 1
+            shell[shell < 0] = last + 1
             hists.append(np.bincount(shell))
-        rungs.append((shared + time.perf_counter() - t1, hists))
+        rungs.append(hists)
     return rungs
 
 
@@ -141,13 +151,13 @@ def _hist_median(hist: np.ndarray) -> float:
     return float(np.searchsorted(np.cumsum(hist), [(n - 1) // 2, n // 2], side="right").sum() / 2)
 
 
-def _bootstrap_ci(rng: np.random.Generator, n_bootstrap: int, stat, *samples) -> tuple:
+def _bootstrap_ci(rng: np.random.Generator, stat, *samples) -> tuple:
     """Percentile-bootstrap 95% CI of ``stat`` of the replica means of ``samples``.
 
     Every sample holds the same replicas on its last axis.  Per sample, in
-    order, one (n_bootstrap, n) matrix of replica indices is drawn from
-    ``rng``; ``stat`` gets each sample's resampled means (its replica axis
-    replaced by a bootstrap axis) and the CI is their 2.5 and 97.5
+    order, one (_BOOTSTRAP_RESAMPLES, n) matrix of replica indices is drawn
+    from ``rng``; ``stat`` gets each sample's resampled means (its replica
+    axis replaced by a bootstrap axis) and the CI is their 2.5 and 97.5
     percentiles.  With one replica both ends are ``stat`` of the plain
     means, and ``rng`` is not touched.
     """
@@ -155,7 +165,7 @@ def _bootstrap_ci(rng: np.random.Generator, n_bootstrap: int, stat, *samples) ->
     if n == 1:
         v = float(stat(*(s.mean(axis=-1) for s in samples)))
         return v, v
-    means = [s[..., rng.integers(0, n, size=(n_bootstrap, n))].mean(axis=-1) for s in samples]
+    means = [s[..., rng.integers(0, n, size=(_BOOTSTRAP_RESAMPLES, n))].mean(axis=-1) for s in samples]
     boot = stat(*means)
     return float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))
 
@@ -270,7 +280,7 @@ def _check_radii(params: ModelParams, radii, delta: float) -> list:
 
 
 def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int, delta: float,
-                     n_bootstrap: int, executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
+                     executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
     """PhiEstimates [rung][radius]; rung i's bootstrap is seeded by bootstrap_keys[i] at every radius."""
     _check_delta(delta)
     _check_ladder(params_list, n_replicas, seed0)
@@ -282,17 +292,15 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
     per_replica = list(mapper(_replica, args))
 
     def record(i, bi, ri):
-        (wall_time, hists), r, pm = per_replica[i][bi], radii[ri], params_list[bi]
-        return ExperimentRecord(params=pm, r=float(r), seed=int(seed0 + i),
-                                phi_hat=_hist_median(hists[ri]) / scales[ri],
-                                n_points=int(hists[ri].sum()),
-                                annulus_fraction=int(hists[ri].sum()) / box.n_vertices, wall_time=wall_time)
+        hist = per_replica[i][bi][ri]
+        return ExperimentRecord(params=params_list[bi], r=float(radii[ri]), seed=int(seed0 + i),
+                                phi_hat=_hist_median(hist) / scales[ri], n_points=int(hist.sum()),
+                                annulus_fraction=int(hist.sum()) / box.n_vertices)
 
     def estimate(bi, ri):
         records = tuple(record(i, bi, ri) for i in range(n_replicas))
         phis = np.array([rec.phi_hat for rec in records])
-        ci_low, ci_high = _bootstrap_ci(np.random.default_rng(bootstrap_keys[bi]), n_bootstrap,
-                                        lambda m: m, phis)
+        ci_low, ci_high = _bootstrap_ci(np.random.default_rng(bootstrap_keys[bi]), lambda m: m, phis)
         return PhiEstimate(params=params_list[bi], r=float(radii[ri]), n_replicas=n_replicas,
                            seed0=int(seed0), phi_hat=float(phis.mean()), ci_low=ci_low,
                            ci_high=ci_high, records=records)
@@ -301,7 +309,7 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
 
 
 def estimate_phi(params: ModelParams, r: float, n_replicas: int, seed0: int,
-                 delta: float = 0.1, n_bootstrap: int = 1000, executor=None,
+                 delta: float = 0.1, executor=None,
                  memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> PhiEstimate:
     """Estimate phi(r) over independent replicas seeded seed0 + i.
 
@@ -312,12 +320,12 @@ def estimate_phi(params: ModelParams, r: float, n_replicas: int, seed0: int,
     deterministic either way.  This is a ladder of one: its phi_hat and
     records equal those of ``estimate_phi_ladder([params], ...)``.
     """
-    return _estimate_ladder([params], [r], n_replicas, seed0, delta, n_bootstrap, executor,
-                            memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0][0]
+    return _estimate_ladder([params], [r], n_replicas, seed0, delta, executor, memory_cap_bytes,
+                            [[seed0, _BOOTSTRAP_TAG]])[0][0]
 
 
 def estimate_phi_ladder(params_list, r: float, n_replicas: int, seed0: int,
-                        delta: float = 0.1, n_bootstrap: int = 1000, executor=None,
+                        delta: float = 0.1, executor=None,
                         memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> list:
     """estimate_phi along an ascending beta ladder with monotone coupling.
 
@@ -328,8 +336,8 @@ def estimate_phi_ladder(params_list, r: float, n_replicas: int, seed0: int,
     """
     params_list = list(params_list)
     keys = [[seed0, _BOOTSTRAP_TAG, bi] for bi in range(len(params_list))]
-    return [row[0] for row in _estimate_ladder(params_list, [r], n_replicas, seed0, delta,
-                                               n_bootstrap, executor, memory_cap_bytes, keys)]
+    return [row[0] for row in _estimate_ladder(params_list, [r], n_replicas, seed0, delta, executor,
+                                               memory_cap_bytes, keys)]
 
 
 def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: float) -> float:
@@ -379,18 +387,18 @@ class PeriodicityDiagnostic:
 
 
 def periodicity_diagnostic(params: ModelParams, r: float, n_replicas: int, seed0: int,
-                           delta: float = 0.1, n_bootstrap: int = 1000, executor=None,
+                           delta: float = 0.1, executor=None,
                            memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> PeriodicityDiagnostic:
     """Compare phi_hat at radii one log-log period apart (r and r**(1/gamma)),
     both read from one sample per replica on the box of the outer radius."""
     gamma, _ = derived_constants(params)
     r_next = r ** (1.0 / gamma)
-    est1, est2 = _estimate_ladder([params], [r, r_next], n_replicas, seed0, delta, n_bootstrap,
-                                  executor, memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0]
+    est1, est2 = _estimate_ladder([params], [r, r_next], n_replicas, seed0, delta, executor,
+                                  memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0]
     phis1, phis2 = (np.array([rec.phi_hat for rec in est.records]) for est in (est1, est2))
     gap = (est2.phi_hat - est1.phi_hat) / est1.phi_hat
-    lo, hi = _bootstrap_ci(np.random.default_rng([seed0, _GAP_TAG]), n_bootstrap,
-                           lambda m1, m2: (m2 - m1) / m1, phis1, phis2)
+    lo, hi = _bootstrap_ci(np.random.default_rng([seed0, _GAP_TAG]), lambda m1, m2: (m2 - m1) / m1,
+                           phis1, phis2)
     return PeriodicityDiagnostic(r=float(r), r_next=float(r_next), estimate_r=est1,
                                  estimate_r_next=est2, relative_gap=float(gap),
                                  gap_ci_low=lo, gap_ci_high=hi)
@@ -436,8 +444,8 @@ class CollapseReport:
 
 
 def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: int = 4,
-                    delta: float = 0.1, box_radius_cap: int = 10**7, n_bootstrap: int = 1000,
-                    executor=None, memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> CollapseReport:
+                    delta: float = 0.1, box_radius_cap: int = 10**7, executor=None,
+                    memory_cap_bytes: int = DEFAULT_MEMORY_CAP) -> CollapseReport:
     """Tabulate empirical psi against psi_limit over a beta ladder and t grid.
 
     For each beta and t the probe radius is
@@ -445,7 +453,8 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     offset keeps r simulable and is exact to the log-log period.  One coupled
     sample of the ladder per replica (seed0 + i), on the box of the largest
     live radius, serves every cell.  The betas must strictly increase, each
-    above e, and delta must lie in (0, 1).  Cells whose box exceeds
+    above e, every t must lie in [0, 1] (``collapse_radius`` refuses any
+    other) and delta in (0, 1).  Cells whose box exceeds
     ``box_radius_cap`` (a radius past the float range among them), whose
     radius ``_check_radii`` refuses (a box past the index limits, an
     annulus too thin, a (log r)**Delta past the float range), whose sweep
@@ -457,8 +466,6 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     params_list = list(params_list)
     _check_collapse_betas(params_list)
     t_vals = [float(t) for t in t_grid]
-    if any(not 0.0 <= t <= 1.0 for t in t_vals):
-        raise ValueError("t grid must lie in [0, 1]")
     _check_delta(delta)
     _check_ladder(params_list, n_replicas, seed0)
 
@@ -476,9 +483,8 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     radii = [r for r in radii if r not in reasons]
     while radii:  # a memory refusal grows with the radius: drop the largest and sweep the rest
         try:
-            ladder = _estimate_ladder(params_list, radii, n_replicas, seed0, delta, n_bootstrap,
-                                      executor, memory_cap_bytes,
-                                      [[seed0, _BOOTSTRAP_TAG]] * len(params_list))
+            ladder = _estimate_ladder(params_list, radii, n_replicas, seed0, delta, executor,
+                                      memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]] * len(params_list))
             break
         except MemoryCapExceeded as exc:
             reasons[radii.pop()] = str(exc)
@@ -513,7 +519,7 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
         discrepancies = np.array([abs(c.value - c.limit) for c in live] or [math.nan])
         limits = np.array([c.limit for c in live])
         rank = float(stats.spearmanr([c.value for c in live], limits)[0]) if len(live) > 1 else math.nan
-        ci_lo, ci_hi = _bootstrap_ci(rng, n_bootstrap, lambda m: np.abs(m.T * lb_pow - limits).mean(axis=-1),
+        ci_lo, ci_hi = _bootstrap_ci(rng, lambda m: np.abs(m.T * lb_pow - limits).mean(axis=-1),
                                      np.array([c.replica_phis for c in live])) if live else (math.nan,) * 2
         summaries.append(CollapseSummary(
             beta=pm.beta, n_cells=len(mine), n_missing=len(mine) - len(live),
@@ -571,8 +577,8 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     _check_ladder([params], n_replicas, seed0)
     points, hits = np.zeros((2, len(radii)), dtype=np.int64)
     for i in range(n_replicas):
-        [(_, hists)] = _replica(([params], box, seed0 + i, (_shell_masks, radii, shell_halfwidth),
-                                 memory_cap_bytes), last_level=n)
+        [hists] = _replica(([params], box, seed0 + i, (_shell_masks, radii, shell_halfwidth), memory_cap_bytes),
+                           last_level=n)
         points += [hist.sum() for hist in hists]
         hits += [hist[:n + 1].sum() for hist in hists]
 

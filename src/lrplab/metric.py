@@ -206,21 +206,19 @@ def _mask_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray) -> np
     return np.flatnonzero(hit)
 
 
-def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
-         max_level: int | None = None, allow=None, stop=None) -> np.ndarray:
+def _bfs(sample: GraphSample, src_idx: int, *, allow=None, stop=None) -> np.ndarray:
     """Level-synchronous BFS from src_idx; returns int32 distances, -1 = unreached.
 
     Each level takes the top-down or the bottom-up step, by the work rule
     of the module docstring, and a top-down level finishes by the stamp or,
     when its work exceeds n/8, by the mask; every way finds the same level
-    set, so only the frontier's order depends on the choice.  ``until``: stop
-    once this vertex's level is fixed.  ``max_level``: do not expand past
-    this level.  ``allow``: boolean mask over box vertices; only vertices
-    it admits are entered, by either step (used for restricted distances).
-    ``stop``: a private hook for callers that read only part of the field,
-    called with each level's frontier (the source's first) once that level
-    is written; the search ends when it returns true, so every vertex at or
-    below that level has its distance and every other one reads -1.
+    set, so only the frontier's order depends on the choice.  ``allow``:
+    boolean mask over box vertices; only vertices it admits are entered, by
+    either step (used for restricted distances).  ``stop``: the one way to
+    end a search early, called as ``stop(level, frontier)`` once each level
+    is written, the source's level 0 first; the search ends when it returns
+    true, so every vertex at or below that level has its distance and every
+    other one reads -1.
     """
     box = sample.box
     *halves, degree = _adjacency(sample)
@@ -235,13 +233,7 @@ def _bfs(sample: GraphSample, src_idx: int, *, until: int | None = None,
     dist[src_idx] = 0
     frontier = np.array([src_idx], dtype=np.int64)
     level = 0
-    while frontier.size:
-        if until is not None and dist[until] >= 0:
-            break
-        if max_level is not None and level >= max_level:
-            break
-        if stop is not None and stop(frontier):
-            break
+    while frontier.size and not (stop is not None and stop(level, frontier)):
         level += 1
         frontier_work = int(degree[frontier].sum()) + lattice * frontier.size
         unvisited_work -= frontier_work
@@ -289,7 +281,7 @@ def distance_pair(sample: GraphSample, x, y) -> int:
     yi = _as_index(sample.box, y)
     if xi == yi:
         return 0
-    dist = _bfs(sample, xi, until=yi)
+    dist = _bfs(sample, xi, stop=lambda level, frontier: bool(np.any(frontier == yi)))
     return int(dist[yi])
 
 
@@ -324,7 +316,7 @@ def _restricted_bfs(sample: GraphSample, x, y, radius: float, strict: bool) -> R
     admissible = admissible < radius if strict else admissible <= radius
     if not admissible[yi]:
         return RestrictedDistanceResult(value=math.inf, constraint_radius=radius, truncated_by_box=truncated)
-    dist = _bfs(sample, xi, until=yi, allow=admissible)
+    dist = _bfs(sample, xi, allow=admissible, stop=lambda level, frontier: bool(np.any(frontier == yi)))
     value = int(dist[yi]) if dist[yi] >= 0 else math.inf
     return RestrictedDistanceResult(value=value, constraint_radius=radius, truncated_by_box=truncated)
 
@@ -372,5 +364,5 @@ def intrinsic_ball(sample: GraphSample, x, k: int) -> int:
     if k < 0:
         raise ValueError("k must be >= 0")
     xi = _as_index(sample.box, x)
-    dist = _bfs(sample, xi, max_level=k)
+    dist = _bfs(sample, xi, stop=lambda level, frontier: level >= k)
     return int(np.count_nonzero(dist >= 0))

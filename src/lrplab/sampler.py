@@ -249,6 +249,22 @@ def _check_memory(estimated_bytes: float, cap_bytes: int, stage: str):
         raise MemoryCapExceeded(estimated_bytes, cap_bytes, stage)
 
 
+def _check_class_memory(box: Box, memory_cap_bytes: int) -> None:
+    """Raise MemoryCapExceeded unless ``_displacement_classes`` on ``box`` fits ``memory_cap_bytes``.
+
+    It holds the d columns of the canonical rows of the (2L + 1)(4L + 1)**(d - 1)
+    row displacement mesh, those after the zero vector less the d unit
+    vectors, and past d = 1 one column of the mesh.  Pure integer
+    arithmetic on (d, L), so a caller can refuse a config before it builds
+    anything.
+    """
+    grid = (4 * box.radius + 1) ** (box.d - 1)
+    raw_rows = box.side * grid
+    kept = raw_rows - grid // 2 - 1 - box.d
+    _check_memory(8.0 * ((box.d > 1) * raw_rows + box.d * kept), memory_cap_bytes,
+                  "displacement class enumeration")
+
+
 def _displacement_classes(box: Box, memory_cap_bytes: int) -> np.ndarray:
     """All canonical displacement class representatives present in the box.
 
@@ -256,6 +272,7 @@ def _displacement_classes(box: Box, memory_cap_bytes: int) -> np.ndarray:
     representative per {v, -v} pair); zero and nearest-neighbor
     displacements are excluded.  Rows are sorted lexicographically.
     """
+    _check_class_memory(box, memory_cap_bytes)
     L = box.radius
     if box.d == 1:
         return np.arange(2, 2 * L + 1, dtype=np.int64).reshape(-1, 1)
@@ -267,10 +284,7 @@ def _displacement_classes(box: Box, memory_cap_bytes: int) -> np.ndarray:
     grid_strides = _grid_strides(box)
     zero = int(grid_strides[0] - 1) // 2
     cuts = [zero, *(zero + grid_strides[::-1]).tolist(), raw_rows]
-    # one mesh column and the kept rows
-    kept = raw_rows - zero - 1 - box.d
-    _check_memory(8.0 * (raw_rows + box.d * kept), memory_cap_bytes, "displacement class enumeration")
-    classes = np.empty((kept, box.d), dtype=np.int64, order="F")
+    classes = np.empty((raw_rows - zero - 1 - box.d, box.d), dtype=np.int64, order="F")
     mesh_column = np.empty(shape, dtype=np.int64)
     for i in range(box.d):
         values = np.arange(0 if i == 0 else -2 * L, 2 * L + 1, dtype=np.int64)

@@ -358,12 +358,19 @@ class TestConfigDecidedRefusals:
         ("r", ["estimate-phi", "--r", "50", "--delta", "0.999"], "holds only 0 vertices"),
         ("r", ["estimate-phi", "--r", "1e300"], "62 bits"),
         ("r", ["estimate-phi", "--s", "1.9999", "--r", "300"], "(log r)**Delta"),
-    ], ids=["sample-edge-keys", "phi-small-annulus", "phi-thin-annulus", "phi-62-bits", "phi-log-scale"])
+        ("L", ["sample", "--d", "4", "--s", "5"], "displacement class enumeration needs an estimated 30.43 GiB"),
+        ("L", ["distances", "--d", "4", "--s", "7.99"],
+         "displacement class enumeration needs an estimated 481.86 GiB"),
+        ("r", ["estimate-phi", "--d", "4", "--s", "5", "--r", "50", "--n-replicas", "1"],
+         "annulus field and masks needs an estimated 5.81 GiB"),
+    ], ids=["sample-edge-keys", "phi-small-annulus", "phi-thin-annulus", "phi-62-bits", "phi-log-scale",
+            "sample-class-memory", "distances-class-memory", "phi-replica-memory"])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, key, argv, match):
         def sampled(*args, **kwargs):
             raise AssertionError("sampling reached")
 
         monkeypatch.setattr(lrplab.cli, "sample_graph", sampled)
+        monkeypatch.setattr(lrplab.cli, "sample_graph_coupled", sampled)
         monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", sampled)
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err

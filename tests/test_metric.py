@@ -627,9 +627,19 @@ class TestHubGraph:
             assert ("_mask_finish", False) in top_down_finishes
 
     @pytest.mark.parametrize("d, radius, hub, seed", HUBS)
-    def test_until_max_level_allow_match_oracle(self, d, radius, hub, seed, top_down_finishes):
+    def test_stop_hooks_and_allow_match_oracle(self, d, radius, hub, seed, top_down_finishes):
         queries_match_oracle(hub_graph(d, radius, hub, seed), seed)
         assert ("_mask_finish", True) in top_down_finishes
+
+
+def reaches(target):
+    """A ``_bfs`` stop hook that ends the search once ``target``'s level is written."""
+    return lambda level, frontier: bool(np.any(frontier == target))
+
+
+def at_level(k):
+    """A ``_bfs`` stop hook that ends the search once level ``k`` is written."""
+    return lambda level, frontier: level >= k
 
 
 def assert_no_scratch_left(dist, expected):
@@ -656,10 +666,10 @@ def queries_match_oracle(g, seed, n_queries=8):
         ref = oracles.reference_distances(d, radius, pairs, xt)
         full = np.array([ref[c] for c in coords])
         assert distance_pair(g, x, y) == ref[yt]
-        assert_no_scratch_left(metric._bfs(g, i, until=j), full)
+        assert_no_scratch_left(metric._bfs(g, i, stop=reaches(j)), full)
         for k in range(5):
             assert intrinsic_ball(g, x, k) == sum(v <= k for v in ref.values())
-            assert_no_scratch_left(metric._bfs(g, i, max_level=k), full)
+            assert_no_scratch_left(metric._bfs(g, i, stop=at_level(k)), full)
         if i == j:
             continue
         ell1 = float(np.abs(x - y).sum())
@@ -667,7 +677,7 @@ def queries_match_oracle(g, seed, n_queries=8):
                                                         strict=True)
         assert restricted_distance(g, x, y).value == inside.get(yt, math.inf)
         allow = box.norm_field(x, g.params.norm) < 2 * ell1
-        assert_no_scratch_left(metric._bfs(g, i, until=j, allow=allow),
+        assert_no_scratch_left(metric._bfs(g, i, allow=allow, stop=reaches(j)),
                                np.array([inside.get(c, -1) for c in coords]))
         for k in (0, 1):
             got = restricted_k_distance(g, x, y, k, 0.8)
@@ -770,9 +780,17 @@ class TestDirectionSwitching:
 
             full = np.array([ref[c] for c in coords])
             src_idx = int(box.index_of(np.array(src)))
-            assert_no_scratch_left(metric._bfs(g, src_idx, until=int(box.index_of(np.array(far)))), full)
+            assert_no_scratch_left(metric._bfs(g, src_idx, stop=reaches(int(box.index_of(np.array(far))))), full)
             for k in range(last + 1):
-                assert_no_scratch_left(metric._bfs(g, src_idx, max_level=k), full)
+                assert_no_scratch_left(metric._bfs(g, src_idx, stop=at_level(k)), full)
+
+    @pytest.mark.parametrize("d, norm", SWITCHING)
+    def test_stop_hook_sees_each_level_once_in_order(self, d, norm, bottom_up_levels):
+        g = self.graph(d, norm)
+        calls = []
+        dist = metric._bfs(g, 0, stop=lambda level, frontier: calls.append((level, sorted(frontier.tolist()))))
+        assert bottom_up_levels and set(range(1, int(dist.max()) + 1)) - set(bottom_up_levels)
+        assert calls == [(k, np.flatnonzero(dist == k).tolist()) for k in range(int(dist.max()) + 1)]
 
     @pytest.mark.parametrize("d, norm", SWITCHING)
     def test_restricted_searches_match_oracle(self, d, norm, bottom_up_levels):

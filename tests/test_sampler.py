@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -572,6 +573,34 @@ class TestDisplacementClasses:
         expected = np.searchsorted(sampler._class_codes(box, classes), sampler._class_codes(box, disp))
         assert len(top) > 100
         np.testing.assert_array_equal(classes[expected], disp)
+
+    @pytest.mark.parametrize("d, radius", [(1, 5000), (2, 40), (3, 9), (4, 4)])
+    def test_memory_preflight_is_the_enumeration_peak(self, monkeypatch, d, radius):
+        # The pre-flight counts what the enumeration holds at once, from (d, L) alone.
+        estimates = []
+        monkeypatch.setattr(sampler, "_check_memory", lambda est, cap, stage: estimates.append(est))
+        box = Box(d=d, radius=radius)
+        sampler._check_class_memory(box, 0)
+        tracemalloc.start()
+        try:
+            sampler._displacement_classes(box, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimates[0] == estimates[1]
+        assert estimates[0] <= peak <= estimates[0] + 4096
+
+    def test_refused_before_any_class_is_built(self):
+        # d = 1 too: 2L - 1 classes of 8 bytes, over the cap before its 16 MiB are allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryCapExceeded) as exc:
+                sample_graph(PM, Box(d=1, radius=2**20), seed=0, memory_cap_bytes=2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.stage == "displacement class enumeration"
+        assert peak < 2**20
 
 
 class TestGraphFromEdges:
