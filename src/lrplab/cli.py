@@ -615,14 +615,17 @@ def _cmd_figure1(cfg, config_hash, outdir, created):
                config_hash, ["beta", "u", "v"], [beta, *ends], created)
 
 
-def _executor(jobs: int):
-    """A process pool of ``jobs`` workers to open with ``with``; one job runs in this process (None)."""
-    return ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+def _executor(jobs: int, replicas: int):
+    """A process pool to open with ``with``, of ``jobs`` workers but never more than the replicas or
+    the CPUs this process may use; a pool of one runs the replicas in this process (None)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, replicas, cpus)
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
 
 
 def _cmd_estimate_phi(cfg, config_hash, outdir, created):
     params = cfg["params"]
-    with _executor(cfg["jobs"]) as executor:
+    with _executor(cfg["jobs"], cfg["n_replicas"]) as executor:
         est = estimate_phi(params, cfg["r"], cfg["n_replicas"], cfg["seed"],
                            delta=cfg["delta"], executor=executor)
     n = len(est.records)
@@ -647,7 +650,7 @@ def _cmd_estimate_phi(cfg, config_hash, outdir, created):
 
 def _cmd_collapse(cfg, config_hash, outdir, created):
     t_grid = np.linspace(0.0, 1.0, cfg["t_points"]).tolist()
-    with _executor(cfg["jobs"]) as executor:
+    with _executor(cfg["jobs"], cfg["n_replicas"]) as executor:
         report = collapse_report(cfg["params_list"], t_grid, cfg["n_replicas"], cfg["seed"],
                                  m_offset=cfg["m_offset"], delta=cfg["delta"],
                                  box_radius_cap=cfg["box_radius_cap"], executor=executor)

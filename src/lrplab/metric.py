@@ -10,8 +10,8 @@ tails)``, with int64 row pointers (n + 1 each).  Row u of the out-half
 holds the heads of the edges out of u and row u of the in-half the tails of
 the edges into u, both ascending, so every edge appears once per endpoint.
 Since ``long_edges`` is sorted by (tail, head), ``heads`` is its head
-column itself, a view; ``tails`` is uint32 (boxes have fewer than 2**31.5
-vertices), the low words of the sorted keys ``head << 32 | tail``.
+column itself, a view; ``tails`` is uint32, the low words of the sorted
+pair keys ``head << 32 | tail`` (``sampler`` module docstring).
 
 The frontier is held as a flat index array, one generation at a time, and
 each level is found by one of two steps (Beamer, Asanovic and Patterson,
@@ -78,10 +78,9 @@ _BLOCKED = -2
 def _check_long_edges(edges: np.ndarray, n: int):
     """Raise ValueError unless ``edges`` is in the ``GraphSample.long_edges`` order.
 
-    With 0 <= tail < head < n, strictly increasing keys tail * n + head are
-    rows in strictly increasing (tail, head) order: no tail falls, and a
-    row whose tail stays raises its head.  Neighbour compares on the two
-    columns check that without building the keys.
+    With 0 <= tail < head < n, rows must rise strictly in the pair key
+    tail << 32 | head: no tail falls, and a row whose tail stays raises its
+    head, which neighbour compares on the two columns check without keys.
     """
     if not len(edges):
         return

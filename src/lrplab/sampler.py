@@ -18,7 +18,7 @@ Randomness layout ``philox4x64-v3`` (counter-based, splittable):
   later round takes, classes again in order, one word per slot still
   missing (a rejected word or an in-class duplicate), and appends to the
   same stream until every class holds K distinct pairs.  N < 2**32 holds
-  for every class, since boxes need n_vertices**2 < 2**63.
+  for every class, since a box holds at most 2**32 vertices (below).
 * every dense class v (``K * 64 > N``) gets stream ``class_code(v)`` <
   2**63, a fixed-width packing of its components, and a partial shuffle
   on it through numpy's ``Generator.choice``.
@@ -37,13 +37,14 @@ The binomial and partial-shuffle draws ride numpy Generator methods,
 which numpy pins per version; within one environment the output is
 bit-stable.  Pair indices within a class enumerate the admissible tail
 vertices (the lexicographically smaller endpoints) in row-major order over
-the rectangle of tails; edges are finally sorted by the int64 key
-``tail * n_vertices + head``, i.e. by (tail, head), so the output is
-independent of construction order.  Each rung's keys are written into the
-head column of the (m, 2) column-major edge array that is returned, sorted
-there and split into tail and head in place.  Sparse round 0 maps, sorts
-and deduplicates its words in blocks of about 2**16 words of whole rows;
-the block size decides no word's use, so no output bit depends on it.
+the rectangle of tails.  A vertex pair's key is ``hi << 32 | lo``, sorted
+as uint64, so a box holds at most 2**32 vertices (``_check_box``).  Each
+rung's keys ``tail << 32 | head`` are written into the head column of the
+(m, 2) column-major edge array that is returned, sorted there (so the
+output is independent of construction order) and split in place.  Sparse
+round 0 maps, sorts and deduplicates its words in blocks of about 2**16
+words of whole rows; the block size decides no word's use, so no output
+bit depends on it.
 """
 
 from __future__ import annotations
@@ -92,6 +93,9 @@ class MemoryCapExceeded(RuntimeError):
             f"{stage} needs an estimated {estimated_bytes / 2**30:.2f} GiB, "
             f"over the configured cap of {cap_bytes / 2**30:.2f} GiB"
         )
+
+    def __reduce__(self):  # so that a refusal crosses back from a worker process whole
+        return type(self), (self.estimated_bytes, self.cap_bytes, self.stage)
 
 
 class RejectionCapExceeded(RuntimeError):
@@ -415,48 +419,48 @@ def _select_sparse(N: np.ndarray, K: np.ndarray, bit_generator) -> tuple:
 
 
 def _pair_keys(box: Box, classes: np.ndarray, cls, sel: np.ndarray, out: np.ndarray):
-    """Write the edge keys tail * n + head of pair indices ``sel`` into ``out``.
+    """Write the edge keys tail << 32 | head of pair indices ``sel`` into uint64 ``out``.
 
     ``cls`` holds each index's row of ``classes``, or is one row index that
     all of them share (a dense class's block).  Pair index j enumerates the
     admissible tails of class v row-major over the rectangle of tail
-    coordinates x_i in [-L + max(0, -v_i), L - max(0, v_i)], and
-    head = tail + v @ strides.  So the key is t @ strides * (n + 1) plus one
-    offset per class, (max(0, -v) * (n + 1) + v) @ strides, with t the
-    digits of j over that rectangle.  ``sel`` is overwritten.
+    coordinates x_i in [-L + max(0, -v_i), L - max(0, v_i)], and head =
+    tail + v @ strides, so the key is t @ strides * (2**32 + 1) plus the
+    class's first key, with t the digits of j.  ``sel`` is overwritten.
     """
-    strides, n1 = box.strides, box.n_vertices + 1
-    out[...] = ((np.maximum(0, -classes) * n1 + classes) @ strides)[cls]
+    strides = box.strides
+    first = (np.maximum(-classes, 0) @ strides).view(np.uint64) << np.uint64(32)
+    out[...] = (first | (np.maximum(classes, 0) @ strides).view(np.uint64))[cls]
     for i in range(box.d - 1, 0, -1):
         width = (box.side - np.abs(classes[:, i]))[cls]
-        digit = np.remainder(sel, width)
-        digit *= strides[i] * n1
+        digit = np.remainder(sel, width).view(np.uint64)
+        digit *= np.uint64(int(strides[i]) * (2**32 + 1))
         out += digit
         sel //= width
-    sel *= strides[0] * n1
+    sel = sel.view(np.uint64)
+    sel *= np.uint64(int(strides[0]) * (2**32 + 1))
     out += sel
 
 
-def _sort_and_decode(edges: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Sort the keys tail * n + head in the head column of column-major (m, 2) ``edges`` and decode
-    them in place into (tail, head) rows; returns ``edges``."""
-    keys = edges[:, 1]
+def _sort_and_decode(edges: np.ndarray) -> np.ndarray:
+    """Sort the uint64 keys tail << 32 | head in column-major ``edges``'s head column; split them in place."""
+    keys = edges[:, 1].view(np.uint64)
     keys.sort()
-    np.divmod(keys, n_vertices, out=(edges[:, 0], keys))
+    np.right_shift(keys, np.uint64(32), out=edges[:, 0].view(np.uint64))
+    keys &= np.uint64(0xFFFFFFFF)
     return edges
 
 
 def _check_box(d: int, radius: int) -> None:
     """Raise ValueError unless graphs can be sampled on the box of ``radius`` in dimension ``d``.
 
-    The ``Box`` must exist, and its n vertices' edge keys tail * n + head
-    must fit in an int64 (n**2 < 2**63, so every class's pair count is
-    below 2**32).  Pure integer arithmetic, so a caller can refuse a config
-    before it builds anything.
+    The ``Box`` must exist and hold at most the pair keys' 2**32 vertices
+    (module docstring).  Pure integer arithmetic, so a caller can refuse a
+    config before it builds anything.
     """
     n = Box(d, radius).n_vertices
-    if n * n >= 2**63:
-        raise ValueError(f"box too large: {n} vertices, and edge keys tail * n + head need n**2 < 2**63")
+    if n > 2**32:
+        raise ValueError(f"box too large: {n} vertices, and pair keys hi << 32 | lo need n <= 2**32")
 
 
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
@@ -588,7 +592,7 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     n_sparse = sparse.size
     del sparse, order
     top = np.empty((int(K.sum()), 2), dtype=np.int64, order="F")
-    keys = top[:, 1]  # built in class order, then sorted and decoded in place
+    keys = top[:, 1].view(np.uint64)  # built in class order, then sorted and decoded in place
     cls, sel = _select_sparse(N[:n_sparse], K[:n_sparse], _stream(seed, _SPARSE_STREAM))
     at = sel.size
     _pair_keys(box, classes[:n_sparse], cls, sel, keys[:at])
@@ -607,11 +611,11 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
             rung = np.empty((positions.size, 2), dtype=np.int64, order="F")
             # A take of in-range positions: mode "clip" writes straight into the column, where
             # np.compress buffers its output and a boolean index runs 2-4x slower under numpy 2.4.
-            np.take(keys, positions, out=rung[:, 1], mode="clip")
+            np.take(keys, positions, out=rung[:, 1].view(np.uint64), mode="clip")
             del positions
-            rungs.append(_sort_and_decode(rung, box.n_vertices))
+            rungs.append(_sort_and_decode(rung))
         del u
-    return rungs + [_sort_and_decode(top, box.n_vertices)]
+    return rungs + [_sort_and_decode(top)]
 
 
 def sample_graph(params: ModelParams, box: Box, seed: int,
@@ -625,8 +629,8 @@ def sample_graph(params: ModelParams, box: Box, seed: int,
     pairs from one shared stream, and each dense class's pairs from its
     own keyed stream (module docstring).  This is the ladder of one,
     ``sample_graph_coupled([params], ...)``.  Raises ValueError for boxes
-    of 2**31.5 vertices or more, and MemoryCapExceeded before any large
-    allocation if the plan exceeds ``memory_cap_bytes``.
+    over 2**32 vertices (``_check_box``), and MemoryCapExceeded before any
+    large allocation if the plan exceeds ``memory_cap_bytes``.
     """
     return sample_graph_coupled([params], box, seed, memory_cap_bytes)[0]
 
@@ -687,9 +691,9 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
     tail, head = edges_sorted[:, 0], edges_sorted[:, 1]
     np.minimum(e[:, 0], e[:, 1], out=tail)
     np.maximum(e[:, 0], e[:, 1], out=head)
-    tail *= box.n_vertices
-    head += tail  # the key tail * n + head, which _sort_and_decode sorts and splits again
-    _sort_and_decode(edges_sorted, box.n_vertices)
+    keys = head.view(np.uint64)
+    keys |= tail.view(np.uint64) << np.uint64(32)  # tail << 32 | head, which _sort_and_decode splits again
+    _sort_and_decode(edges_sorted)
     if np.any((tail[1:] == tail[:-1]) & (head[1:] == head[:-1])):
         raise ValueError("duplicate edges")
     return _mark_validated(GraphSample(params=params, box=box, seed=seed, long_edges=edges_sorted))

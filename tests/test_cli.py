@@ -274,6 +274,32 @@ class TestEstimatePhiCommand:
             assert bytes_a == (b / name).read_bytes()
             assert bytes_a == (c / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs, replicas, cpus, workers", [
+        (5000, 2, 4, 2), (5000, 5, 3, 3), (2, 5, 4, 2), (4, 1, 4, None), (4, 4, 1, None), (1, 4, 4, None),
+    ])
+    def test_pool_never_outgrows_the_replicas_or_cpus(self, tmp_path, monkeypatch, jobs, replicas, cpus,
+                                                      workers):
+        # A real pool starts all its workers at the first submit; this stand-in starts none.
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(lrplab.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert run(tmp_path, "estimate-phi", "--d", "1", "--s", "1.5", "--beta", "1.0", "--r", "300",
+                   "--n-replicas", str(replicas), "--seed", "0", "--jobs", str(jobs)) == 0
+        assert pools == ([] if workers is None else [workers])
+
     def test_annulus_error_is_a_config_error(self, tmp_path, capsys):
         code = run(tmp_path, "estimate-phi", "--d", "1", "--s", "1.5",
                    "--beta", "1.0", "--r", "20", "--n-replicas", "1", "--seed", "0")
@@ -284,6 +310,21 @@ class TestEstimatePhiCommand:
 
 
 class TestCollapseCommand:
+    def test_byte_identity_across_jobs_through_memory_refusals(self, tmp_path, monkeypatch):
+        # Both cells are refused, the r = 1.72e8 one by the memory cap inside each replica, so a
+        # pool of two must carry that refusal back from its workers.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        args = ["collapse", "--d", "1", "--s", "1.5", "--log-betas", "3", "--t-points", "2",
+                "--n-replicas", "2", "--m-offset", "7", "--box-radius-cap", "100000000000", "--seed", "0"]
+        a, c = tmp_path / "a", tmp_path / "c"
+        assert main([*args, "--outdir", str(a)]) == 0
+        assert main([*args, "--jobs", "2", "--outdir", str(c)]) == 0
+        for name in ("collapse_records.csv", "collapse_cells.csv", "collapse_summary.csv"):
+            assert (a / name).read_bytes() == (c / name).read_bytes()
+        _, rows = read_csv(c / "collapse_cells.csv")
+        assert [row[8] for row in rows] == ["1", "1"]
+        assert "annulus field and masks needs an estimated 19.22 GiB" in rows[0][9]
+
     def test_small_run(self, tmp_path):
         assert run(tmp_path, "collapse", "--d", "1", "--s", "1.5",
                    "--log-betas", "3,4", "--t-points", "3", "--n-replicas", "2",
@@ -353,7 +394,7 @@ class TestConfigDecidedRefusals:
     the option, and nothing written, before any sampling."""
 
     @pytest.mark.parametrize("key, argv, match", [
-        ("L", ["sample", "--d", "3", "--s", "4.5", "--L", "3000"], "n**2 < 2**63"),
+        ("L", ["sample", "--d", "3", "--s", "4.5", "--L", "3000"], "n <= 2**32"),
         ("r", ["estimate-phi", "--r", "2", "--n-replicas", "1"], "holds only 2 vertices"),
         ("r", ["estimate-phi", "--r", "50", "--delta", "0.999"], "holds only 0 vertices"),
         ("r", ["estimate-phi", "--r", "1e300"], "62 bits"),

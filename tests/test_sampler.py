@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -240,6 +241,14 @@ class TestSampleGraph:
         assert exc.value.estimated_bytes > exc.value.cap_bytes
         assert exc.value.stage
 
+    def test_memory_refusal_survives_pickling(self):
+        # A refusal raised in a replica's worker process crosses back by pickle.
+        exc = MemoryCapExceeded(2.06 * 2**30, sampler.DEFAULT_MEMORY_CAP, "graph sampling")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is MemoryCapExceeded and str(back) == str(exc)
+        assert (back.estimated_bytes, back.cap_bytes, back.stage) == (exc.estimated_bytes, exc.cap_bytes,
+                                                                      exc.stage)
+
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             sample_graph(PM, Box(d=1, radius=5), seed=-1)
@@ -400,11 +409,52 @@ class TestGeneratorV2:
             raise AssertionError("class enumeration reached")
 
         monkeypatch.setattr(sampler, "_displacement_classes", enumerate_classes)
-        box = Box(1, 2**31)  # n = 2**32 + 1 vertices, n**2 >= 2**63
-        with pytest.raises(ValueError, match="n\\*\\*2"):
+        box = Box(1, 2**31)  # n = 2**32 + 1 vertices
+        with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
             sample_graph(PM, box, seed=0)
-        with pytest.raises(ValueError, match="n\\*\\*2"):
+        with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
             sample_graph_coupled([PM], box, seed=0)
+
+    @pytest.mark.parametrize("d, fits, over", [(1, 2**31 - 1, 2**31), (2, 32767, 32768)])
+    def test_box_limit_is_the_pair_keys_2_to_the_32_vertices(self, d, fits, over):
+        # (2 * fits + 1)**d < 2**32 < (2 * over + 1)**d; neither check allocates.
+        tracemalloc.start()
+        try:
+            sampler._check_box(d, fits)
+            with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
+                sampler._check_box(d, over)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_sort_and_decode_sorts_keys_as_uint64(self):
+        # Tails of 2**31 or more give keys of 2**63 or more, which an int64 sort would put first.
+        rows = [(2**32 - 2, 2**32 - 1), (3, 2**31 + 7), (2**31, 2**31 + 1), (2**31 + 5, 2**32 - 1), (3, 4)]
+        tail, head = np.array(rows, dtype=np.uint64).T
+        edges = np.empty((len(rows), 2), dtype=np.int64, order="F")
+        edges[:, 1] = (tail << np.uint64(32) | head).view(np.int64)
+        assert np.count_nonzero(edges[:, 1] < 0) == 3
+        assert sampler._sort_and_decode(edges) is edges
+        assert edges.tolist() == sorted(map(list, rows))
+
+    @pytest.mark.parametrize("d, radius, v", [(1, 2**31 - 1, (5,)), (2, 32767, (3, -4))])
+    def test_pair_keys_in_the_largest_boxes(self, d, radius, v):
+        # Boxes of nearly 2**32 vertices: the last pair's tail passes 2**31, so its key passes 2**63.
+        box = Box(d, radius)
+        widths = [box.side - abs(c) for c in v]
+        sel = np.array([0, math.prod(widths) // 2, math.prod(widths) - 1], dtype=np.int64)
+        expected = []
+        for j in sel.tolist():
+            digits = []
+            for width in reversed(widths):
+                j, digit = divmod(j, width)
+                digits.insert(0, digit)
+            tail = np.array(digits) + [max(0, -c) - radius for c in v]
+            expected.append(box.index_of(tail) << 32 | box.index_of(tail + v))
+        keys = np.empty(sel.size, dtype=np.uint64)
+        sampler._pair_keys(box, np.array([v], dtype=np.int64), np.zeros(sel.size, dtype=np.int64), sel, keys)
+        assert keys.tolist() == expected and expected[-1] >= 2**63
 
 
 class TestLongEdgePins:
