@@ -11,8 +11,10 @@ shortest round-trip repr ('.' decimal; nan, inf, -inf), bools as 0/1,
 strings quoted by the csv module where needed.  Every output file carries the
 hash of the resolved config that produced it; a manifest.json with the
 config echo, library versions, wall time, and timestamp is written last,
-so its presence marks a completed run.  Partial outputs are removed on
-error.  Exit codes: 0 ok, 2 config error, 3 runtime error.
+so its presence marks a completed run.  Partial outputs, and an outdir the
+run created, are removed on error.  Exit codes: 0 ok, 2 config error, 3
+runtime error.  A memory-cap refusal is a config error even once a run has
+begun, since every memory estimate depends on the options alone.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from . import __version__
 from .model import NORMS, ModelParams, derived_constants, norm_value
 from .exponents import exponent_table, ratio_report, theta_closed_form, theta_fast, theta_recursive
 from .limits import lambda_of_t, lower_curve, psi_limit
-from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, MemoryCapExceeded, _check_box, _check_class_memory,
-                      compute_c0, graph_from_edges, sample_graph, sample_graph_coupled, sample_z)
+from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, MemoryCapExceeded, _check_class_memory, compute_c0,
+                      graph_from_edges, sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import (
     _check_collapse_betas,
@@ -372,7 +374,6 @@ def _check_limit_curve(cfg: dict) -> None:
 def _check_sampled_box(cfg: dict) -> None:
     """The library's box and class-enumeration pre-flights on --L, as config errors."""
     try:
-        _check_box(cfg["d"], cfg["L"])
         _check_class_memory(Box(cfg["d"], cfg["L"]), DEFAULT_MEMORY_CAP)
     except (ValueError, MemoryCapExceeded) as exc:
         raise ConfigError(f"L: {exc}") from exc
@@ -884,7 +885,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {_one_line(str(exc))}", file=sys.stderr)
         return 2
-    created = []
+    created, fresh = [], not outdir.exists()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         config_hash = _config_hash(command, raw)
@@ -893,8 +894,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # deliberate catch-all: the CLI contract is exit codes
         for path in created:
             path.unlink(missing_ok=True)
-        print(f"error: runtime: {_one_line(str(exc))}", file=sys.stderr)
-        return 3
+        if fresh:
+            with contextlib.suppress(OSError):
+                outdir.rmdir()
+        kind, code = ("config", 2) if isinstance(exc, MemoryCapExceeded) else ("runtime", 3)
+        print(f"error: {kind}: {_one_line(str(exc))}", file=sys.stderr)
+        return code
     return 0
 
 

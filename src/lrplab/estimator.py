@@ -29,7 +29,6 @@ from .sampler import (
     DEFAULT_MEMORY_CAP,
     Box,
     MemoryCapExceeded,
-    _check_box,
     _check_class_memory,
     _check_coupled_ladder,
     _check_memory,
@@ -220,9 +219,9 @@ def _ball_count(d: int, norm: str, t: int, memo: dict) -> int:
 def _annulus_size(d: int, norm: str, r: float, delta: float) -> int:
     """The vertices ``_annulus_masks`` counts in {delta * r <= |x| < r}, found with no norm field.
 
-    In d = 1 every norm is |x|, exactly.  Otherwise, for a box that passes
-    ``_check_box``, the norm field holds g(h(x)) with h an integer that
-    float64 keeps exact (``_ball_count``) and g the identity or, under
+    In d = 1 every norm is |x|, exactly.  Otherwise, in any ``Box`` (at
+    most 2**32 vertices), the norm field holds g(h(x)) with h an integer
+    that float64 keeps exact (``_ball_count``) and g the identity or, under
     ell2, the correctly rounded square root.  g is monotone, so g(h) >= a
     holds exactly from the least integer h that meets it on, and the
     annulus count is a difference of two ball counts.
@@ -261,14 +260,14 @@ def _check_radii(params: ModelParams, radii, delta: float) -> list:
     """Refuse, before any sampling, radii the config alone rules out; their (log r)**Delta otherwise.
 
     Each radius must be a finite real above 1, the box of radius
-    ceil(max r) must pass ``_check_box``, each annulus
+    ceil(max r) must be a ``Box`` (at most 2**32 vertices), each annulus
     {delta * r <= |x| < r} must hold 100 lattice points, and each
     (log r)**Delta must be a positive finite float; delta is taken to lie
     in (0, 1) already.
     """
     if any(not 1 < r < math.inf for r in radii):
         raise ValueError(f"r must be a finite real > 1, got {radii}")
-    _check_box(params.d, math.ceil(max(radii)))
+    Box(params.d, math.ceil(max(radii)))
     for r in radii:
         # The 2d axis points at distance k from 0, delta * r <= k < r, lie in the annulus under every norm.
         if 2 * params.d * (math.ceil(r) - math.ceil(delta * r)) < 100:

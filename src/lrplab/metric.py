@@ -89,7 +89,7 @@ def _check_long_edges(edges: np.ndarray, n: int):
     if (tail[0] < 0 or head.max() >= n or np.any(tail >= head) or np.any(t1 < t0)
             or not np.all((t1 > t0) | (head[1:] > head[:-1]))):
         raise ValueError("long_edges must be vertex index pairs (i, j) with 0 <= i < j < n_vertices, "
-                         "sorted by strictly increasing i * n_vertices + j")
+                         "sorted by strictly increasing key i << 32 | j")
 
 
 def _adjacency(sample: GraphSample):

@@ -38,7 +38,7 @@ which numpy pins per version; within one environment the output is
 bit-stable.  Pair indices within a class enumerate the admissible tail
 vertices (the lexicographically smaller endpoints) in row-major order over
 the rectangle of tails.  A vertex pair's key is ``hi << 32 | lo``, sorted
-as uint64, so a box holds at most 2**32 vertices (``_check_box``).  Each
+as uint64, so a box holds at most 2**32 vertices (``Box``).  Each
 rung's keys ``tail << 32 | head`` are written into the head column of the
 (m, 2) column-major edge array that is returned, sorted there (so the
 output is independent of construction order) and split in place.  Sparse
@@ -108,7 +108,8 @@ class Box:
 
     Vertices are indexed 0..(2*radius+1)**d - 1 in row-major coordinate
     order: index(x) = sum_i (x_i + radius) * (2*radius+1)**(d-1-i), so the
-    index order is the lexicographic order on coordinates.
+    index order is the lexicographic order on coordinates.  A box holds at
+    most 2**32 vertices, the most that pair keys hi << 32 | lo can index.
     """
 
     d: int
@@ -121,8 +122,10 @@ class Box:
             raise ValueError(f"box radius must be an integer >= 1, got {self.radius!r}")
         object.__setattr__(self, "d", int(self.d))
         object.__setattr__(self, "radius", int(self.radius))
-        if self.side**self.d >= 2**62:
-            raise ValueError("box too large: vertex indices must fit in 62 bits")
+        bits = self.d * (self.side.bit_length() - 1)  # n > 2**bits, read without computing n
+        if bits >= 32 or self.n_vertices > 2**32:
+            count = f"over 2**{bits}" if bits >= 64 else self.n_vertices
+            raise ValueError(f"box too large: {count} vertices, and pair keys hi << 32 | lo need n <= 2**32")
 
     @property
     def side(self) -> int:
@@ -312,14 +315,12 @@ def _class_pair_counts(box: Box, classes: np.ndarray) -> np.ndarray:
 
 
 def _class_codes(box: Box, classes: np.ndarray) -> np.ndarray:
-    """Pack each displacement into a < 2**63 stream id (fixed-width components)."""
+    """Pack each displacement into a < 2**63 stream id (fixed-width components).
+
+    Each component's 4L + 1 values fit its 63 // d bits in every box of at
+    most 2**32 vertices (``Box``).
+    """
     bits = 63 // box.d
-    span = 4 * box.radius + 1
-    if span > (1 << bits):
-        raise ValueError(
-            f"box radius {box.radius} too large to key displacement streams in "
-            f"dimension {box.d} ({bits} bits per component)"
-        )
     codes = np.zeros(len(classes), dtype=np.uint64)
     for i in range(box.d):
         offs = (classes[:, i] + 2 * box.radius).astype(np.uint64)
@@ -451,18 +452,6 @@ def _sort_and_decode(edges: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _check_box(d: int, radius: int) -> None:
-    """Raise ValueError unless graphs can be sampled on the box of ``radius`` in dimension ``d``.
-
-    The ``Box`` must exist and hold at most the pair keys' 2**32 vertices
-    (module docstring).  Pure integer arithmetic, so a caller can refuse a
-    config before it builds anything.
-    """
-    n = Box(d, radius).n_vertices
-    if n > 2**32:
-        raise ValueError(f"box too large: {n} vertices, and pair keys hi << 32 | lo need n <= 2**32")
-
-
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
     """The per-vertex bytes of ``_edge_stage_memory``'s search stage at a bottom-up level, which need
     no class or edge count.
@@ -567,7 +556,6 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     the classes with edges, in that order, so key j's class is entry j of
     ``np.repeat(np.arange(len(K)), K)`` and is never recovered from an edge.
     """
-    _check_box(box.d, box.radius)
     classes = _displacement_classes(box, memory_cap_bytes)
     N = _class_pair_counts(box, classes)
     P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
@@ -628,9 +616,9 @@ def sample_graph(params: ModelParams, box: Box, seed: int,
     vector comes from the reserved counts stream, the sparse classes'
     pairs from one shared stream, and each dense class's pairs from its
     own keyed stream (module docstring).  This is the ladder of one,
-    ``sample_graph_coupled([params], ...)``.  Raises ValueError for boxes
-    over 2**32 vertices (``_check_box``), and MemoryCapExceeded before any
-    large allocation if the plan exceeds ``memory_cap_bytes``.
+    ``sample_graph_coupled([params], ...)``.  Raises MemoryCapExceeded
+    before any large allocation if the plan exceeds ``memory_cap_bytes``;
+    ``Box`` already refuses boxes over 2**32 vertices.
     """
     return sample_graph_coupled([params], box, seed, memory_cap_bytes)[0]
 
@@ -673,7 +661,6 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
     Validates box membership, rejects self-loops, nearest-neighbor pairs
     (implicit edges), and duplicates; normalizes orientation and order.
     """
-    _check_box(box.d, box.radius)
     e = np.asarray(edges, dtype=np.int64)
     if e.size == 0:
         e = np.empty((0, 2), dtype=np.int64)

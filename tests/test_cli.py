@@ -397,14 +397,14 @@ class TestConfigDecidedRefusals:
         ("L", ["sample", "--d", "3", "--s", "4.5", "--L", "3000"], "n <= 2**32"),
         ("r", ["estimate-phi", "--r", "2", "--n-replicas", "1"], "holds only 2 vertices"),
         ("r", ["estimate-phi", "--r", "50", "--delta", "0.999"], "holds only 0 vertices"),
-        ("r", ["estimate-phi", "--r", "1e300"], "62 bits"),
+        ("r", ["estimate-phi", "--r", "1e300"], "over 2**997 vertices, and pair keys hi << 32 | lo need n <= 2**32"),
         ("r", ["estimate-phi", "--s", "1.9999", "--r", "300"], "(log r)**Delta"),
         ("L", ["sample", "--d", "4", "--s", "5"], "displacement class enumeration needs an estimated 30.43 GiB"),
         ("L", ["distances", "--d", "4", "--s", "7.99"],
          "displacement class enumeration needs an estimated 481.86 GiB"),
         ("r", ["estimate-phi", "--d", "4", "--s", "5", "--r", "50", "--n-replicas", "1"],
          "annulus field and masks needs an estimated 5.81 GiB"),
-    ], ids=["sample-edge-keys", "phi-small-annulus", "phi-thin-annulus", "phi-62-bits", "phi-log-scale",
+    ], ids=["sample-edge-keys", "phi-small-annulus", "phi-thin-annulus", "phi-huge-box", "phi-log-scale",
             "sample-class-memory", "distances-class-memory", "phi-replica-memory"])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, key, argv, match):
         def sampled(*args, **kwargs):
@@ -416,7 +416,25 @@ class TestConfigDecidedRefusals:
         assert run(tmp_path, *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {key}:") and match in err and err.count("\n") == 1
+        assert len(err) < 200
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--L", "6000"],
+        ["distances", "--L", "6000"],
+        ["estimate-phi", "--r", "6000"],
+        ["estimate-phi", "--r", "6000", "--n-replicas", "2", "--jobs", "2"],
+    ], ids=["sample", "distances", "phi", "phi-jobs-2"])
+    def test_memory_cap_refusal_exits_2_once_sampling_began(self, tmp_path, capsys, argv):
+        # The graph-sampling estimate needs the class tables, so it is no pre-flight; it reads
+        # the options alone, so the same refusal comes back at every seed.
+        for seed in ("0", "1"):
+            outdir = tmp_path / seed
+            assert main([*argv, "--d", "1", "--s", "1.5", "--beta", "1e9", "--seed", seed,
+                         "--outdir", str(outdir)]) == 2
+            assert capsys.readouterr().err == ("error: config: graph sampling needs an estimated 2.06 GiB, "
+                                               "over the configured cap of 2.00 GiB\n")
+            assert not outdir.exists()
 
 
 class TestSelfcheck:

@@ -148,7 +148,7 @@ class TestEstimatePhi:
         (PM, 2.0, 0.1, "holds only 2 vertices"),
         (PM, 50.0, 0.999, "holds only 0 vertices"),
         (ModelParams(d=2, s=3.0, beta=1.0, norm="ell2"), 1000.3, 0.99999, "holds only 56 vertices"),
-        (PM, 1e300, 0.1, "62 bits"),
+        (PM, 1e300, 0.1, "997 vertices, and pair keys"),
         (ModelParams(d=3, s=4.5, beta=1.0), 3000.0, 0.1, "n <= 2\\*\\*32"),
         (ModelParams(d=1, s=1.9999, beta=1.0), 300.0, 0.1, "positive finite"),
     ])

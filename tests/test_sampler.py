@@ -283,6 +283,11 @@ def select_sparse_resorting(N, K, bit_generator):
     return keys >> 32, keys & 0xFFFFFFFF
 
 
+# The largest radius L with (2L + 1)**d <= 2**32, per dimension d.
+LARGEST_RADIUS = {1: 2**31 - 1, 2: 32767, 3: 812, 4: 127, 5: 41, 6: 19, 7: 11, 8: 7, 9: 5, 10: 4,
+                  11: 3, 12: 2, 13: 2, **{d: 1 for d in range(14, 21)}}
+
+
 class TestGeneratorV2:
     def test_bounded_draws_unbiased(self):
         # n = 3 * 2**30: without rejection, x * n >> 32 = floor(3x / 4) hits
@@ -405,28 +410,56 @@ class TestGeneratorV2:
         assert len(opened) <= 2 + 50
 
     def test_oversized_box_refused_before_class_enumeration(self, monkeypatch):
+        # The Box itself refuses, so no sampler is ever handed an oversized box.
         def enumerate_classes(*args):
             raise AssertionError("class enumeration reached")
 
         monkeypatch.setattr(sampler, "_displacement_classes", enumerate_classes)
-        box = Box(1, 2**31)  # n = 2**32 + 1 vertices
         with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
-            sample_graph(PM, box, seed=0)
+            sample_graph(PM, Box(1, 2**31), seed=0)  # n = 2**32 + 1 vertices
         with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
-            sample_graph_coupled([PM], box, seed=0)
+            sample_graph_coupled([PM], Box(1, 2**31), seed=0)
 
     @pytest.mark.parametrize("d, fits, over", [(1, 2**31 - 1, 2**31), (2, 32767, 32768)])
     def test_box_limit_is_the_pair_keys_2_to_the_32_vertices(self, d, fits, over):
-        # (2 * fits + 1)**d < 2**32 < (2 * over + 1)**d; neither check allocates.
+        # (2 * fits + 1)**d < 2**32 < (2 * over + 1)**d; neither construction allocates.
         tracemalloc.start()
         try:
-            sampler._check_box(d, fits)
+            Box(d, fits)
             with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
-                sampler._check_box(d, over)
+                Box(d, over)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+    def test_box_limit_in_every_dimension(self):
+        tracemalloc.start()
+        try:
+            for d, radius in LARGEST_RADIUS.items():
+                assert Box(d, radius).n_vertices <= 2**32
+                with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
+                    Box(d, radius + 1)
+            with pytest.raises(ValueError, match="n <= 2\\*\\*32"):
+                Box(21, 1)  # 3**21 vertices: no box exists in d >= 21
+            with pytest.raises(ValueError, match="over 2\\*\\*1000000 vertices"):
+                Box(10**6, 1)  # refused without the 200 KB integer 3**(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("d", sorted(LARGEST_RADIUS))
+    def test_class_codes_fit_in_the_largest_boxes(self, d):
+        # Every displacement component takes 4L + 1 values in its 63 // d bits, so the
+        # extreme classes' codes are exact below 2**63: the 2**32 vertex limit is the guard.
+        radius = LARGEST_RADIUS[d]
+        bits = 63 // d
+        assert 4 * radius + 1 <= 2**bits
+        classes = np.array([[-2 * radius] * d, [2 * radius] * d], dtype=np.int64)
+        codes = sampler._class_codes(Box(d, radius), classes).tolist()
+        assert codes == [0, sum(4 * radius << bits * (d - 1 - i) for i in range(d))]
+        assert codes[1] < 2**63
 
     def test_sort_and_decode_sorts_keys_as_uint64(self):
         # Tails of 2**31 or more give keys of 2**63 or more, which an int64 sort would put first.
