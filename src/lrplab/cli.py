@@ -3,7 +3,7 @@
 Commands: exponents, limit-curve, sample, distances, figure1, estimate-phi,
 collapse, selfcheck.  Options come from defaults, then a flat key=value
 config file (--config FILE), then CLI flags, in increasing precedence.
-All validation happens before any computation.
+Every option is validated before any computation.
 
 Outputs are CSV and JSON.  CSV tables have a fixed column order, LF line
 endings and one format per column: ints as decimal, floats as their
@@ -13,8 +13,9 @@ hash of the resolved config that produced it; a manifest.json with the
 config echo, library versions, wall time, and timestamp is written last,
 so its presence marks a completed run.  Partial outputs, and an outdir the
 run created, are removed on error.  Exit codes: 0 ok, 2 config error, 3
-runtime error.  A memory-cap refusal is a config error even once a run has
-begun, since every memory estimate depends on the options alone.
+runtime error.  The library checks the memory cap as it samples; its
+refusal is a config error even once a run has begun, since every memory
+estimate depends on the options alone.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ from . import __version__
 from .model import NORMS, ModelParams, derived_constants, norm_value
 from .exponents import exponent_table, ratio_report, theta_closed_form, theta_fast, theta_recursive
 from .limits import lambda_of_t, lower_curve, psi_limit
-from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, MemoryCapExceeded, _check_class_memory, compute_c0,
+from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, MemoryCapExceeded, _check_coupled_ladder, compute_c0,
                       graph_from_edges, sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import (
     _check_collapse_betas,
-    _check_ladder,
     _check_radii,
-    _check_replica_memory,
     _deviation_fraction,
     collapse_report,
     estimate_phi,
@@ -372,10 +371,10 @@ def _check_limit_curve(cfg: dict) -> None:
 
 
 def _check_sampled_box(cfg: dict) -> None:
-    """The library's box and class-enumeration pre-flights on --L, as config errors."""
+    """The library's box limit on --L, as a config error."""
     try:
-        _check_class_memory(Box(cfg["d"], cfg["L"]), DEFAULT_MEMORY_CAP)
-    except (ValueError, MemoryCapExceeded) as exc:
+        Box(cfg["d"], cfg["L"])
+    except ValueError as exc:
         raise ConfigError(f"L: {exc}") from exc
 
 
@@ -413,11 +412,11 @@ def _check_distances(cfg: dict) -> None:
 def _check_replicas(cfg: dict, params_list: list) -> None:
     """The library's replica pre-flight, as a config error.
 
-    The options already fix every rule of ``_check_ladder`` but the one on
+    The options fix every rule of ``_check_coupled_ladder`` but the one on
     the replica seeds seed + i (i < n_replicas), so a refusal is the seed's.
     """
     try:
-        _check_ladder(params_list, cfg["n_replicas"], cfg["seed"])
+        _check_coupled_ladder(params_list, cfg["seed"], cfg["n_replicas"])
     except ValueError as exc:
         raise ConfigError(f"seed: {exc}") from exc
 
@@ -425,8 +424,7 @@ def _check_replicas(cfg: dict, params_list: list) -> None:
 def _check_estimate_phi(cfg: dict) -> None:
     try:
         _check_radii(cfg["params"], [cfg["r"]], cfg["delta"])
-        _check_replica_memory(Box(cfg["d"], math.ceil(cfg["r"])), 1, 1, DEFAULT_MEMORY_CAP)
-    except (ValueError, MemoryCapExceeded) as exc:
+    except ValueError as exc:
         raise ConfigError(f"r: {exc}") from exc
     _check_replicas(cfg, [cfg["params"]])
 

@@ -29,10 +29,8 @@ from .sampler import (
     DEFAULT_MEMORY_CAP,
     Box,
     MemoryCapExceeded,
-    _check_class_memory,
     _check_coupled_ladder,
     _check_memory,
-    _vertex_stage_memory,
     sample_graph,  # unused here, but perfbench/tracing.py's PATCH_POINTS wraps it (ROADMAP item 2)
     sample_graph_coupled,
 )
@@ -82,22 +80,6 @@ def _shell_masks(nrm: np.ndarray, radii, halfwidth: float) -> list:
     return [np.abs(nrm - rho) <= halfwidth * rho for rho in radii]
 
 
-def _check_replica_memory(box: Box, n_rungs: int, n_shells: int, memory_cap_bytes: int) -> int:
-    """Raise MemoryCapExceeded unless a replica of ``n_rungs`` rungs and ``n_shells`` shells on ``box``
-    fits ``memory_cap_bytes``; returns the cap left to its sampler.
-
-    Its per-vertex arrays (``_vertex_stage_memory`` and one mask per shell
-    past the first) are checked, then, under the cap less those masks, the
-    sampler's class enumeration.  Pure arithmetic on the box and the
-    counts, so a caller can refuse a config before it builds anything.
-    """
-    _check_memory(_vertex_stage_memory(box, n_rungs) + (n_shells - 1) * box.n_vertices,
-                  memory_cap_bytes, "annulus field and masks")
-    sampler_cap = memory_cap_bytes - (n_shells - 1) * box.n_vertices
-    _check_class_memory(box, sampler_cap)
-    return sampler_cap
-
-
 def _replica(args, last_level: int | None = None) -> list:
     """One coupled sample on ``box`` and one BFS per rung: each rung's shell histograms.
 
@@ -111,14 +93,19 @@ def _replica(args, last_level: int | None = None) -> list:
     its vertices reached.  A shell's unreached vertices go into one
     overflow bin just above the last level searched, so ``hist.sum()``,
     every prefix sum up to that level and ``_hist_median`` equal their
-    values over the whole box's distances.  ``_check_replica_memory`` runs
-    before the norm field is built.
+    values over the whole box's distances.  It samples before it builds the
+    norm field, under the cap less the masks past the first, which the
+    sampler's search stage leaves out; a refusal adds them back to its
+    estimate and names the caller's cap.
     """
     params_list, box, seed, (shell_masks, radii, width), memory_cap_bytes = args
-    sampler_cap = _check_replica_memory(box, len(params_list), len(radii), memory_cap_bytes)
+    extra = (len(radii) - 1) * box.n_vertices
+    try:
+        samples = sample_graph_coupled(params_list, box, seed, memory_cap_bytes=memory_cap_bytes - extra)
+    except MemoryCapExceeded as exc:
+        raise MemoryCapExceeded(exc.estimated_bytes + extra, memory_cap_bytes, exc.stage) from None
     masks = shell_masks(box.norm_field((0,) * box.d, params_list[0].norm), radii, width)
     halves = [int(np.count_nonzero(mask)) // 2 for mask in masks]
-    samples = sample_graph_coupled(params_list, box, seed, memory_cap_bytes=sampler_cap)
     origin = box.index_of(np.zeros(box.d, dtype=np.int64))
     rungs = []
     for sample in samples:
@@ -167,13 +154,6 @@ def _bootstrap_ci(rng: np.random.Generator, stat, *samples) -> tuple:
     means = [s[..., rng.integers(0, n, size=(_BOOTSTRAP_RESAMPLES, n))].mean(axis=-1) for s in samples]
     boot = stat(*means)
     return float(np.percentile(boot, 2.5)), float(np.percentile(boot, 97.5))
-
-
-def _check_ladder(params_list: list, n_replicas: int, seed0: int) -> None:
-    """Refuse, before any sampling, a ladder no replica could run."""
-    if n_replicas < 1:
-        raise ValueError("n_replicas must be >= 1")
-    _check_coupled_ladder(params_list, seed0, n_replicas)
 
 
 def _check_collapse_betas(params_list: list) -> None:
@@ -282,7 +262,7 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
                      executor, memory_cap_bytes: int, bootstrap_keys: list) -> list:
     """PhiEstimates [rung][radius]; rung i's bootstrap is seeded by bootstrap_keys[i] at every radius."""
     _check_delta(delta)
-    _check_ladder(params_list, n_replicas, seed0)
+    _check_coupled_ladder(params_list, seed0, n_replicas)
     scales = _check_radii(params_list[0], radii, delta)
     box = Box(params_list[0].d, int(math.ceil(max(radii))))
     args = [(params_list, box, seed0 + i, (_annulus_masks, radii, delta), memory_cap_bytes)
@@ -460,13 +440,11 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
     the memory cap refuses, or whose beta's (log beta)**Delta overflows a
     float are marked missing with a reason, never fabricated.
     """
-    from scipy import stats  # deferred: importing scipy.stats takes about 1.2 s
-
     params_list = list(params_list)
     _check_collapse_betas(params_list)
     t_vals = [float(t) for t in t_grid]
     _check_delta(delta)
-    _check_ladder(params_list, n_replicas, seed0)
+    _check_coupled_ladder(params_list, seed0, n_replicas)
 
     plan = [(bi, pm, t, collapse_radius(pm, pm.beta, t, m_offset))
             for bi, pm in enumerate(params_list) for t in t_vals]
@@ -509,6 +487,8 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
             missing=bool(reason), reason=reason,
             replica_phis=tuple(rec.phi_hat for rec in est.records),
         ))
+
+    from scipy import stats  # deferred past every refusal: importing scipy.stats takes about 1.2 s
 
     summaries = []
     rng = np.random.default_rng([seed0, _COLLAPSE_TAG])
@@ -573,7 +553,7 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
         raise ValueError("shell_halfwidth must be in (0, 1)")
     box = Box(params.d, int(math.ceil(max(radii) * (1 + shell_halfwidth))))
     envs = [tail_envelope(params, n, rho, c, c_tilde, p) for rho in radii]  # validates n, c, p
-    _check_ladder([params], n_replicas, seed0)
+    _check_coupled_ladder([params], seed0, n_replicas)
     points, hits = np.zeros((2, len(radii)), dtype=np.int64)
     for i in range(n_replicas):
         [hists] = _replica(([params], box, seed0 + i, (_shell_masks, radii, shell_halfwidth), memory_cap_bytes),

@@ -45,6 +45,10 @@ output is independent of construction order) and split in place.  Sparse
 round 0 maps, sorts and deduplicates its words in blocks of about 2**16
 words of whole rows; the block size decides no word's use, so no output
 bit depends on it.
+
+A sample checks its memory cap twice, each time before what it counts is
+built: the class tables from (d, L) alone (``_check_class_memory``), then
+the rest from their expected edges (``_edge_stage_memory``).
 """
 
 from __future__ import annotations
@@ -233,9 +237,11 @@ class GraphSample:
 def _check_coupled_ladder(params_list: list, seed, n_seeds: int = 1) -> None:
     """Raise ValueError unless ``sample_graph_coupled`` can draw the ladder at seeds seed + i, i < n_seeds.
 
-    The ladder must be non-empty, share (d, s, norm, kernel) and have
-    ascending betas; the seeds must be integers in [0, 2**64).
+    n_seeds must be at least 1, and the ladder non-empty, with one (d, s,
+    norm, kernel) and ascending betas; the seeds must be integers in [0, 2**64).
     """
+    if n_seeds < 1:
+        raise ValueError("n_replicas must be >= 1")
     if not params_list:
         raise ValueError("params_list must be non-empty")
     shared = {(pm.d, pm.s, pm.norm, pm.kernel) for pm in params_list}
@@ -256,30 +262,37 @@ def _check_memory(estimated_bytes: float, cap_bytes: int, stage: str):
         raise MemoryCapExceeded(estimated_bytes, cap_bytes, stage)
 
 
-def _check_class_memory(box: Box, memory_cap_bytes: int) -> None:
-    """Raise MemoryCapExceeded unless ``_displacement_classes`` on ``box`` fits ``memory_cap_bytes``.
+def _class_table_bytes(d: int, n_rungs: int) -> float:
+    """Bytes per class that the counts stage of ``_edge_stage_memory`` holds over every class."""
+    return 8.0 * d + 8.0 + 8.0 * n_rungs + max(18.0, 8.0 * n_rungs)
 
-    It holds the d columns of the canonical rows of the (2L + 1)(4L + 1)**(d - 1)
-    row displacement mesh, those after the zero vector less the d unit
-    vectors, and past d = 1 one column of the mesh.  Pure integer
-    arithmetic on (d, L), so a caller can refuse a config before it builds
-    anything.
+
+def _check_class_memory(box: Box, n_rungs: int, memory_cap_bytes: int) -> None:
+    """Raise MemoryCapExceeded unless the class tables of an ``n_rungs`` ladder on ``box`` fit the cap.
+
+    The larger of what ``_displacement_classes`` holds (the d columns of the
+    canonical rows of the (2L + 1)(4L + 1)**(d - 1) row displacement mesh,
+    and past d = 1 one column of the mesh) and what ``_sample_rungs`` holds
+    up to its graph-sampling check: ``_class_table_bytes`` per class, n
+    bytes of margin, and the buffer through which a ufunc casts int64
+    class rows or pair counts to float64 (8 bytes per element of
+    ``np.getbufsize()``).  Pure arithmetic on (d, L) and the rung count.
     """
     grid = (4 * box.radius + 1) ** (box.d - 1)
     raw_rows = box.side * grid
     kept = raw_rows - grid // 2 - 1 - box.d
-    _check_memory(8.0 * ((box.d > 1) * raw_rows + box.d * kept), memory_cap_bytes,
+    tables = _class_table_bytes(box.d, n_rungs) * kept + box.n_vertices + 8.0 * np.getbufsize()
+    _check_memory(max(8.0 * ((box.d > 1) * raw_rows + box.d * kept), tables), memory_cap_bytes,
                   "displacement class enumeration")
 
 
-def _displacement_classes(box: Box, memory_cap_bytes: int) -> np.ndarray:
+def _displacement_classes(box: Box) -> np.ndarray:
     """All canonical displacement class representatives present in the box.
 
     Canonical means the first nonzero component is positive (one
     representative per {v, -v} pair); zero and nearest-neighbor
     displacements are excluded.  Rows are sorted lexicographically.
     """
-    _check_class_memory(box, memory_cap_bytes)
     L = box.radius
     if box.d == 1:
         return np.arange(2, 2 * L + 1, dtype=np.int64).reshape(-1, 1)
@@ -476,15 +489,16 @@ def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges
     be sparse, and ``kept_classes`` a bound on the expected number of
     classes that hold edges (the sum of min(1, expected edges)).  The
     peak is the largest of five stages, each counted by what it holds at
-    once; every stage also holds the replica's annulus mask (1 byte per
-    vertex).
+    once.  The adjacency and search stages hold the replica's annulus mask
+    (1 byte per vertex); the sampling stages come before the replica builds
+    it, and keep those n bytes as margin.
 
     * Drawing the counts, over every class: the class rows, pair counts and
       one probability per rung, then the edge counts and their sparse and
       dense tests (8d + 8 + 8 per rung + 18 per class), or while the
-      probabilities are stacked, a second copy of them; and the copies of
-      the tables cut down to the classes that hold edges, with their
-      sparse and dense positions.
+      probabilities are stacked, a second copy of them
+      (``_class_table_bytes``); and the copies of the tables cut down to the
+      classes that hold edges, with their sparse and dense positions.
     * Choosing the pairs, over the classes that hold edges (8d + 16 + 8 per
       rung each: rows, pair counts, edge counts, probabilities): the top
       rung's edge array, whose head column takes the keys (16 per edge),
@@ -516,17 +530,17 @@ def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges
       since a level runs top-down only while its frontier holds at most a
       third of the work.
 
-    The norm field the replica builds before sampling (at most 24 bytes
-    per vertex) stays below the search stage.  ``_UNPLANNED_BYTES`` is added
-    for what numpy holds outside these arrays.
+    The norm field and masks the replica builds after sampling, beside the
+    rungs' edges (at most 24 bytes per vertex at once), stay below the
+    search stage.  ``_UNPLANNED_BYTES`` is added for what numpy holds
+    outside these arrays.
     """
     n, d = box.n_vertices, box.d
     top, lower = rung_edges[-1], sum(rung_edges[:-1])
     n_rungs = len(rung_edges)
     n_lower = n_rungs - 1
     kept = (8.0 * d + 16.0 + 8.0 * n_rungs) * kept_classes
-    counts = ((8.0 * d + 8.0 + 8.0 * n_rungs + max(18.0, 8.0 * n_rungs)) * n_classes
-              + kept + 16.0 * kept_classes + n)
+    counts = _class_table_bytes(d, n_rungs) * n_classes + kept + 16.0 * kept_classes + n
     block = min(sparse_edges, _BLOCK_WORDS + max_class_pairs / 64)
     choose = kept + 16.0 * top + max(16.0 * sparse_edges + 48.0 * block,
                                      (24.0 + 8.0 * (d > 1)) * sparse_edges,
@@ -556,7 +570,8 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     the classes with edges, in that order, so key j's class is entry j of
     ``np.repeat(np.arange(len(K)), K)`` and is never recovered from an edge.
     """
-    classes = _displacement_classes(box, memory_cap_bytes)
+    _check_class_memory(box, len(params_list), memory_cap_bytes)
+    classes = _displacement_classes(box)
     N = _class_pair_counts(box, classes)
     P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
     p_top = P[:, -1]

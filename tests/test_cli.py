@@ -323,7 +323,7 @@ class TestCollapseCommand:
             assert (a / name).read_bytes() == (c / name).read_bytes()
         _, rows = read_csv(c / "collapse_cells.csv")
         assert [row[8] for row in rows] == ["1", "1"]
-        assert "annulus field and masks needs an estimated 19.22 GiB" in rows[0][9]
+        assert "displacement class enumeration needs an estimated 13.78 GiB" in rows[0][9]
 
     def test_small_run(self, tmp_path):
         assert run(tmp_path, "collapse", "--d", "1", "--s", "1.5",
@@ -391,7 +391,8 @@ class TestReplicaSeeds:
 
 class TestConfigDecidedRefusals:
     """A refusal that the options alone decide is a config error: exit 2, one stderr line naming
-    the option, and nothing written, before any sampling."""
+    the option, and nothing written, before any sampling.  The sampler's memory pre-flight (key
+    None) names no option; it refuses before the class tables exist."""
 
     @pytest.mark.parametrize("key, argv, match", [
         ("L", ["sample", "--d", "3", "--s", "4.5", "--L", "3000"], "n <= 2**32"),
@@ -399,25 +400,34 @@ class TestConfigDecidedRefusals:
         ("r", ["estimate-phi", "--r", "50", "--delta", "0.999"], "holds only 0 vertices"),
         ("r", ["estimate-phi", "--r", "1e300"], "over 2**997 vertices, and pair keys hi << 32 | lo need n <= 2**32"),
         ("r", ["estimate-phi", "--s", "1.9999", "--r", "300"], "(log r)**Delta"),
-        ("L", ["sample", "--d", "4", "--s", "5"], "displacement class enumeration needs an estimated 30.43 GiB"),
-        ("L", ["distances", "--d", "4", "--s", "7.99"],
-         "displacement class enumeration needs an estimated 481.86 GiB"),
-        ("r", ["estimate-phi", "--d", "4", "--s", "5", "--r", "50", "--n-replicas", "1"],
-         "annulus field and masks needs an estimated 5.81 GiB"),
+        (None, ["sample", "--d", "4", "--s", "5"], "displacement class enumeration needs an estimated 50.26 GiB"),
+        (None, ["distances", "--d", "4", "--s", "7.99"],
+         "displacement class enumeration needs an estimated 796.20 GiB"),
+        (None, ["estimate-phi", "--d", "4", "--s", "5", "--r", "50", "--n-replicas", "1"],
+         "displacement class enumeration needs an estimated 50.26 GiB"),
     ], ids=["sample-edge-keys", "phi-small-annulus", "phi-thin-annulus", "phi-huge-box", "phi-log-scale",
             "sample-class-memory", "distances-class-memory", "phi-replica-memory"])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, key, argv, match):
         def sampled(*args, **kwargs):
             raise AssertionError("sampling reached")
 
-        monkeypatch.setattr(lrplab.cli, "sample_graph", sampled)
-        monkeypatch.setattr(lrplab.cli, "sample_graph_coupled", sampled)
-        monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", sampled)
-        assert run(tmp_path, *argv) == 2
+        if key is not None:
+            monkeypatch.setattr(lrplab.cli, "sample_graph", sampled)
+            monkeypatch.setattr(lrplab.cli, "sample_graph_coupled", sampled)
+            monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled", sampled)
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config: {key}:") and match in err and err.count("\n") == 1
+        prefix = f"error: config: {match}" if key is None else f"error: config: {key}: "
+        assert err.startswith(prefix) and match in err and err.count("\n") == 1
         assert len(err) < 200
         assert list(tmp_path.iterdir()) == []
+        assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--L", "6000"],
@@ -960,9 +970,10 @@ class TestTableMemoryCap:
         assert list(tmp_path.iterdir()) == []
 
 
-# Runs in a fresh interpreter: the commands that neither collapse nor draw Z
-# must leave scipy's heavy submodules unimported; a Z draw (the c0
-# quadrature) then loads scipy.integrate, which shows the check can fail.
+# Runs in a fresh interpreter: the commands that neither collapse nor draw Z,
+# and a collapse_report that its pre-flights refuse, must leave scipy's heavy
+# submodules unimported; a Z draw (the c0 quadrature) then loads
+# scipy.integrate, which shows the check can fail.
 _IMPORT_PROBE = """
 import sys
 import tracemalloc
@@ -975,6 +986,11 @@ for argv in (["exponents", "--n-max", "63"],
               "--target", "2,-1", "--epsilon", "0.5"],
              ["estimate-phi", "--r", "300", "--n-replicas", "2", "--seed", "1"]):
     assert lrplab.cli.main([*argv, "--outdir", outdir]) == 0, argv
+try:
+    lrplab.collapse_report([lrplab.ModelParams(d=1, s=1.5, beta=2.0)], [0.0, 1.0], 1, 0)
+    raise AssertionError("collapse at beta = 2 < e ran")
+except ValueError:
+    pass
 heavy = ("scipy.stats", "scipy.integrate", "scipy.special", "scipy.optimize", "scipy.linalg")
 print(",".join(m for m in heavy if m in sys.modules))
 assert lrplab.cli.main(["sample", "--L", "2", "--z-draws", "5", "--outdir", outdir]) == 0

@@ -95,8 +95,22 @@ class TestEstimatePhi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info.value.stage == "annulus field and masks"
+        assert info.value.stage == "displacement class enumeration"
         assert peak <= 8 * 2**20
+
+    def test_refused_within_the_cap(self):
+        # A cap just above the search's per-vertex arrays is refused by the sampler, which
+        # holds no more than the cap by then.
+        cap = math.ceil(1.02 * lrplab.sampler._vertex_stage_memory(Box(2, 300), 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryCapExceeded) as info:
+                estimate_phi(ModelParams(d=2, s=3.0, beta=2.0), 300.0, 1, 0, memory_cap_bytes=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.cap_bytes == cap
+        assert peak <= cap
 
     @pytest.mark.parametrize("d, betas, r, slack", [
         (1, [5.0], 2**16, 1.5),
@@ -572,7 +586,7 @@ class TestCollapseReport:
         assert peak <= 8 * 2**20
         assert [c.missing for c in report.cells] == [True, True]
         for cell in report.cells:
-            assert cell.reason.startswith("annulus field and masks needs an estimated")
+            assert cell.reason.startswith("displacement class enumeration needs an estimated")
 
     def test_missing_cells_on_box_cap(self):
         params_list = [ModelParams(d=1, s=1.5, beta=math.e**3)]
@@ -713,7 +727,7 @@ class TestTailComparison:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert info.value.stage == "annulus field and masks"
+        assert info.value.stage == "displacement class enumeration"
         assert peak <= 8 * 2**20
 
     def test_memory_cap_refuses_before_the_field_under_a_field_sized_cap(self):

@@ -364,6 +364,7 @@ class TestGeneratorV2:
         np.testing.assert_array_equal(rows, ref_rows)
         np.testing.assert_array_equal(sel, ref_sel)
 
+    @pytest.mark.slow
     def test_mostly_sparse_box_matches_naive(self, monkeypatch):
         # d=2, L=12, beta=2: about 97% of classes are sparse and a graph has
         # about one in-class duplicate draw on average.
@@ -576,6 +577,7 @@ class TestCoupledSampling:
             assert top.dtype == alone.dtype and top.shape == alone.shape
             assert top.tobytes() == alone.tobytes()
 
+    @pytest.mark.slow
     def test_rung_counts_match_naive_per_pair(self):
         # Every rung of the thinned ladder against per-pair Bernoulli draws
         # at its own beta: two-sample test on total edge counts at 0.001.
@@ -590,6 +592,7 @@ class TestCoupledSampling:
             res = stats.ks_2samp(counts[:, i], naive)
             assert res.pvalue > 0.001, (pm.beta, res.pvalue)
 
+    @pytest.mark.slow
     def test_lower_rung_counts_per_class(self):
         # The lower rung's total edge count per displacement over many seeds
         # against its Binomial(n_seeds * N_v, p_low(v)) law, so a thinning
@@ -641,7 +644,7 @@ class TestDisplacementClasses:
         span = range(-2 * radius, 2 * radius + 1)
         canonical = sorted(v for v in itertools.product(span, repeat=d)
                            if sum(map(abs, v)) >= 2 and next(c for c in v if c != 0) > 0)
-        got = sampler._displacement_classes(Box(d=d, radius=radius), sampler.DEFAULT_MEMORY_CAP)
+        got = sampler._displacement_classes(Box(d=d, radius=radius))
         assert got.dtype == np.int64
         assert got.tolist() == [list(v) for v in canonical]
 
@@ -651,7 +654,7 @@ class TestDisplacementClasses:
     def test_edge_class_rows_match_code_search(self, d, radius, s, betas, seed):
         box = Box(d=d, radius=radius)
         top = sample_graph_coupled([ModelParams(d=d, s=s, beta=b) for b in betas], box, seed)[-1].long_edges
-        classes = sampler._displacement_classes(box, sampler.DEFAULT_MEMORY_CAP)
+        classes = sampler._displacement_classes(box)
         disp = box.coords_of(top[:, 1]) - box.coords_of(top[:, 0])
         expected = np.searchsorted(sampler._class_codes(box, classes), sampler._class_codes(box, disp))
         assert len(top) > 100
@@ -659,19 +662,50 @@ class TestDisplacementClasses:
 
     @pytest.mark.parametrize("d, radius", [(1, 5000), (2, 40), (3, 9), (4, 4)])
     def test_memory_preflight_is_the_enumeration_peak(self, monkeypatch, d, radius):
-        # The pre-flight counts what the enumeration holds at once, from (d, L) alone.
-        estimates = []
-        monkeypatch.setattr(sampler, "_check_memory", lambda est, cap, stage: estimates.append(est))
-        box = Box(d=d, radius=radius)
-        sampler._check_class_memory(box, 0)
+        # The pre-flight counts, from (d, L) and the rung count alone, what the sampler holds
+        # up to its graph-sampling check: at least that peak, and within 10% of it past the
+        # numpy cast buffer it counts whole (64 KiB, over 10% of these small peaks).
+        class Reached(Exception):
+            pass
+
+        def recorded(estimated_bytes, cap_bytes, stage):
+            seen[stage] = estimated_bytes, tracemalloc.get_traced_memory()[1]
+            if stage == "graph sampling":
+                raise Reached
+
+        monkeypatch.setattr(sampler, "_check_memory", recorded)
+        for betas in ([2.0], [1.0, 2.0], [0.5, 1.0, 2.0, 5.0]):
+            seen = {}
+            tracemalloc.start()
+            try:
+                with pytest.raises(Reached):
+                    sample_graph_coupled([ModelParams(d=d, s=1.5 * d, beta=b) for b in betas],
+                                         Box(d=d, radius=radius), seed=0)
+            finally:
+                tracemalloc.stop()
+            estimate = seen["displacement class enumeration"][0]
+            peak = seen["graph sampling"][1]
+            assert peak <= estimate <= 1.1 * peak + 8 * np.getbufsize(), (len(betas), estimate, peak)
+
+    @pytest.mark.parametrize("d, radius, betas", [(1, 2**16, [2.0]), (2, 150, [2.0]), (3, 20, [2.0]),
+                                                  (1, 2**16, [0.5, 1.0, 2.0, 5.0])],
+                             ids=["d1", "d2", "d3", "d1-ladder"])
+    def test_refused_within_the_cap(self, d, radius, betas):
+        # Under a cap just above the pre-flight's estimate the tables are built and the
+        # graph-sampling check refuses; what is held by then stays within the cap.
+        params_list, box = [ModelParams(d=d, s=1.5 * d, beta=b) for b in betas], Box(d=d, radius=radius)
+        with pytest.raises(MemoryCapExceeded) as preflight:
+            sample_graph_coupled(params_list, box, seed=0, memory_cap_bytes=0)
+        cap = math.ceil(1.01 * preflight.value.estimated_bytes)
         tracemalloc.start()
         try:
-            sampler._displacement_classes(box, 0)
+            with pytest.raises(MemoryCapExceeded) as exc:
+                sample_graph_coupled(params_list, box, seed=0, memory_cap_bytes=cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert estimates[0] == estimates[1]
-        assert estimates[0] <= peak <= estimates[0] + 4096
+        assert exc.value.stage == "graph sampling"
+        assert peak <= cap
 
     def test_refused_before_any_class_is_built(self):
         # d = 1 too: 2L - 1 classes of 8 bytes, over the cap before its 16 MiB are allocated.
