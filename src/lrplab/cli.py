@@ -501,7 +501,8 @@ class _VertexCoords:
     """Coordinate ``axis`` of the vertices of ``index`` (default: every box vertex, in index
     order), as a column made per row slice.
 
-    ``index`` is range-checked once, as ``Box.coords_of`` checks it.
+    ``index`` is range-checked once, as ``Box.coords_of`` checks it.  Its digits are cast to
+    int64 before the radius is subtracted, since a uint32 difference (``long_edges``) wraps.
     """
 
     def __init__(self, box: Box, axis: int, index: np.ndarray | None = None):
@@ -514,7 +515,7 @@ class _VertexCoords:
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         index = np.arange(*rows.indices(len(self))) if self.index is None else self.index[rows]
-        return self.box.digit(index, self.axis) - self.box.radius
+        return np.subtract(self.box.digit(index, self.axis), self.box.radius, dtype=np.int64)
 
 
 def _cmd_sample(cfg, config_hash, outdir, created):

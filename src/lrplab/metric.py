@@ -10,8 +10,11 @@ tails)``, with int64 row pointers (n + 1 each).  Row u of the out-half
 holds the heads of the edges out of u and row u of the in-half the tails of
 the edges into u, both ascending, so every edge appears once per endpoint.
 Since ``long_edges`` is sorted by (tail, head), ``heads`` is its head
-column itself, a view; ``tails`` is uint32, the low words of the sorted
-pair keys ``head << 32 | tail`` (``sampler`` module docstring).
+column itself, a view, uint32 for every sampled graph; ``tails`` is
+uint32, the low words of the sorted pair keys ``head << 32 | tail``
+(``sampler`` module docstring).  numpy indexes with intp faster than with
+uint32, so a gather of neighbours is cast to intp where it indexes an
+array.
 
 The frontier is held as a flat index array, one generation at a time, and
 each level is found by one of two steps (Beamer, Asanovic and Patterson,
@@ -108,15 +111,17 @@ def _adjacency(sample: GraphSample):
         _check_long_edges(e, n)
     tail, head = e[:, 0], e[:, 1]
     out_ptr, in_ptr = np.zeros((2, n + 1), dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n), out=out_ptr[1:])
-    np.cumsum(np.bincount(head, minlength=n), out=in_ptr[1:])
-    keys = np.left_shift(head.view(np.uint64), np.uint64(32))
-    keys |= tail.view(np.uint64)
+    out_count = np.bincount(tail, minlength=n)
+    np.cumsum(out_count, out=out_ptr[1:])
+    in_count = np.bincount(head, minlength=n)
+    np.cumsum(in_count, out=in_ptr[1:])
+    degree = np.add(out_count, in_count, dtype=np.int32)
+    del out_count, in_count
+    # Unsafe casts, so that hand-built int64 columns cast too; every index is in [0, 2**32).
+    keys = np.left_shift(head, 32, dtype=np.uint64, casting="unsafe")
+    np.bitwise_or(keys, tail, out=keys, dtype=np.uint64, casting="unsafe")
     keys.sort()
     tails = keys.astype(np.uint32)
-    del keys  # so the build's peak, the keys beside the edges, holds no degree array
-    degree = np.diff(out_ptr).astype(np.int32)
-    degree += np.diff(in_ptr)
     sample._adjacency = ((out_ptr, head), (in_ptr, tails), degree)
     return sample._adjacency
 
@@ -179,7 +184,7 @@ def _bottom_up(box: Box, halves, dist: np.ndarray, level: int, unvisited: np.nda
             break
         idx, offsets, nonzero = _row_positions(ptr, unvisited[rest])
         if offsets.size:
-            hit = dist[nbrs[idx]] == parent
+            hit = dist[nbrs[idx].astype(np.intp, copy=False)] == parent
             found[rest[nonzero]] = np.logical_or.reduceat(hit, offsets)
     return unvisited[found]
 
@@ -200,7 +205,7 @@ def _mask_finish(box: Box, halves, dist: np.ndarray, frontier: np.ndarray) -> np
     for moves in _nn_moves(box, frontier):
         hit[moves] = True
     for ptr, nbrs in halves:
-        hit[nbrs[_row_positions(ptr, frontier)[0]]] = True
+        hit[nbrs[_row_positions(ptr, frontier)[0]].astype(np.intp, copy=False)] = True
     hit &= dist == -1
     return np.flatnonzero(hit)
 

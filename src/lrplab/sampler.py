@@ -38,13 +38,14 @@ which numpy pins per version; within one environment the output is
 bit-stable.  Pair indices within a class enumerate the admissible tail
 vertices (the lexicographically smaller endpoints) in row-major order over
 the rectangle of tails.  A vertex pair's key is ``hi << 32 | lo``, sorted
-as uint64, so a box holds at most 2**32 vertices (``Box``).  Each
-rung's keys ``tail << 32 | head`` are written into the head column of the
-(m, 2) column-major edge array that is returned, sorted there (so the
-output is independent of construction order) and split in place.  Sparse
-round 0 maps, sorts and deduplicates its words in blocks of about 2**16
-words of whole rows; the block size decides no word's use, so no output
-bit depends on it.
+as uint64, so a box holds at most 2**32 vertices (``Box``) and every
+vertex index fits uint32.  Each rung's keys ``tail << 32 | head`` are
+built in a uint64 scratch array, sorted there (so the output is
+independent of construction order) and split into the two uint32 columns
+of the (m, 2) column-major edge array that is returned, 8 bytes per edge.
+Sparse round 0 maps, sorts and deduplicates its words in blocks of about
+2**16 words of whole rows; the block size decides no word's use, so no
+output bit depends on it.
 
 A sample checks its memory cap twice, each time before what it counts is
 built: the class tables from (d, L) alone (``_check_class_memory``), then
@@ -113,7 +114,8 @@ class Box:
     Vertices are indexed 0..(2*radius+1)**d - 1 in row-major coordinate
     order: index(x) = sum_i (x_i + radius) * (2*radius+1)**(d-1-i), so the
     index order is the lexicographic order on coordinates.  A box holds at
-    most 2**32 vertices, the most that pair keys hi << 32 | lo can index.
+    most 2**32 vertices, the most that pair keys hi << 32 | lo can index,
+    so every vertex index fits the uint32 columns of ``long_edges``.
     """
 
     d: int
@@ -208,16 +210,18 @@ class GraphSample:
     """One sampled percolation graph on a box.
 
     ``long_edges`` holds the explicit non-nearest-neighbor edges as an
-    (m, 2) int64 array of vertex index pairs (i, j) with i < j, sorted
+    (m, 2) array of vertex index pairs (i, j) with i < j, sorted
     lexicographically; nearest-neighbor edges are implicit and always
-    present.  The samplers and ``graph_from_edges`` store it column-major,
-    so each endpoint column is contiguous for the adjacency build; a
-    hand-built sample with a C-order array works the same, only with
-    strided column reads.  Samples are immutable by convention: the
-    adjacency a search caches on the sample keeps its out-rows as a view of
-    ``long_edges``, so a sample must stay unmodified after a search.
-    Regeneration from (params, box, seed) through the op that produced
-    them is bit-identical.
+    present.  The samplers and ``graph_from_edges`` store it as uint32
+    (8 bytes per edge; ``Box`` caps indices below 2**32), column-major, so
+    each endpoint column is contiguous for the adjacency build.  Cast it to
+    a signed type before signed arithmetic: uint32 differences wrap.  A
+    hand-built sample with an int64 or C-order array works the same, only
+    with wider or strided column reads.  Samples are immutable by
+    convention: the adjacency a search caches on the sample keeps its
+    out-rows as a view of ``long_edges``, so a sample must stay unmodified
+    after a search.  Regeneration from (params, box, seed) through the op
+    that produced them is bit-identical.
     """
 
     params: ModelParams
@@ -456,12 +460,15 @@ def _pair_keys(box: Box, classes: np.ndarray, cls, sel: np.ndarray, out: np.ndar
     out += sel
 
 
-def _sort_and_decode(edges: np.ndarray) -> np.ndarray:
-    """Sort the uint64 keys tail << 32 | head in column-major ``edges``'s head column; split them in place."""
-    keys = edges[:, 1].view(np.uint64)
+def _sort_and_decode(keys: np.ndarray) -> np.ndarray:
+    """Sort the uint64 keys tail << 32 | head in place; return them split into (m, 2) column-major uint32.
+
+    The caller drops its last reference to ``keys`` once this returns.
+    """
     keys.sort()
-    np.right_shift(keys, np.uint64(32), out=edges[:, 0].view(np.uint64))
-    keys &= np.uint64(0xFFFFFFFF)
+    edges = np.empty((keys.size, 2), dtype=np.uint32, order="F")
+    np.right_shift(keys, np.uint64(32), out=edges[:, 0])
+    edges[:, 1] = keys  # the low words: an assignment truncates
     return edges
 
 
@@ -501,26 +508,30 @@ def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges
       classes that hold edges, with their sparse and dense positions.
     * Choosing the pairs, over the classes that hold edges (8d + 16 + 8 per
       rung each: rows, pair counts, edge counts, probabilities): the top
-      rung's edge array, whose head column takes the keys (16 per edge),
-      and the largest of sparse round 0 (its raw words and keys, 16 per
-      sparse edge, and one block's mapping and sorting, 48 per word of at
-      most ``_BLOCK_WORDS`` plus the longest row), the sparse keys' pair
-      arithmetic (row and pair index, one gather, past d = 1 one digit:
-      24 or 32 per sparse edge) and a dense class's partial shuffle and
-      draw (16 per pair of the largest class, 24 past d = 1).
+      rung's uint64 keys (8 per edge), and the largest of sparse round 0
+      (its raw words and keys, 16 per sparse edge, and one block's mapping
+      and sorting, 48 per word of at most ``_BLOCK_WORDS`` plus the longest
+      row), the sparse keys' pair arithmetic (row and pair index, one
+      gather, past d = 1 one digit: 24 or 32 per sparse edge), a dense
+      class's partial shuffle and draw (16 per pair of the largest class,
+      24 past d = 1) and, for a ladder of one, the edge array the sorted
+      keys are split into (8 per edge).
     * Thinning, past one rung: the kept classes' tables and lower rungs'
-      ratios (8 per class per lower rung), the keys' edge array and the
-      uniforms (24 per top-rung edge), the rungs drawn so far (16 per
-      lower-rung edge), and a rung's draw: the repeated ratios and the keep
-      mask (9 per top-rung edge), then the mask, the kept keys' positions
-      and the rung's edge array (1 per top-rung edge and 24 per kept edge).
-      Each rung's keys are sorted and decoded in place.
+      ratios (8 per class per lower rung), the keys and the uniforms (16
+      per top-rung edge), the rungs drawn so far (8 per lower-rung edge),
+      and a rung's draw: the repeated ratios and the keep mask (9 per
+      top-rung edge), then two at a time of the kept keys' positions, the
+      rung's uint64 scratch keys and its edge array (16 per kept edge, at
+      most 8 per lower-rung edge beyond the rungs drawn so far).  The top
+      rung's edge array takes the uniforms' place.
     * The top rung's adjacency build, the last and largest: every rung's
-      edges (16 per edge), the lower rungs' cached in-halves (4 per edge),
+      edges (8 per edge), the lower rungs' cached in-halves (4 per edge),
       row pointers and degrees (20 per vertex), the previous rung's
-      distances (4 per vertex), and the new row pointers (16 per vertex)
-      beside the uint64 keys and uint32 in-half (12 per top-rung edge).
-    * The top rung's BFS: every rung's edges and in-half (20 per edge) and
+      distances (4 per vertex), and the new row pointers and degrees (20
+      per vertex) beside the uint64 keys and uint32 in-half (12 per
+      top-rung edge).  The row counts before the keys (up to 16 per edge
+      and 36 per vertex) stay below this stage or the next.
+    * The top rung's BFS: every rung's edges and in-half (12 per edge) and
       the per-vertex arrays of ``_vertex_stage_memory`` at a bottom-up
       level; a top-down level holds in place of the bottom-up level's 35
       bytes per vertex its frontier's candidates: the last frontier's
@@ -542,15 +553,15 @@ def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges
     kept = (8.0 * d + 16.0 + 8.0 * n_rungs) * kept_classes
     counts = _class_table_bytes(d, n_rungs) * n_classes + kept + 16.0 * kept_classes + n
     block = min(sparse_edges, _BLOCK_WORDS + max_class_pairs / 64)
-    choose = kept + 16.0 * top + max(16.0 * sparse_edges + 48.0 * block,
-                                     (24.0 + 8.0 * (d > 1)) * sparse_edges,
-                                     (16.0 + 8.0 * (d > 1)) * max_class_pairs) + n
+    choose = kept + 8.0 * top + max(16.0 * sparse_edges + 48.0 * block,
+                                    (24.0 + 8.0 * (d > 1)) * sparse_edges,
+                                    (16.0 + 8.0 * (d > 1)) * max_class_pairs, 8.0 * top) + n
     thinning = 0.0
     if n_lower:
-        thinning = (kept + 8.0 * n_lower * kept_classes + 24.0 * top
-                    + max(9.0 * top + 16.0 * lower, top + 24.0 * lower) + n)
-    build = 28.0 * top + 20.0 * lower + (17.0 + 20.0 * n_lower + 4.0 * (n_lower > 0)) * n
-    search = (20.0 * (top + lower) + _vertex_stage_memory(box, n_rungs)
+        thinning = (kept + 8.0 * n_lower * kept_classes + 16.0 * top + 8.0 * lower
+                    + max(9.0 * top, 8.0 * lower) + n)
+    build = 20.0 * top + 12.0 * lower + (21.0 + 20.0 * n_lower + 4.0 * (n_lower > 0)) * n
+    search = (12.0 * (top + lower) + _vertex_stage_memory(box, n_rungs)
               + max(0.0, (8.0 + 32.0 * d / 3 - 35.0) * n + 32.0 * top / 3))
     return max(counts, choose, thinning, build, search) + _UNPLANNED_BYTES
 
@@ -594,8 +605,7 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     classes, N, K, P = classes[order], N[order], K[order], P[order]
     n_sparse = sparse.size
     del sparse, order
-    top = np.empty((int(K.sum()), 2), dtype=np.int64, order="F")
-    keys = top[:, 1].view(np.uint64)  # built in class order, then sorted and decoded in place
+    keys = np.empty(int(K.sum()), dtype=np.uint64)  # built in class order, sorted and decoded last
     cls, sel = _select_sparse(N[:n_sparse], K[:n_sparse], _stream(seed, _SPARSE_STREAM))
     at = sel.size
     _pair_keys(box, classes[:n_sparse], cls, sel, keys[:at])
@@ -608,17 +618,10 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     if len(params_list) > 1:
         u = (_stream(seed, _THIN_STREAM).random_raw(keys.size) >> np.uint64(11)) * 2.0**-53
         for ratio in P[:, :-1].T / P[:, -1]:
-            kept = u < np.repeat(ratio, K)
-            positions = np.flatnonzero(kept)
-            del kept
-            rung = np.empty((positions.size, 2), dtype=np.int64, order="F")
-            # A take of in-range positions: mode "clip" writes straight into the column, where
-            # np.compress buffers its output and a boolean index runs 2-4x slower under numpy 2.4.
-            np.take(keys, positions, out=rung[:, 1].view(np.uint64), mode="clip")
-            del positions
-            rungs.append(_sort_and_decode(rung))
+            # A take of the kept positions: a boolean index runs 2-4x slower under numpy 2.4.
+            rungs.append(_sort_and_decode(np.take(keys, np.flatnonzero(u < np.repeat(ratio, K)))))
         del u
-    return rungs + [_sort_and_decode(top)]
+    return rungs + [_sort_and_decode(keys)]
 
 
 def sample_graph(params: ModelParams, box: Box, seed: int,
@@ -689,14 +692,11 @@ def graph_from_edges(params: ModelParams, box: Box, edges, seed: int | None = No
         raise ValueError("self-loops are not allowed")
     if np.any(np.abs(box.coords_of(e[:, 1]) - box.coords_of(e[:, 0])).sum(axis=1) == 1):
         raise ValueError("nearest-neighbor pairs are implicit and must not be listed")
-    edges_sorted = np.empty((len(e), 2), dtype=np.int64, order="F")
-    tail, head = edges_sorted[:, 0], edges_sorted[:, 1]
-    np.minimum(e[:, 0], e[:, 1], out=tail)
-    np.maximum(e[:, 0], e[:, 1], out=head)
-    keys = head.view(np.uint64)
-    keys |= tail.view(np.uint64) << np.uint64(32)  # tail << 32 | head, which _sort_and_decode splits again
-    _sort_and_decode(edges_sorted)
-    if np.any((tail[1:] == tail[:-1]) & (head[1:] == head[:-1])):
+    keys = np.minimum(e[:, 0], e[:, 1], dtype=np.uint64, casting="unsafe")  # in [0, 2**32): checked above
+    keys <<= np.uint64(32)
+    np.bitwise_or(keys, np.maximum(e[:, 0], e[:, 1]), out=keys, dtype=np.uint64, casting="unsafe")
+    edges_sorted = _sort_and_decode(keys)
+    if np.any(keys[1:] == keys[:-1]):
         raise ValueError("duplicate edges")
     return _mark_validated(GraphSample(params=params, box=box, seed=seed, long_edges=edges_sorted))
 

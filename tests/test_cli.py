@@ -168,6 +168,17 @@ class TestSampleCommand:
             with pytest.raises(ValueError, match="out of range"):
                 lrplab.cli._VertexCoords(box, 0, np.array(bad))
 
+    def test_uint32_indices_give_negative_coordinates(self):
+        # long_edges columns are uint32, where digit - radius would wrap to about 2**32.
+        box = Box(2, 3)
+        index = np.array([0, 8, 24, 40, 48], dtype=np.uint32)
+        expected = box.coords_of(index)
+        assert expected.min() == -3
+        for axis in range(2):
+            column = lrplab.cli._VertexCoords(box, axis, index)[1:]
+            assert column.dtype == np.int64
+            np.testing.assert_array_equal(column, expected[1:, axis])
+
 
 class TestDistancesCommand:
     def test_distance_column_matches_library(self, tmp_path):
@@ -430,10 +441,10 @@ class TestConfigDecidedRefusals:
         assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("argv", [
-        ["sample", "--L", "6000"],
-        ["distances", "--L", "6000"],
-        ["estimate-phi", "--r", "6000"],
-        ["estimate-phi", "--r", "6000", "--n-replicas", "2", "--jobs", "2"],
+        ["sample", "--L", "7000"],
+        ["distances", "--L", "7000"],
+        ["estimate-phi", "--r", "7000"],
+        ["estimate-phi", "--r", "7000", "--n-replicas", "2", "--jobs", "2"],
     ], ids=["sample", "distances", "phi", "phi-jobs-2"])
     def test_memory_cap_refusal_exits_2_once_sampling_began(self, tmp_path, capsys, argv):
         # The graph-sampling estimate needs the class tables, so it is no pre-flight; it reads
@@ -442,7 +453,7 @@ class TestConfigDecidedRefusals:
             outdir = tmp_path / seed
             assert main([*argv, "--d", "1", "--s", "1.5", "--beta", "1e9", "--seed", seed,
                          "--outdir", str(outdir)]) == 2
-            assert capsys.readouterr().err == ("error: config: graph sampling needs an estimated 2.06 GiB, "
+            assert capsys.readouterr().err == ("error: config: graph sampling needs an estimated 2.07 GiB, "
                                                "over the configured cap of 2.00 GiB\n")
             assert not outdir.exists()
 

@@ -454,6 +454,24 @@ class TestAdjacency:
                                           distances_from(g, np.array(src)).dist)
         assert np.shares_memory(_adjacency(twin)[0][1], twin.long_edges)
 
+    @pytest.mark.parametrize("pm, radius", [(ModelParams(d=1, s=1.5, beta=5.0), 3000),
+                                            (ModelParams(d=2, s=3.0, beta=3.0), 20)])
+    def test_int64_sample_matches_the_sampler_uint32_sample(self, pm, radius):
+        # The adjacency casts hand-built int64 columns as it casts the sampler's uint32 ones.
+        g = sample_graph(pm, Box(d=pm.d, radius=radius), seed=8)
+        wide = GraphSample(params=pm, box=g.box, seed=None,
+                           long_edges=np.array(g.long_edges, dtype=np.int64, order="C"))
+        assert g.long_edges.dtype == np.uint32 and g.n_long_edges > 1000
+        assert wide.long_edges.dtype == np.int64 and wide.long_edges.flags.c_contiguous
+        (out_ptr, heads), (in_ptr, tails), degree = _adjacency(g)
+        (wide_out_ptr, wide_heads), (wide_in_ptr, wide_tails), wide_degree = _adjacency(wide)
+        for got, expected in [(wide_out_ptr, out_ptr), (wide_heads, heads), (wide_in_ptr, in_ptr),
+                              (wide_tails, tails), (wide_degree, degree)]:
+            np.testing.assert_array_equal(got, expected)
+        assert wide_tails.dtype == np.uint32 and wide_degree.dtype == np.int32
+        for src in (0, g.box.n_vertices // 2, g.box.n_vertices - 1):
+            np.testing.assert_array_equal(metric._bfs(wide, src), metric._bfs(g, src))
+
     def test_samplers_store_edges_column_major(self):
         # Every column read of the adjacency build relies on this layout.
         pm = ModelParams(d=2, s=3.0, beta=3.0)

@@ -466,10 +466,10 @@ class TestGeneratorV2:
         # Tails of 2**31 or more give keys of 2**63 or more, which an int64 sort would put first.
         rows = [(2**32 - 2, 2**32 - 1), (3, 2**31 + 7), (2**31, 2**31 + 1), (2**31 + 5, 2**32 - 1), (3, 4)]
         tail, head = np.array(rows, dtype=np.uint64).T
-        edges = np.empty((len(rows), 2), dtype=np.int64, order="F")
-        edges[:, 1] = (tail << np.uint64(32) | head).view(np.int64)
-        assert np.count_nonzero(edges[:, 1] < 0) == 3
-        assert sampler._sort_and_decode(edges) is edges
+        keys = tail << np.uint64(32) | head
+        assert np.count_nonzero(keys.view(np.int64) < 0) == 3
+        edges = sampler._sort_and_decode(keys)
+        assert edges.dtype == np.uint32 and edges.flags.f_contiguous
         assert edges.tolist() == sorted(map(list, rows))
 
     @pytest.mark.parametrize("d, radius, v", [(1, 2**31 - 1, (5,)), (2, 32767, (3, -4))])
@@ -527,7 +527,8 @@ class TestLongEdgePins:
             samples = [sample_graph(pm, box, seed)]
         else:
             samples = sample_graph_coupled([replace(pm, beta=b) for b in betas], box, seed)
-        got = [(g.n_long_edges, hashlib.sha256(np.ascontiguousarray(g.long_edges).tobytes()).hexdigest())
+        got = [(g.n_long_edges,
+                hashlib.sha256(np.ascontiguousarray(g.long_edges, dtype=np.int64).tobytes()).hexdigest())
                for g in samples]
         assert got == pins
 
@@ -540,6 +541,7 @@ class TestLongEdgePins:
         for g in samples:
             assert g.long_edges.shape == (g.n_long_edges, 2) and g.long_edges.flags.f_contiguous
             assert g.long_edges[:, 0].flags.c_contiguous and g.long_edges[:, 1].flags.c_contiguous
+            assert g.long_edges.dtype == np.uint32 and g.long_edges.nbytes == 8 * g.n_long_edges
 
 
 class TestCoupledSampling:
