@@ -93,22 +93,27 @@ def _replica(args, last_level: int | None = None) -> list:
     its vertices reached.  A shell's unreached vertices go into one
     overflow bin just above the last level searched, so ``hist.sum()``,
     every prefix sum up to that level and ``_hist_median`` equal their
-    values over the whole box's distances.  It samples before it builds the
-    norm field, under the cap less the masks past the first, which the
-    sampler's search stage leaves out; a refusal adds them back to its
-    estimate and names the caller's cap.
+    values over the whole box's distances.  Rungs are searched in ascending
+    order, and each rung's sample, with its cached adjacency, and its
+    distances are dropped once its histograms are taken, so a search runs
+    beside the higher rungs' edges but no other rung's adjacency.  It
+    samples before it builds the norm field, under the cap less the masks
+    past the first, which the sampler's search stage leaves out; a refusal
+    adds them back to its estimate and names the caller's cap.
     """
     params_list, box, seed, (shell_masks, radii, width), memory_cap_bytes = args
     extra = (len(radii) - 1) * box.n_vertices
     try:
-        samples = sample_graph_coupled(params_list, box, seed, memory_cap_bytes=memory_cap_bytes - extra)
+        # A copy, emptied below as the rungs are searched: perfbench's tracer reads the list
+        # that the sampler returned once the op is over.
+        samples = list(sample_graph_coupled(params_list, box, seed, memory_cap_bytes=memory_cap_bytes - extra))
     except MemoryCapExceeded as exc:
         raise MemoryCapExceeded(exc.estimated_bytes + extra, memory_cap_bytes, exc.stage) from None
     masks = shell_masks(box.norm_field((0,) * box.d, params_list[0].norm), radii, width)
     halves = [int(np.count_nonzero(mask)) // 2 for mask in masks]
     origin = box.index_of(np.zeros(box.d, dtype=np.int64))
-    rungs = []
-    for sample in samples:
+
+    def histograms(sample):
         reached, last = [0] * len(masks), 0
 
         def settled(level, frontier):
@@ -127,8 +132,10 @@ def _replica(args, last_level: int | None = None) -> list:
             shell = dist[mask]
             shell[shell < 0] = last + 1
             hists.append(np.bincount(shell))
-        rungs.append(hists)
-    return rungs
+        return hists
+
+    # pop(0): the copy holds no rung once its search is done, so its adjacency goes with it.
+    return [histograms(samples.pop(0)) for _ in range(len(samples))]
 
 
 def _hist_median(hist: np.ndarray) -> float:

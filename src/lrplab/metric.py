@@ -6,7 +6,10 @@ from the box indexing (never stored); long edges are kept in a compressed
 adjacency built once per sample and cached on it.
 
 Adjacency layout: two half-row CSRs, ``(out_ptr, heads)`` and ``(in_ptr,
-tails)``, with int64 row pointers (n + 1 each).  Row u of the out-half
+tails)``, with row pointers (n + 1 each) that are uint32 below 2**32
+edges, 8 bytes per vertex for both, and int64 from there on; a read of
+rows out of index order takes its jumps between rows in int64, since a
+uint32 difference wraps (``_row_positions``).  Row u of the out-half
 holds the heads of the edges out of u and row u of the in-half the tails of
 the edges into u, both ascending, so every edge appears once per endpoint.
 Since ``long_edges`` is sorted by (tail, head), ``heads`` is its head
@@ -110,7 +113,8 @@ def _adjacency(sample: GraphSample):
     if not sample._validated:
         _check_long_edges(e, n)
     tail, head = e[:, 0], e[:, 1]
-    out_ptr, in_ptr = np.zeros((2, n + 1), dtype=np.int64)
+    # Every pointer is at most m, so uint32 holds them below 2**32 edges.
+    out_ptr, in_ptr = np.zeros((2, n + 1), dtype=np.uint32 if len(e) < 2**32 else np.int64)
     out_count = np.bincount(tail, minlength=n)
     np.cumsum(out_count, out=out_ptr[1:])
     in_count = np.bincount(head, minlength=n)
@@ -155,12 +159,13 @@ def _row_positions(indptr: np.ndarray, rows: np.ndarray):
     starts, cnt = starts[nonzero], cnt[nonzero]
     if not cnt.size:
         return np.empty(0, dtype=np.int64), cnt, nonzero
-    offsets = np.cumsum(cnt)
+    offsets = np.cumsum(cnt, dtype=np.intp)
     idx = np.ones(int(offsets[-1]), dtype=np.int64)
     offsets -= cnt
-    # Ragged arange: unit steps within a row, a jump to the next row's start between rows.
+    # Ragged arange: unit steps within a row, a jump to the next row's start between rows.  The
+    # jump is negative where rows come out of order, so it is taken in int64: uint32 would wrap.
     idx[0] = starts[0]
-    idx[offsets[1:]] = starts[1:] - (starts[:-1] + cnt[:-1] - 1)
+    idx[offsets[1:]] = np.subtract(starts[1:], starts[:-1] + cnt[:-1] - 1, dtype=np.int64)
     np.cumsum(idx, out=idx)
     return idx, offsets, nonzero
 

@@ -473,18 +473,18 @@ def _sort_and_decode(keys: np.ndarray) -> np.ndarray:
 
 
 def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
-    """The per-vertex bytes of ``_edge_stage_memory``'s search stage at a bottom-up level, which need
-    no class or edge count.
+    """The per-vertex bytes of ``_edge_stage_memory``'s search stage, which need no class or edge count.
 
-    The replica's annulus mask (1); the rung's row pointers and long
-    degrees (20) and distances (4); a bottom-up level's arrays (35: the
-    unvisited vertices' indices beside the last frontier's, the found mask,
-    one axis's digits, neighbour indices, gathered distances and masks);
-    and, past one rung, each lower rung's cached row pointers and degrees
-    (20) and the previous rung's distances (4).
+    The replica's annulus mask (1); every rung's row pointers and long
+    degrees (12) and distances (4), all of which a keep-every-rung
+    consumer (``distances --beta2``, ``figure1``) holds at its top rung's
+    search; and a search level's arrays, 24 per vertex in d = 1 and 32
+    past it, where each axis's digits are a copy: the unvisited
+    vertices' indices beside the last frontier's, the found mask, the
+    digits, neighbour indices, gathered distances and masks of a
+    bottom-up level's lattice checks.
     """
-    lower = n_rungs - 1
-    return (60.0 + 20.0 * lower + 4.0 * (lower > 0)) * box.n_vertices
+    return (1.0 + 16.0 * n_rungs + 24.0 + 8.0 * (box.d > 1)) * box.n_vertices
 
 
 def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges: list,
@@ -495,10 +495,10 @@ def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges
     ``sparse_edges`` the top rung's expected edges in classes expected to
     be sparse, and ``kept_classes`` a bound on the expected number of
     classes that hold edges (the sum of min(1, expected edges)).  The
-    peak is the largest of five stages, each counted by what it holds at
-    once.  The adjacency and search stages hold the replica's annulus mask
-    (1 byte per vertex); the sampling stages come before the replica builds
-    it, and keep those n bytes as margin.
+    peak is the largest of four stages, each counted by what it holds at
+    once.  The search stage holds the replica's annulus mask (1 byte per
+    vertex); the sampling stages come before the replica builds it, and
+    keep those n bytes as margin.
 
     * Drawing the counts, over every class: the class rows, pair counts and
       one probability per rung, then the edge counts and their sparse and
@@ -524,22 +524,20 @@ def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges
       rung's uint64 scratch keys and its edge array (16 per kept edge, at
       most 8 per lower-rung edge beyond the rungs drawn so far).  The top
       rung's edge array takes the uniforms' place.
-    * The top rung's adjacency build, the last and largest: every rung's
-      edges (8 per edge), the lower rungs' cached in-halves (4 per edge),
-      row pointers and degrees (20 per vertex), the previous rung's
-      distances (4 per vertex), and the new row pointers and degrees (20
-      per vertex) beside the uint64 keys and uint32 in-half (12 per
-      top-rung edge).  The row counts before the keys (up to 16 per edge
-      and 36 per vertex) stay below this stage or the next.
-    * The top rung's BFS: every rung's edges and in-half (12 per edge) and
-      the per-vertex arrays of ``_vertex_stage_memory`` at a bottom-up
-      level; a top-down level holds in place of the bottom-up level's 35
-      bytes per vertex its frontier's candidates: the last frontier's
-      indices (8 per vertex) and 16 bytes per lattice move and per long
-      candidate (gather positions and neighbours, of one half), for at most
-      a third of the 2d moves per vertex and of the top rung's 2m entries,
-      since a level runs top-down only while its frontier holds at most a
-      third of the work.
+    * The top rung's search: every rung's edges and in-half (12 per edge),
+      the per-vertex arrays of ``_vertex_stage_memory``, and 8 bytes per
+      top-rung edge for a level's row gathers (positions, neighbours and
+      their intp casts, of one half, for the rows a level reads).  This is
+      a measured budget, not a worst case: over whole-box searches at d = 1
+      to 5 with 0.3 to 209 long edges per vertex (tracemalloc, 30 inputs,
+      one to seven seeds each), no search held more than
+      (24 + 8 * (d > 1)) * n + 8 * m bytes beside its distances.  The
+      adjacency build before it (every rung's edges and the lower rungs'
+      cached halves, pointers, degrees and distances, the new pointers and
+      degrees, 13 per vertex with the mask, beside the uint64 keys and
+      uint32 in-half, 12 per top-rung edge; or before the keys, the row
+      counts and their intp column copy: 24 per vertex and 8 per top-rung
+      edge) stays below it.
 
     The norm field and masks the replica builds after sampling, beside the
     rungs' edges (at most 24 bytes per vertex at once), stay below the
@@ -560,10 +558,8 @@ def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges
     if n_lower:
         thinning = (kept + 8.0 * n_lower * kept_classes + 16.0 * top + 8.0 * lower
                     + max(9.0 * top, 8.0 * lower) + n)
-    build = 20.0 * top + 12.0 * lower + (21.0 + 20.0 * n_lower + 4.0 * (n_lower > 0)) * n
-    search = (12.0 * (top + lower) + _vertex_stage_memory(box, n_rungs)
-              + max(0.0, (8.0 + 32.0 * d / 3 - 35.0) * n + 32.0 * top / 3))
-    return max(counts, choose, thinning, build, search) + _UNPLANNED_BYTES
+    search = 20.0 * top + 12.0 * lower + _vertex_stage_memory(box, n_rungs)
+    return max(counts, choose, thinning, search) + _UNPLANNED_BYTES
 
 
 def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int) -> list:

@@ -441,10 +441,10 @@ class TestConfigDecidedRefusals:
         assert peak <= 8 * 2**20
 
     @pytest.mark.parametrize("argv", [
-        ["sample", "--L", "7000"],
-        ["distances", "--L", "7000"],
-        ["estimate-phi", "--r", "7000"],
-        ["estimate-phi", "--r", "7000", "--n-replicas", "2", "--jobs", "2"],
+        ["sample", "--L", "7500"],
+        ["distances", "--L", "7500"],
+        ["estimate-phi", "--r", "7500"],
+        ["estimate-phi", "--r", "7500", "--n-replicas", "2", "--jobs", "2"],
     ], ids=["sample", "distances", "phi", "phi-jobs-2"])
     def test_memory_cap_refusal_exits_2_once_sampling_began(self, tmp_path, capsys, argv):
         # The graph-sampling estimate needs the class tables, so it is no pre-flight; it reads
@@ -453,7 +453,7 @@ class TestConfigDecidedRefusals:
             outdir = tmp_path / seed
             assert main([*argv, "--d", "1", "--s", "1.5", "--beta", "1e9", "--seed", seed,
                          "--outdir", str(outdir)]) == 2
-            assert capsys.readouterr().err == ("error: config: graph sampling needs an estimated 2.07 GiB, "
+            assert capsys.readouterr().err == ("error: config: graph sampling needs an estimated 2.10 GiB, "
                                                "over the configured cap of 2.00 GiB\n")
             assert not outdir.exists()
 

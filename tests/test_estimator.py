@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,68 @@ class TestEstimatePhi:
         assert estimate + (len(radii) - 1) * box.n_vertices >= peak
         if slack is not None:
             assert estimate <= slack * peak
+
+    @pytest.mark.parametrize("d, betas, r", [
+        (1, [5.0], 2**16),
+        (1, [1.0, 2.0, 5.0, 10.0], 16384),
+        (2, [2.0], 200),
+        (2, [1.0, 4.0], 120),
+        (1, [0.5], 2**18),
+    ], ids=["d1", "d1-ladder", "d2", "d2-ladder", "d1-sparse"])
+    def test_memory_estimate_bounds_the_whole_box_peak(self, monkeypatch, d, betas, r):
+        # The other consumer of the estimate keeps every rung's sample and field, as
+        # `distances --beta2` and `figure1` do, and searches the whole box from each.
+        estimates = []
+        check = lrplab.sampler._check_memory
+
+        def recorded(estimated_bytes, cap_bytes, stage):
+            if stage == "graph sampling":
+                estimates.append(estimated_bytes)
+            check(estimated_bytes, cap_bytes, stage)
+
+        monkeypatch.setattr(lrplab.sampler, "_check_memory", recorded)
+        params_list = [ModelParams(d=d, s=1.5 * d, beta=b) for b in betas]
+        tracemalloc.start()
+        try:
+            samples = sample_graph_coupled(params_list, Box(d, r), 7)
+            fields = [distances_from(sample, (0,) * d) for sample in samples]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [estimate] = estimates
+        assert len(fields) == len(betas)
+        assert estimate >= peak
+
+    def test_replica_holds_one_rung_adjacency_at_a_time(self, monkeypatch):
+        # Each rung's sample, and with it its cached adjacency, goes once its histograms are
+        # taken, so no search runs beside a lower rung's adjacency.
+        rungs, held = [], []
+        bfs = lrplab.estimator._bfs
+
+        def counted(sample, *args, **kwargs):
+            rungs.append(weakref.ref(sample))
+            dist = bfs(sample, *args, **kwargs)
+            held.append(sum(ref() is not None and ref()._adjacency is not None for ref in rungs))
+            return dist
+
+        monkeypatch.setattr(lrplab.estimator, "_bfs", counted)
+        params_list = [ModelParams(d=1, s=1.5, beta=b) for b in (1.0, 2.0, 5.0, 10.0)]
+        lrplab.estimator._replica((params_list, Box(1, 4096), 7,
+                                   (lrplab.estimator._annulus_masks, [4096.0], 0.1),
+                                   lrplab.sampler.DEFAULT_MEMORY_CAP))
+        assert held == [1, 1, 1, 1]
+
+    def test_replica_leaves_the_sampler_list_whole(self, monkeypatch):
+        # perfbench's tracer counts the rungs of the list the sampler returned after the op.
+        returned = []
+        coupled = lrplab.estimator.sample_graph_coupled
+        monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled",
+                            lambda *args, **kwargs: returned.append(coupled(*args, **kwargs)) or returned[-1])
+        params_list = [ModelParams(d=1, s=1.5, beta=b) for b in (1.0, 5.0)]
+        lrplab.estimator._replica((params_list, Box(1, 1024), 7,
+                                   (lrplab.estimator._annulus_masks, [1024.0], 0.1),
+                                   lrplab.sampler.DEFAULT_MEMORY_CAP))
+        assert [sample.params.beta for sample in returned[0]] == [1.0, 5.0]
 
     def test_annulus_too_small_rejected(self):
         with pytest.raises(ValueError):

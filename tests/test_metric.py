@@ -425,6 +425,7 @@ class TestAdjacency:
         np.testing.assert_array_equal(g.long_edges, edges)
         (out_ptr, heads), (in_ptr, tails), degree = _adjacency(g)
         assert tails.dtype == np.uint32 and tails.flags.c_contiguous
+        assert out_ptr.dtype == in_ptr.dtype == np.uint32
         assert np.shares_memory(heads, g.long_edges)
         n = box.n_vertices
         assert degree.dtype == np.int32
@@ -486,11 +487,23 @@ class TestAdjacency:
         g = line_graph(9, [])
         (out_ptr, heads), (in_ptr, tails), degree = _adjacency(g)
         for ptr in (out_ptr, in_ptr):
+            assert ptr.dtype == np.uint32
             np.testing.assert_array_equal(ptr, np.zeros(g.box.n_vertices + 1))
         np.testing.assert_array_equal(degree, np.zeros(g.box.n_vertices))
         assert heads.size == 0
         assert tails.dtype == np.uint32 and tails.size == 0
         assert distances_from(g, np.array([-9])).dist.tolist() == list(range(19))
+
+    def test_row_positions_on_uint32_pointers(self):
+        # Rows out of order, repeated and empty: the jump back to an earlier row's start is
+        # negative, which a uint32 difference would wrap.
+        indptr = np.concatenate([[0], np.cumsum([3, 0, 2, 5, 1, 0, 4])]).astype(np.uint32)
+        rows = np.array([6, 3, 3, 0, 1, 5, 2, 6, 0, 4])
+        idx, offsets, nonzero = metric._row_positions(indptr, rows)
+        parts = [np.arange(indptr[r], indptr[r + 1], dtype=np.int64) for r in rows]
+        np.testing.assert_array_equal(idx, np.concatenate(parts))
+        np.testing.assert_array_equal(nonzero, [p.size > 0 for p in parts])
+        np.testing.assert_array_equal(offsets, np.cumsum([0] + [p.size for p in parts if p.size])[:-1])
 
     @pytest.mark.parametrize("edges", [
         [[12, 5]],                    # i > j
