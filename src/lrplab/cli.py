@@ -23,8 +23,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -84,51 +84,220 @@ def _cell_format(column, cells: list) -> str:
     return {"b": "%d", "i": "%d", "u": "%d", "f": "%r"}.get(kind, "%s")
 
 
-def _integer_rows(block: list) -> bytes:
-    """The CSV rows of equal-length numpy integer or bool arrays, as ASCII.
+def _numeric_array(col):
+    """One block of a column as a numpy bool, integer or float64 array, or None if it holds text.
 
-    Each column fills a fixed-width slot of one uint8 row matrix: a '-'
-    byte if the column has a negative value in the block, the digits of the
-    magnitude by repeated division by 10, then ',' or '\\n'.  The magnitude
-    is |v| taken in int64 and read as uint64, exact for -2**63 (whose int64
-    |v| wraps to itself) and for uint64 values of 2**63 or more.  The slot
-    is as wide as the block's largest magnitude needs, and the unused sign
-    and leading digit bytes are NUL, which are then dropped.
+    An array's dtype decides, and narrower floats widen to float64; a list or object
+    array converts if all its cells are Python floats, or all Python ints and bools
+    that fit int64 or uint64.
     """
-    slots = []
-    for col in block:
-        if col.dtype.kind == "i":
-            negative = col < 0
-            magnitude = np.abs(col, dtype=np.int64).view(np.uint64)
-        else:
-            negative = None
-            magnitude = col.astype(np.uint64, copy=False)
-        top = int(magnitude.max())
-        if top < 2**32:
-            magnitude = magnitude.astype(np.uint32)  # a cheaper division
-        slots.append((negative if negative is not None and negative.any() else None,
-                      magnitude, len(str(top))))
-    width = sum((negative is not None) + digits + 1 for negative, _, digits in slots)
-    rows = np.zeros((len(block[0]), width), dtype=np.uint8)
-    zero = np.uint8(ord("0"))
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
+        return col.astype(np.float64, copy=False) if col.dtype.kind == "f" else col
+    cells = col.tolist() if isinstance(col, np.ndarray) else col
+    types = set(map(type, cells))
+    if types == {float}:
+        return np.array(cells, dtype=np.float64)
+    if types <= {bool, int}:
+        for dtype in (np.int64, np.uint64):
+            with contextlib.suppress(OverflowError):
+                return np.array(cells, dtype=dtype)
+    return None
+
+
+def _integer_width(col: np.ndarray) -> int:
+    """Bytes of the widest cell of an integer or bool array: a '-' if some value is negative,
+    then the digits of the largest magnitude."""
+    low, high = int(col.min()), int(col.max())
+    return (low < 0) + len(str(max(high, -low)))
+
+
+def _integer_slots(col: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, a uint8 matrix _integer_width(col) bytes wide, with the cells of an integer
+    or bool array.
+
+    A '-' byte leads if the column has a negative value, then come the digits of
+    the magnitude by repeated division by 10, with leading zeros left NUL.  The
+    magnitude is |v| taken in int64 and read as uint64, exact for -2**63 (whose
+    int64 |v| wraps to itself) and for uint64 values of 2**63 or more.
+    """
+    if col.dtype.kind == "i":
+        negative = col < 0
+        if negative.any():
+            np.multiply(negative, np.uint8(ord("-")), out=out[:, 0])
+            out = out[:, 1:]
+        magnitude = np.abs(col, dtype=np.int64).view(np.uint64)
+    else:
+        magnitude = col.astype(np.uint64, copy=False)
+    if int(magnitude.max()) < 2**32:
+        magnitude = magnitude.astype(np.uint32)  # a cheaper division
+    ten, zero = magnitude.dtype.type(10), np.uint8(ord("0"))
+    for pos in range(out.shape[1] - 1, -1, -1):
+        quotient = magnitude // ten
+        digit = magnitude.astype(np.uint8)
+        digit -= quotient.astype(np.uint8) * np.uint8(10)  # exact: the digit is the same mod 256
+        digit += zero if pos == out.shape[1] - 1 else (magnitude != 0) * zero  # leading zeros stay NUL
+        out[:, pos] = digit
+        magnitude = quotient
+
+
+_POW10 = np.array([float(10**k) for k in range(22)])  # each exact
+_NEAR = 2.0**-40  # decision margin; every distance below is exact to within 2**-46
+
+
+@functools.cache
+def _digit_tables() -> tuple:
+    """Every four-digit group g's count of trailing zeros, and its ASCII with only the
+    first c bytes kept and the rest NUL, as uint32 at c * 10000 + g for c = 0-4."""
+    k = np.arange(10000)
+    digits = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1)
+    zeros = np.minimum.accumulate(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    kept = np.arange(4) < np.arange(5)[:, None, None]
+    text = (kept * (digits + ord("0"))).astype(np.uint8).view(np.uint32).ravel()
+    zeros.setflags(write=False)
+    text.setflags(write=False)
+    return zeros, text
+
+
+def _split(a):
+    """Veltkamp's split of float64 ``a`` into two halves of 26 bits, exactly."""
+    c = a * 134217729.0
+    high = c - (c - a)
+    return high, a - high
+
+
+def _times_pow10(a, k):
+    """a * 10**k exactly, as hi + lo (Dekker's product, which needs no FMA)."""
+    p = _POW10[k]
+    hi = a * p
+    (ah, al), (ph, pl) = _split(a), _split(p)
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _scaled(a):
+    """e = floor(log10 a) and y = a * 10**(16 - e) = n + f exactly, with n an int64 in
+    [1e16, 1e17) and f in [0, 1], for float64 a in [1e-4, 1e16)."""
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, 16 - e)
+    # log10 is within an ulp, so e is off by at most one: fix it from the exact hi + lo
+    step = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64) - ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
+    fix = np.flatnonzero(step)
+    if fix.size:
+        e[fix] += step[fix]
+        hi[fix], lo[fix] = _times_pow10(a[fix], 16 - e[fix])
+    floor_lo = np.floor(lo)
+    n = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    return e, n, np.subtract(lo, floor_lo, out=lo)
+
+
+def _shortest(a, e, n, f):
+    """repr's digits of ``a`` as a 17-digit int64, and where a decision came within _NEAR.
+
+    The digits are the first of the 15-, 16- and 17-digit roundings of y = n + f
+    whose distance to y is below half an ulp of ``a`` times 10**(16 - e), the
+    bound of the decimals that read back as ``a``.  No decimal of at most 15
+    digits but the 15-digit rounding can be within it, since those are spaced
+    wider than an ulp.  A decision within _NEAR of a rounding tie or of the bound
+    is left to repr, since round-half-even would decide it.
+    """
+    bound = np.spacing(a) * _POW10[16 - e] * 0.5  # exact: a power of two times 10**k
+    near = np.abs(f - 0.5) < _NEAR
+    m = n + (f > 0.5)  # the 17-digit rounding, always within the bound
+    for unit in (10, 100):  # then the 16- and 15-digit ones, so that the shortest wins
+        q, frac = np.divmod(n, unit)
+        frac = frac + f
+        up = frac > unit / 2
+        dist = np.where(up, unit - frac, frac)
+        near |= (np.abs(dist - bound) < _NEAR) | (np.abs(frac - unit / 2) < _NEAR)
+        m = np.where(dist < bound, (q + up) * unit, m)
+    return m, near
+
+
+def _digit_text(m, e):
+    """The top digit of 17-digit m as ASCII, and its other 16 as a (len(m), 16) uint8
+    matrix, with the trailing zeros that repr drops made NUL: all of them if e < 0,
+    else those past digit e + 1 ('1000.0')."""
+    zeros, text = _digit_tables()
+    top, rest = np.divmod(m, 10**16)
+    groups = np.divmod(rest // 10**8, 10**4) + np.divmod(rest % 10**8, 10**4)
+    z = [zeros[g] for g in groups]
+    significant = 17 - z[3] - (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
+    shown = np.where(e < 0, significant, np.maximum(significant, e + 2))
+    quads = np.empty((len(m), 4), np.uint32)
+    for j, g in enumerate(groups):
+        np.take(text, np.clip(shown - 1 - 4 * j, 0, 4) * 10000 + g, out=quads[:, j])
+    return top.astype(np.uint8) + np.uint8(ord("0")), quads.view(np.uint8)
+
+
+def _float_width(col: np.ndarray) -> int:
+    """Bytes of a float64 column's slot: '-', '0.000', 17 digits, and a '.' slot after
+    each of the first ``dots`` digits, one more than the largest integer part has;
+    at least 24, repr's widest."""
+    a = np.abs(col)
+    top = a.max(initial=0.0, where=a < 1e16)
+    return 23 + (min(16, math.floor(math.log10(top)) + 2) if top >= 1 else 1)
+
+
+def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
+    """Fill ``out``, a uint8 matrix _float_width(x) bytes wide, with repr(v) of a float64
+    array's cells, NUL-padded; return how many cells took repr itself.
+
+    The kernel covers finite |x| in [1e-4, 1e16), repr's positional range, by
+    _scaled, _shortest and _digit_text.  The other cells take repr: zeros,
+    subnormals, exponent notation, inf and nan; powers of two, whose rounding
+    interval is asymmetric; cells where _shortest came near a decision edge; and
+    the rare cells whose integer part has no '.' slot after it.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16) & (a.view(np.uint64) & np.uint64(2**52 - 1) != 0)
+    a[~fast] = 1.5  # a positional value, so that no arithmetic below sees inf or nan
+    e, n, f = _scaled(a)
+    # No rounding carries m to 10**17: 1e-4 to 1e16 in steps of ten are doubles or, below 1,
+    # round up, so every double below one is over half an ulp from it.
+    m, near = _shortest(a, e, n, f)
+    del n, f
+    top, digits = _digit_text(m, e)
+    del m
+    # '-', then '0.' and e's leading zeros if e < 0; digit j goes to byte
+    # 6 + j + min(j, dots), and a '.' after digit e to byte 7 + 2e
+    width = out.shape[1]
+    slot = np.zeros((len(x), width), np.uint8)  # contiguous, and copied once into the wider rows
+    dots = width - 23
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=slot[:, 0])
+    for j, (below, char) in enumerate(zip((0, 0, -1, -2, -3), "0.000")):
+        np.multiply(e < below, np.uint8(ord(char)), out=slot[:, 1 + j])
+    slot[:, 6] = top
+    slot[:, 8:7 + 2 * dots:2] = digits[:, :dots]
+    slot[:, 7 + 2 * dots:] = digits[:, dots:]
+    dotted = np.flatnonzero((e >= 0) & (e < dots))
+    slot[dotted, 7 + 2 * e[dotted]] = ord(".")
+    slow = np.flatnonzero(~fast | near | (e >= dots))
+    if slow.size:
+        cells = b"".join(repr(v).encode().ljust(width, b"\0") for v in x[slow].tolist())
+        slot[slow] = np.frombuffer(cells, np.uint8).reshape(-1, width)
+    out[...] = slot
+    return slow.size
+
+
+def _numeric_rows(block: list) -> bytes:
+    """The CSV rows of equal-length numpy bool, integer and float arrays, as ASCII.
+
+    Each column fills a fixed-width slot of one uint8 row matrix (_integer_slots,
+    _float_slots), then ',' or '\\n'.  The slots' unused bytes are NUL, which are
+    then dropped.  Columns are formatted one at a time, so the working memory is
+    the matrix and one column's arrays.
+    """
+    kinds = [col.dtype.kind == "f" for col in block]
+    widths = [(_float_width if is_float else _integer_width)(col) for col, is_float in zip(block, kinds)]
+    rows = np.zeros((len(block[0]), sum(widths) + len(widths)), dtype=np.uint8)
     end = 0
-    for negative, magnitude, digits in slots:
-        if negative is not None:
-            np.multiply(negative, np.uint8(ord("-")), out=rows[:, end])
-            end += 1
-        ten = magnitude.dtype.type(10)
-        for pos in range(end + digits - 1, end - 1, -1):
-            quotient = magnitude // ten
-            digit = magnitude.astype(np.uint8)
-            digit -= quotient.astype(np.uint8) * np.uint8(10)  # exact: the digit is the same mod 256
-            digit += zero if pos == end + digits - 1 else (magnitude != 0) * zero  # leading zeros stay NUL
-            rows[:, pos] = digit
-            magnitude = quotient
-        end += digits
-        rows[:, end] = ord(",")
-        end += 1
+    for col, width, is_float in zip(block, widths, kinds):
+        (_float_slots if is_float else _integer_slots)(col, rows[:, end:end + width])
+        end += width + 1
+        rows[:, end - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    return rows.tobytes().translate(None, b"\0")
+    text = rows.tobytes()
+    del rows
+    return text.translate(None, b"\0")
 
 
 def _write_csv(path: Path, columns_doc: str, config_hash: str, header, columns, created: list,
@@ -137,11 +306,9 @@ def _write_csv(path: Path, columns_doc: str, config_hash: str, header, columns, 
 
     A column is a numpy array, a list, or any object with ``len`` and row
     slicing.  Each block of _BLOCK_ROWS rows goes out in one write, by one
-    of three paths: as a byte matrix when every column is a numpy integer or
-    bool array (_integer_rows); else with one '%' of the repeated row format
-    when every column is numeric (ints as '%d', so Python ints of any size
-    stay exact, floats as '%r'); else through csv.writer when some column is
-    text (see _cell_format).
+    of two paths: as a byte matrix when every column is numeric (_numeric_array,
+    _numeric_rows); else through csv.writer, when some column holds text, a mix,
+    or ints past uint64 (see _cell_format).
     """
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
@@ -155,17 +322,14 @@ def _write_csv(path: Path, columns_doc: str, config_hash: str, header, columns, 
         writer.writerow(header)
         for lo in range(0, n_rows, _BLOCK_ROWS):
             block = [col[lo:lo + _BLOCK_ROWS] for col in columns]
-            if all(isinstance(col, np.ndarray) and col.dtype.kind in "biu" for col in block):
+            arrays = [_numeric_array(col) for col in block]
+            if all(array is not None for array in arrays):
                 fh.flush()
-                fh.buffer.write(_integer_rows(block))
+                fh.buffer.write(_numeric_rows(arrays))
                 continue
             cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in block]
             formats = [_cell_format(col, c) for col, c in zip(block, cells)]
-            if "%s" in formats:
-                writer.writerows(zip(*(map(f.__mod__, col) for f, col in zip(formats, cells))))
-            else:
-                flat = tuple(itertools.chain.from_iterable(zip(*cells)))
-                fh.write((",".join(formats) + "\n") * len(cells[0]) % flat)
+            writer.writerows(zip(*(map(f.__mod__, col) for f, col in zip(formats, cells))))
     created.append(path)
 
 
@@ -360,13 +524,15 @@ def _no_check(cfg: dict) -> None:
 
 def _check_exponents(cfg: dict) -> None:
     # 5 table columns and up to 11 working arrays of exponent_table and
-    # ratio_report (tracemalloc: 104 bytes per row at n_max = 262143)
+    # ratio_report (tracemalloc: 104 bytes per row at n_max = 999999; the
+    # CSV writer's one block fits within the tables' own peak)
     _check_table_memory("n_max", cfg["n_max"] + 1, 16)
 
 
 def _check_limit_curve(cfg: dict) -> None:
     # 4 table columns and up to 4 working arrays of psi_limit and lower_curve
-    # (tracemalloc: 56 bytes per row at n_points = 1000001)
+    # (tracemalloc: 56 bytes per row at n_points = 1000000; the CSV writer's
+    # one block fits within the table's own peak)
     _check_table_memory("n_points", cfg["n_points"], 8)
 
 

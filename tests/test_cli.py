@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,16 @@ from lrplab import (
     derived_constants,
     distances_from,
     estimate_phi,
+    lambda_of_t,
+    lower_curve,
+    psi_limit,
     sample_graph,
     theta_fast,
     theta_recursive,
 )
 import lrplab.cli
-from lrplab.cli import _BLOCK_ROWS, _COMMANDS, ConfigError, _resolve, _write_csv, main
+from lrplab.cli import (_BLOCK_ROWS, _COMMANDS, ConfigError, _float_slots, _float_width, _resolve, _scaled,
+                        _write_csv, main)
 from lrplab.sampler import DEFAULT_MEMORY_CAP
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -102,6 +107,28 @@ class TestLimitCurveCommand:
         assert float(rows[0][1]) == pytest.approx(end, rel=1e-12)
         assert float(rows[-1][1]) == pytest.approx(end, rel=1e-12)
         assert float(rows[0][0]) == 0.0 and float(rows[-1][0]) == 1.0
+
+    def test_holds_one_block_of_slots(self, tmp_path):
+        # limit_curve.csv is written a block at a time: the command's peak is the
+        # table's own plus one block's row matrix (4 slots of 25 bytes here) and
+        # the float kernel's arrays for one of its columns, 47 bytes a cell in all
+        # at this writing.  A writer that held the whole table's text would add
+        # about 100 bytes a row, 10 MB here.
+        argv = ["limit-curve", "--n-points", "100001"]
+        params = _resolve(argv)[1]["params"]
+        assert run(tmp_path, *argv) == 0  # first-call allocations stay out of the peaks
+        tracemalloc.start()
+        try:
+            t = np.linspace(0.0, 1.0, 100001)
+            table = [t, psi_limit(params, t), lambda_of_t(params, t), lower_curve(params, t)]
+            table_peak = tracemalloc.get_traced_memory()[1]
+            del t, table
+            tracemalloc.reset_peak()
+            assert run(tmp_path, *argv) == 0
+            command_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert command_peak <= table_peak + _BLOCK_ROWS * 4 * 56
 
 
 class TestSampleCommand:
@@ -886,6 +913,7 @@ _COLUMN_KINDS = {
                        st.integers(-2**62 - 3, -2**62 + 3)).map(np.int64),
     "uint64": st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63 - 3, 2**63 + 3)).map(np.uint64),
     "float64": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()).map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
     "text": _TEXT,
     # lists hold Python values: ints of any size, floats, or a mix with strings
     "int list": st.integers(),
@@ -945,6 +973,57 @@ class TestWriteCsv:
                    rng.integers(2**32 - 3, 2**32 + 3, n_rows)]  # about the limit of 32-bit division
         header = [f"c{i}" for i in range(len(columns))]
         assert written_table(tmp_path, header, columns) == reference_table(header, columns)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_narrow_floats_widen(self, tmp_path, dtype):
+        rng = np.random.default_rng(16)
+        bits = rng.integers(0, 2**16 if dtype is np.float16 else 2**32, 3000)
+        column = bits.astype(np.uint16 if dtype is np.float16 else np.uint32).view(dtype)
+        column[np.isnan(column)] = np.nan  # quiet, so that widening raises no warning
+        header = ["narrow", "wide"]
+        columns = [column, column.astype(np.float64)]
+        assert written_table(tmp_path, header, columns) == reference_table(header, columns)
+
+    def test_float_kernel_decision_edges(self, tmp_path):
+        """The float kernel's decision edges, one cell a row, against repr."""
+        rng = np.random.default_rng(30)
+        anchors = np.array([float(f"1e{k}") for k in range(-4, 17)] + [2.0**k for k in range(-14, 54)])
+        neighbours = (anchors.view(np.int64)[:, None] + np.arange(-24, 25)).ravel().view(np.float64)
+        decimals = [float(f"{rng.integers(10**(n - 1), 10**n)}e{rng.integers(-4 - n, 18 - n)}")
+                    for n in range(1, 18) for _ in range(1500)]
+        ties = [float(f"{rng.integers(10**16, 10**17)}5e{rng.integers(-22, -1)}") for _ in range(4000)]
+        in_range = rng.integers(np.float64(1e-4).view(np.int64), np.float64(1e16).view(np.int64), 8000)
+        values = np.concatenate([neighbours, decimals, ties, in_range.view(np.float64)])
+        values[rng.random(len(values)) < 0.5] *= -1
+        assert written_table(tmp_path, ["x"], [values]) == reference_table(["x"], [values])
+
+    def test_scaling_is_exact_about_powers_of_ten(self):
+        # e is the exact decimal exponent, fixed from hi + lo where log10 rounds to
+        # an integer, and n + f is |x| * 10**(16 - e) to within f's last rounding
+        anchors = np.array([float(f"1e{k}") for k in range(-4, 17)])
+        rng = np.random.default_rng(31)
+        x = np.concatenate([(anchors.view(np.int64)[:, None] + np.arange(-24, 25)).ravel().view(np.float64),
+                            10.0 ** rng.uniform(-4, 16, 2000)])
+        x = x[(x >= 1e-4) & (x < 1e16)]
+        e, n, f = _scaled(x.copy())
+        for v, e_v, n_v, f_v in zip(x.tolist(), e.tolist(), n.tolist(), f.tolist()):
+            y = Fraction(v) * Fraction(10) ** (16 - e_v)
+            assert 10**16 <= y < 10**17 and 10**16 <= n_v < 10**17
+            assert abs(n_v + Fraction(f_v) - y) <= Fraction(1, 2**50)
+
+    def test_limit_curve_columns_rarely_take_repr(self):
+        # a decision margin set too wide would send the kernel's cells to repr
+        t = np.linspace(0.0, 1.0, 100001)
+        params = _resolve(["limit-curve"])[1]["params"]
+        for column in (t, psi_limit(params, t), lambda_of_t(params, t), lower_curve(params, t)):
+            slow = 0
+            for lo in range(0, len(column), _BLOCK_ROWS):
+                block = column[lo:lo + _BLOCK_ROWS]
+                out = np.zeros((len(block), _float_width(block) + 1), dtype=np.uint8)
+                slow += _float_slots(block, out[:, :-1])
+                out[:, -1] = ord("\n")
+                assert out.tobytes().translate(None, b"\0").decode().split() == list(map(repr, block.tolist()))
+            assert slow < 0.001 * len(column)
 
     def test_mixed_int_and_inf_list(self, tmp_path):
         columns = [["ell1", "D", "D_k0"], [9, 3, math.inf]]
