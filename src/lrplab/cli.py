@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .model import NORMS, ModelParams, derived_constants, norm_value
@@ -1035,7 +1034,6 @@ def _write_manifest(command, raw, config_hash, outdir, created, wall_time):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "lrplab": __version__,
         },
         "wall_time_s": wall_time,

@@ -333,13 +333,14 @@ def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: flo
     inequality) with |D(source, x)/scale - 1| > epsilon, normalized by the
     number of box vertices in B(source, r).  That is the lattice-point
     count |B(source, r)| only when the ball fits in the box, which an
-    off-centre source can break even for r <= the box radius.  The float64
-    norm field and the ball mask (9 bytes per vertex) are checked against
+    off-centre source can break even for r <= the box radius, and it is
+    never empty, since r must lie in [0, box radius].  The float64 norm
+    field and the ball mask (9 bytes per vertex) are checked against
     ``DEFAULT_MEMORY_CAP`` before they are built.
     """
     box = field.sample.box
-    if r > box.radius:
-        raise ValueError(f"r={r} exceeds the box radius {box.radius}")
+    if not 0 <= r <= box.radius:
+        raise ValueError(f"r={r} must lie in [0, {box.radius}] (the box radius)")
     _check_memory(9.0 * box.n_vertices, DEFAULT_MEMORY_CAP, "ball field and mask")
     mask = box.norm_field(field.source, field.sample.params.norm) <= r
     return _deviation_fraction(field.dist[mask], scale, epsilon)
@@ -349,7 +350,7 @@ def _deviation_fraction(ball_dists: np.ndarray, scale: float, epsilon: float) ->
     """``theorem1_fraction`` from the distances of the ball's vertices, for a caller that has them."""
     if not scale > 0:
         raise ValueError("scale must be > 0")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     ratios = ball_dists.astype(np.float64) / scale
     return float(np.count_nonzero(np.abs(ratios - 1.0) > epsilon) / ratios.size)
@@ -378,7 +379,10 @@ def periodicity_diagnostic(params: ModelParams, r: float, n_replicas: int, seed0
     """Compare phi_hat at radii one log-log period apart (r and r**(1/gamma)),
     both read from one sample per replica on the box of the outer radius."""
     gamma, _ = derived_constants(params)
-    r_next = r ** (1.0 / gamma)
+    try:
+        r_next = r ** (1.0 / gamma)
+    except OverflowError:  # past the float range: _check_radii refuses it as it refuses inf
+        r_next = math.inf
     est1, est2 = _estimate_ladder([params], [r, r_next], n_replicas, seed0, delta, executor,
                                   memory_cap_bytes, [[seed0, _BOOTSTRAP_TAG]])[0]
     phis1, phis2 = (np.array([rec.phi_hat for rec in est.records]) for est in (est1, est2))
@@ -495,8 +499,6 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
             replica_phis=tuple(rec.phi_hat for rec in est.records),
         ))
 
-    from scipy import stats  # deferred past every refusal: importing scipy.stats takes about 1.2 s
-
     summaries = []
     rng = np.random.default_rng([seed0, _COLLAPSE_TAG])
     for pm, lb_pow in zip(params_list, scales):
@@ -504,7 +506,7 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
         live = [c for c in mine if not c.missing]
         discrepancies = np.array([abs(c.value - c.limit) for c in live] or [math.nan])
         limits = np.array([c.limit for c in live])
-        rank = float(stats.spearmanr([c.value for c in live], limits)[0]) if len(live) > 1 else math.nan
+        rank = _spearman([c.value for c in live], limits) if len(live) > 1 else math.nan
         ci_lo, ci_hi = _bootstrap_ci(rng, lambda m: np.abs(m.T * lb_pow - limits).mean(axis=-1),
                                      np.array([c.replica_phis for c in live])) if live else (math.nan,) * 2
         summaries.append(CollapseSummary(
@@ -516,6 +518,16 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
         ))
     return CollapseReport(t_grid=tuple(t_vals), m_offset=int(m_offset),
                           cells=tuple(cells), summaries=tuple(summaries))
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rank correlation, ties given their mean rank; nan if either input is constant."""
+    ranks = []
+    for v in (x, y):
+        _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2)[inverse])
+    with np.errstate(divide="ignore", invalid="ignore"):  # ranks as columns, as scipy's: rows round otherwise
+        return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True)
@@ -554,8 +566,8 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
     ``_replica`` run on the box of radius ceil(max rho * (1 + shell_halfwidth)).
     """
     radii = [float(rho) for rho in radii_list]
-    if not radii or any(rho <= 0 for rho in radii):
-        raise ValueError("radii must be positive")
+    if not radii or any(not 0 < rho < math.inf for rho in radii):
+        raise ValueError("radii must be positive finite reals")
     if not 0 < shell_halfwidth < 1:
         raise ValueError("shell_halfwidth must be in (0, 1)")
     box = Box(params.d, int(math.ceil(max(radii) * (1 + shell_halfwidth))))

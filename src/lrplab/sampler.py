@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -705,14 +704,8 @@ class C0Estimate:
     budget: int
 
 
-@lru_cache(maxsize=None)
-def _c0_quadrature(d: int, norm_kind: str) -> tuple:
-    """c0 = v_d^2 * Int_0^1 sqrt(1 - u^2) du by quadrature, with its error bound."""
-    from scipy import integrate  # deferred: importing scipy.integrate takes about 0.65 s
-
-    vd = unit_ball_volume(d, norm_kind)
-    integral, abserr = integrate.quad(lambda u: math.sqrt(max(0.0, 1.0 - u * u)), 0.0, 1.0)
-    return vd * vd * integral, vd * vd * abserr
+# Int_0^1 sqrt(1 - u^2) du = pi/4, as the float every Z draw has always used: 2 ulp below math.pi / 4.
+_QUARTER_DISK = 0.7853981633974481
 
 
 def compute_c0(params: ModelParams, method: str = "quadrature", budget: int = 10**6,
@@ -721,15 +714,18 @@ def compute_c0(params: ModelParams, method: str = "quadrature", budget: int = 10
 
     quadrature: reduce both d-dimensional integrals radially
     (vol{|z| <= rho} = v_d rho^d for any norm), leaving
-    c0 = v_d^2 * Int_0^1 sqrt(1 - u^2) du, evaluated numerically.
+    c0 = v_d^2 * Int_0^1 sqrt(1 - u^2) du = v_d^2 * pi/4, with pi/4 in
+    closed form (``_QUARTER_DISK``); the standard error is that constant's
+    rounding error, |value - v_d^2 * math.pi / 4|.
     monte_carlo: hit counting over the bounding cube [-1, 1]^{2d}.
     """
     if budget < 10**4:
         raise ValueError("budget must be at least 1e4 evaluations")
     d = params.d
     if method == "quadrature":
-        value, abserr = _c0_quadrature(d, params.norm)
-        return C0Estimate(value=value, standard_error=abserr, method=method, budget=budget)
+        vd = unit_ball_volume(d, params.norm)
+        value = vd * vd * _QUARTER_DISK
+        return C0Estimate(value=value, standard_error=abs(value - vd * vd * math.pi / 4), method=method, budget=budget)
     if method == "monte_carlo":
         rng = np.random.default_rng(seed)
         hits = 0
@@ -781,7 +777,8 @@ def sample_z(params: ModelParams, eta: float, rng: np.random.Generator, size: in
     if not eta > 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     d = params.d
-    c0 = _c0_quadrature(d, params.norm)[0]
+    vd = unit_ball_volume(d, params.norm)
+    c0 = vd * vd * _QUARTER_DISK
     alpha = 2 * d
     a = ((d + alpha) / (2 * d * eta * c0)) ** (1.0 / (2 * d))
     target = 1 if size is None else int(size)

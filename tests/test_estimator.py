@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 import lrplab.estimator
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from lrplab import (
     Box,
@@ -29,6 +31,7 @@ from lrplab import (
     tail_comparison,
     theorem1_fraction,
 )
+from lrplab.estimator import _spearman
 
 PM = ModelParams(d=1, s=1.5, beta=1.0)
 
@@ -458,6 +461,14 @@ class TestTheorem1Fraction:
         with pytest.raises(ValueError):
             theorem1_fraction(field_r2000, 500.0, 1.0, -0.1)  # epsilon < 0
 
+    @pytest.mark.parametrize("r,epsilon", [(-1.0, 0.5), (math.nan, 0.5), (500.0, math.nan)],
+                             ids=["negative-r", "nan-r", "nan-epsilon"])
+    def test_refuses_an_empty_ball_and_a_nan_epsilon(self, field_r2000, r, epsilon):
+        # An empty ball divided 0 by 0, and epsilon = nan counted no deviation.
+        with pytest.raises(ValueError, match="must lie in|epsilon must be"):
+            theorem1_fraction(field_r2000, r, 7.0, epsilon)
+        assert theorem1_fraction(field_r2000, 0.0, 7.0, 0.5) == 1.0  # the ball of the source alone
+
 
 class TestPeriodicityDiagnostic:
     def test_determinism(self):
@@ -500,6 +511,12 @@ class TestPeriodicityDiagnostic:
         with pytest.raises(MemoryCapExceeded):
             periodicity_diagnostic(pm, 1e3, n_replicas=1, seed0=0, memory_cap_bytes=cap - 1)
 
+    def test_next_radius_past_the_float_range_refused(self, monkeypatch):
+        radii = count_samples(monkeypatch)
+        with pytest.raises(ValueError, match="r must be a finite real > 1"):
+            periodicity_diagnostic(ModelParams(d=1, s=1.5, beta=2), 1e300, 1, 0)
+        assert radii == []
+
     def test_outer_radius_is_estimate_phi(self):
         pm = ModelParams(d=1, s=1.5, beta=5.0)
         diag = periodicity_diagnostic(pm, 1e3, n_replicas=3, seed0=4)
@@ -507,6 +524,26 @@ class TestPeriodicityDiagnostic:
         got = diag.estimate_r_next
         assert (got.phi_hat, got.ci_low, got.ci_high) == (est.phi_hat, est.ci_low, est.ci_high)
         assert got.records == est.records
+
+
+class TestSpearman:
+    def test_matches_scipy_bit_for_bit_with_heavy_ties(self):
+        rng = np.random.default_rng(20261021)
+        for k in range(2000):
+            m = int(rng.integers(2, 40))
+            x = rng.integers(0, 1 + k % 5, m) * 0.5 if k % 2 else rng.random(m)  # all zeros when k % 10 == 5
+            y = rng.integers(0, 3, m) * 1.5 if k % 3 else np.round(rng.random(m) * 4) / 3
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", stats.ConstantInputWarning)
+                want = float(stats.spearmanr(x, y)[0])
+            got = _spearman(list(x), y)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (k, x, y)
+
+    def test_constant_input_is_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_spearman([2.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]))
+            assert math.isnan(_spearman([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
 
 
 @pytest.fixture(scope="module")
@@ -637,8 +674,6 @@ class TestCollapseReport:
         # At m_offset = 6 the d=2 radii are 1226 and 13115, whose norm fields
         # would take 46 MiB and 5.1 GiB: the sweep's memory check refuses
         # each box before its field is built.
-        from scipy import stats  # noqa: F401  collapse_report's own import is not the field
-
         tracemalloc.start()
         try:
             report = collapse_report([ModelParams(d=2, s=3.0, beta=math.e**3)], [0.0, 1.0],
@@ -742,6 +777,13 @@ class TestTailComparison:
         tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [15.0, 41.0], 3, 0, 1.0, 1.0, 9.0,
                         shell_halfwidth=0.15)
         assert radii == [math.ceil(41.0 * 1.15)] * 3
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
+    def test_radii_must_be_positive_finite(self, monkeypatch, rho):
+        radii = count_samples(monkeypatch)
+        with pytest.raises(ValueError, match="radii must be positive finite reals"):
+            tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [15.0, rho], 2, 0, 1.0, 1.0, 9.0)
+        assert radii == []
 
     def test_envelope_arguments_checked_before_sampling(self, monkeypatch):
         radii = count_samples(monkeypatch)

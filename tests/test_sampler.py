@@ -775,6 +775,17 @@ class TestC0:
             assert est.value == pytest.approx(
                 math.pi * unit_ball_volume(d, norm) ** 2 / 4, rel=1e-9)
 
+    @pytest.mark.parametrize("norm", sampler.NORMS)
+    def test_closed_form_quarter_disk(self, norm):
+        for d in range(1, 6):
+            pm = ModelParams(d=d, s=1.5 * d, beta=1.0, norm=norm)
+            est = compute_c0(pm, method="quadrature")
+            vd = unit_ball_volume(d, norm)
+            assert est.value == vd**2 * sampler._QUARTER_DISK
+            exact = vd**2 * math.pi / 4
+            assert abs(est.value - exact) <= 1e-15 * exact
+            assert est.standard_error == abs(est.value - exact)
+
     def test_monte_carlo_agrees_with_quadrature(self):
         for d, norm in [(1, "ell2"), (2, "ell2"), (2, "ellinf"), (3, "ell1")]:
             pm = ModelParams(d=d, s=1.5 * d, beta=1.0, norm=norm)
