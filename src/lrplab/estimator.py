@@ -8,7 +8,7 @@ endpoint; the inner cutoff excises the neighborhood of the origin.
 
 Replicas are independent jobs with seeds seed0, seed0 + 1, ...; every
 estimator here is a deterministic function of (params, radii, n_replicas,
-seed0), and one runner, ``_replica``, samples and searches every replica.
+seed0), and one runner, ``_run_replicas``, runs every replica.
 Confidence intervals are seeded percentile bootstraps with 1000
 resamples.
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,15 +81,15 @@ def _shell_masks(nrm: np.ndarray, radii, halfwidth: float) -> list:
     return [np.abs(nrm - rho) <= halfwidth * rho for rho in radii]
 
 
-def _replica(args, last_level: int | None = None) -> list:
-    """One coupled sample on ``box`` and one BFS per rung: each rung's shell histograms.
+def _replica(params_list, box, shell_masks, radii, width, memory_cap_bytes, last_level, seed) -> list:
+    """One coupled ladder sample on ``box`` at ``seed`` and one BFS per rung: each rung's shell histograms.
 
     The caller owns the shells: ``shell_masks(norm_field, radii, width)``, a
     module-level function so that it pickles, gives one mask per shell, and
     ``hists[j]`` is the histogram of the distances over shell j.  Each
     search stops once what the caller reads is fixed.  A caller that gives
     ``last_level`` reads the counts of distances up to it, and the search
-    stops at that level; otherwise it reads each shell's median, and the
+    stops at that level; with None it reads each shell's median, and the
     search stops at the first level where every shell has more than half
     its vertices reached.  A shell's unreached vertices go into one
     overflow bin just above the last level searched, so ``hist.sum()``,
@@ -101,7 +102,6 @@ def _replica(args, last_level: int | None = None) -> list:
     past the first, which the sampler's search stage leaves out; a refusal
     adds them back to its estimate and names the caller's cap.
     """
-    params_list, box, seed, (shell_masks, radii, width), memory_cap_bytes = args
     extra = (len(radii) - 1) * box.n_vertices
     try:
         # A copy, emptied below as the rungs are searched: perfbench's tracer reads the list
@@ -136,6 +136,11 @@ def _replica(args, last_level: int | None = None) -> list:
 
     # pop(0): the copy holds no rung once its search is done, so its adjacency goes with it.
     return [histograms(samples.pop(0)) for _ in range(len(samples))]
+
+
+def _run_replicas(replica, seed0: int, n_replicas: int, executor=None) -> list:
+    """The one replica loop: ``replica(seed0 + i)``, i < n_replicas, in order, by ``executor.map`` if given."""
+    return list((map if executor is None else executor.map)(replica, range(seed0, seed0 + n_replicas)))
 
 
 def _hist_median(hist: np.ndarray) -> float:
@@ -272,10 +277,8 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
     _check_coupled_ladder(params_list, seed0, n_replicas)
     scales = _check_radii(params_list[0], radii, delta)
     box = Box(params_list[0].d, int(math.ceil(max(radii))))
-    args = [(params_list, box, seed0 + i, (_annulus_masks, radii, delta), memory_cap_bytes)
-            for i in range(n_replicas)]
-    mapper = map if executor is None else executor.map
-    per_replica = list(mapper(_replica, args))
+    per_replica = _run_replicas(partial(_replica, params_list, box, _annulus_masks, radii, delta,
+                                        memory_cap_bytes, None), seed0, n_replicas, executor)
 
     def record(i, bi, ri):
         hist = per_replica[i][bi][ri]
@@ -521,7 +524,9 @@ def collapse_report(params_list, t_grid, n_replicas: int, seed0: int, m_offset: 
 
 
 def _spearman(x, y) -> float:
-    """Spearman's rank correlation, ties given their mean rank; nan if either input is constant."""
+    """Spearman's rank correlation, ties given their mean rank; nan if an input is constant or holds a nan."""
+    if any(np.isnan(np.asarray(v, dtype=np.float64)).any() for v in (x, y)):
+        return math.nan  # as scipy.stats.spearmanr propagates a nan
     ranks = []
     for v in (x, y):
         _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
@@ -570,15 +575,14 @@ def tail_comparison(params: ModelParams, n: int, radii_list, n_replicas: int, se
         raise ValueError("radii must be positive finite reals")
     if not 0 < shell_halfwidth < 1:
         raise ValueError("shell_halfwidth must be in (0, 1)")
+    if not max(radii) * (1 + shell_halfwidth) < math.inf:
+        raise ValueError("the box radius max(radii) * (1 + shell_halfwidth) overflows a float")
     box = Box(params.d, int(math.ceil(max(radii) * (1 + shell_halfwidth))))
     envs = [tail_envelope(params, n, rho, c, c_tilde, p) for rho in radii]  # validates n, c, p
     _check_coupled_ladder([params], seed0, n_replicas)
-    points, hits = np.zeros((2, len(radii)), dtype=np.int64)
-    for i in range(n_replicas):
-        [hists] = _replica(([params], box, seed0 + i, (_shell_masks, radii, shell_halfwidth), memory_cap_bytes),
-                           last_level=n)
-        points += [hist.sum() for hist in hists]
-        hits += [hist[:n + 1].sum() for hist in hists]
+    replica = partial(_replica, [params], box, _shell_masks, radii, shell_halfwidth, memory_cap_bytes, n)
+    points, hits = np.sum([[[hist.sum() for hist in hists], [hist[:n + 1].sum() for hist in hists]]
+                           for [hists] in _run_replicas(replica, seed0, n_replicas)], axis=0)
 
     empirical = [float(h / pts) if pts else math.nan for h, pts in zip(hits, points)]
     ratios = [emp / (env.value / c) for pts, emp, env in zip(points, empirical, envs)

@@ -140,8 +140,8 @@ class TestEstimatePhi:
         box, radii = Box(d, r), [float(r)]
         tracemalloc.start()
         try:
-            lrplab.estimator._replica((params_list, box, 7, (lrplab.estimator._annulus_masks, radii, 0.1),
-                                       lrplab.sampler.DEFAULT_MEMORY_CAP))
+            lrplab.estimator._replica(params_list, box, lrplab.estimator._annulus_masks, radii, 0.1,
+                                      lrplab.sampler.DEFAULT_MEMORY_CAP, None, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -195,9 +195,8 @@ class TestEstimatePhi:
 
         monkeypatch.setattr(lrplab.estimator, "_bfs", counted)
         params_list = [ModelParams(d=1, s=1.5, beta=b) for b in (1.0, 2.0, 5.0, 10.0)]
-        lrplab.estimator._replica((params_list, Box(1, 4096), 7,
-                                   (lrplab.estimator._annulus_masks, [4096.0], 0.1),
-                                   lrplab.sampler.DEFAULT_MEMORY_CAP))
+        lrplab.estimator._replica(params_list, Box(1, 4096), lrplab.estimator._annulus_masks, [4096.0], 0.1,
+                                  lrplab.sampler.DEFAULT_MEMORY_CAP, None, 7)
         assert held == [1, 1, 1, 1]
 
     def test_replica_leaves_the_sampler_list_whole(self, monkeypatch):
@@ -207,9 +206,8 @@ class TestEstimatePhi:
         monkeypatch.setattr(lrplab.estimator, "sample_graph_coupled",
                             lambda *args, **kwargs: returned.append(coupled(*args, **kwargs)) or returned[-1])
         params_list = [ModelParams(d=1, s=1.5, beta=b) for b in (1.0, 5.0)]
-        lrplab.estimator._replica((params_list, Box(1, 1024), 7,
-                                   (lrplab.estimator._annulus_masks, [1024.0], 0.1),
-                                   lrplab.sampler.DEFAULT_MEMORY_CAP))
+        lrplab.estimator._replica(params_list, Box(1, 1024), lrplab.estimator._annulus_masks, [1024.0], 0.1,
+                                  lrplab.sampler.DEFAULT_MEMORY_CAP, None, 7)
         assert [sample.params.beta for sample in returned[0]] == [1.0, 5.0]
 
     def test_annulus_too_small_rejected(self):
@@ -325,8 +323,8 @@ class TestReplicaStop:
         delta = float(rng.uniform(0.05, 0.5))
         box = Box(d, radius)
         masks = lrplab.estimator._annulus_masks(box.norm_field((0,) * d, norm), radii, delta)
-        rungs = lrplab.estimator._replica((params_list, box, seed, (lrplab.estimator._annulus_masks,
-                                                                    radii, delta), 2**31))
+        rungs = lrplab.estimator._replica(params_list, box, lrplab.estimator._annulus_masks, radii, delta,
+                                          2**31, None, seed)
         for hists, full in zip(rungs, full_search_hists(params_list, box, seed, masks), strict=True):
             for hist, full_hist in zip(hists, full, strict=True):
                 assert_overflow_bin(hist, full_hist)
@@ -342,8 +340,7 @@ class TestReplicaStop:
         box = Box(d, math.ceil(radii[-1] * 1.2))
         n = [1, 3, 1000][seed % 3]  # 1000: past the diameter, so no bin overflows
         masks = lrplab.estimator._shell_masks(box.norm_field((0,) * d, pm.norm), radii, 0.2)
-        [hists] = lrplab.estimator._replica(
-            ([pm], box, seed, (lrplab.estimator._shell_masks, radii, 0.2), 2**31), last_level=n)
+        [hists] = lrplab.estimator._replica([pm], box, lrplab.estimator._shell_masks, radii, 0.2, 2**31, n, seed)
         [full] = full_search_hists([pm], box, seed, masks)
         for hist, full_hist in zip(hists, full, strict=True):
             assert_overflow_bin(hist, full_hist)
@@ -362,10 +359,62 @@ class TestReplicaStop:
 
         monkeypatch.setattr(lrplab.estimator, "_bfs", recorded)
         pm = ModelParams(d=1, s=1.5, beta=5.0)
-        lrplab.estimator._replica(([pm], Box(1, 2**14), 0, (lrplab.estimator._annulus_masks, [2.0**14], 0.1),
-                                   2**31), last_level=last_level)
+        lrplab.estimator._replica([pm], Box(1, 2**14), lrplab.estimator._annulus_masks, [2.0**14], 0.1,
+                                  2**31, last_level, 0)
         [count] = unreached
         assert count > 0
+
+
+def record_replicas(monkeypatch) -> list:
+    """Record each ``_replica`` call's seed, and whether ``_run_replicas`` made it."""
+    calls, depth = [], [0]
+    replica, run = lrplab.estimator._replica, lrplab.estimator._run_replicas
+
+    def recorded_replica(*args):
+        calls.append((args[-1], depth[0] > 0))
+        return replica(*args)
+
+    def recorded_run(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return run(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(lrplab.estimator, "_replica", recorded_replica)
+    monkeypatch.setattr(lrplab.estimator, "_run_replicas", recorded_run)
+    return calls
+
+
+class TestReplicaRunner:
+    """Every estimator reaches ``_replica`` only through ``_run_replicas``, once per seed, in order."""
+
+    @pytest.mark.parametrize("run", [
+        lambda seed0: estimate_phi(PM, 300.0, 3, seed0),
+        lambda seed0: estimate_phi_ladder([PM, replace(PM, beta=2.0)], 300.0, 3, seed0),
+        lambda seed0: periodicity_diagnostic(PM, 200.0, 3, seed0),
+        lambda seed0: collapse_report([ModelParams(d=1, s=1.5, beta=math.e**3)], [0.0, 1.0], 3, seed0,
+                                      m_offset=2),
+        lambda seed0: tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [15.0, 41.0], 3, seed0,
+                                      1.0, 1.0, 9.0),
+    ], ids=["estimate_phi", "estimate_phi_ladder", "periodicity_diagnostic", "collapse_report",
+            "tail_comparison"])
+    def test_each_seed_once_in_order_through_the_runner(self, monkeypatch, run):
+        calls = record_replicas(monkeypatch)
+        run(11)
+        assert calls == [(11, True), (12, True), (13, True)]
+
+    def test_collapse_sweeps_again_through_the_runner_after_a_refusal(self, monkeypatch):
+        # The cap refuses the largest radius on the first replica; the sweep of the rest
+        # runs every replica again.
+        params_list = [ModelParams(d=1, s=1.5, beta=math.e**3)]
+        radii = sorted({collapse_radius(params_list[0], math.e**3, t, 2) for t in (0.0, 1.0)})
+        cap = min_memory_cap(params_list, math.ceil(radii[0]))
+        assert cap < min_memory_cap(params_list, math.ceil(radii[1]))
+        calls = record_replicas(monkeypatch)
+        report = collapse_report(params_list, [0.0, 1.0], 2, 5, m_offset=2, memory_cap_bytes=cap)
+        assert [c.missing for c in report.cells] == [False, True]
+        assert calls == [(5, True), (5, True), (6, True)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -544,6 +593,19 @@ class TestSpearman:
             warnings.simplefilter("error")
             assert math.isnan(_spearman([2.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]))
             assert math.isnan(_spearman([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
+
+
+    def test_nan_input_is_nan_as_in_scipy(self):
+        rng = np.random.default_rng(20261022)
+        cases = [([1.0, math.nan, 2.0, 0.5], [1, 2, 3, 4]), ([1.0, 2.0, 3.0], [0.5, math.nan, 0.5]),
+                 ([math.nan] * 3, [1.0, 2.0, 3.0])]
+        for k in range(200):
+            x, y = rng.random(8), rng.integers(0, 3, 8) * 1.0
+            (x, y)[k % 2][rng.integers(8)] = math.nan
+            cases.append((list(x), y))
+        for x, y in cases:
+            assert math.isnan(stats.spearmanr(x, y)[0])
+            assert math.isnan(_spearman(x, y)), (x, y)
 
 
 @pytest.fixture(scope="module")
@@ -783,6 +845,13 @@ class TestTailComparison:
         radii = count_samples(monkeypatch)
         with pytest.raises(ValueError, match="radii must be positive finite reals"):
             tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [15.0, rho], 2, 0, 1.0, 1.0, 9.0)
+        assert radii == []
+
+    def test_box_radius_past_the_float_range_refused(self, monkeypatch):
+        # 1.7e308 is finite, but its box radius 1.7e308 * (1 + 0.1) is not.
+        radii = count_samples(monkeypatch)
+        with pytest.raises(ValueError, match="overflows a float"):
+            tail_comparison(ModelParams(d=1, s=1.5, beta=2.0), 3, [1.7e308], 1, 0, 1.0, 1.0, 9.0)
         assert radii == []
 
     def test_envelope_arguments_checked_before_sampling(self, monkeypatch):
