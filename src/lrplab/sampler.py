@@ -48,8 +48,9 @@ Sparse round 0 maps, sorts and deduplicates its words in blocks of about
 output bit depends on it.
 
 A sample checks its memory cap twice, each time before what it counts is
-built: the class tables from (d, L) alone (``_check_class_memory``), then
-the rest from their expected edges (``_edge_stage_memory``).
+built, against the stage rows of ``_memory_table``: the class tables from
+(d, L) alone (``_check_class_memory``), then the other stages from their
+expected edges.  ``_sample_rungs`` marks each stage's start with ``_stage``.
 """
 
 from __future__ import annotations
@@ -265,28 +266,66 @@ def _check_memory(estimated_bytes: float, cap_bytes: int, stage: str):
         raise MemoryCapExceeded(estimated_bytes, cap_bytes, stage)
 
 
-def _class_table_bytes(d: int, n_rungs: int) -> float:
-    """Bytes per class that the counts stage of ``_edge_stage_memory`` holds over every class."""
-    return 8.0 * d + 8.0 + 8.0 * n_rungs + max(18.0, 8.0 * n_rungs)
+def _memory_table(d: int, n_rungs: int) -> dict:
+    """Bytes per unit that each stage holds at once, as rows, for an ``n_rungs`` ladder in dimension d.
+
+    The stages are ``_sample_rungs``'s class tables, counts, choose (the
+    pairs of every class) and thinning (the lower rungs thinned, and every
+    rung's keys sorted and decoded), then the search a consumer runs on
+    each rung.  A stage holds the largest of its rows.  Entries multiply, in
+    order, the units: a byte (the margin for what numpy allocates beside
+    the counted arrays: its cast buffer while the class tables are built,
+    ``_UNPLANNED_BYTES`` after), vertices, classes, kept classes (the
+    expected classes that hold edges, bounded by the sum of min(1, expected
+    edges)), top-rung edges, lower-rung edges (summed over the rungs below
+    the top), sparse edges (the top rung's, in classes expected to be
+    sparse), block words (sparse round 0's largest block) and the pairs of
+    the largest class.  Edge counts are expected counts.  Each sampling row
+    keeps one byte per vertex for the replica's annulus mask, which only
+    the search holds.  The search row is a measured budget, not a worst
+    case: every rung's adjacency and distances, one level's arrays and row
+    gathers.
+    """
+    tables = 8.0 * d + 8.0 + 8.0 * n_rungs + max(18.0, 8.0 * n_rungs)  # rows, pair counts, probabilities
+    kept = 8.0 * d + 16.0 + 8.0 * n_rungs  # the tables cut down to the classes that hold edges
+    thinned = kept + 8.0 * (n_rungs - 1)  # and the lower rungs' ratios
+    wide = 8.0 * (d > 1)  # past d = 1, a digit per sparse edge, dense pair and searched vertex
+    margin = _UNPLANNED_BYTES
+    # Columns: byte, vertex, class, kept class, top-rung edge, lower-rung edge, sparse edge, block word,
+    # largest class's pair.
+    return {
+        "class tables": {"class tables": (8.0 * np.getbufsize(), 1, tables, 0, 0, 0, 0, 0, 0)},
+        "counts": {"counts": (margin, 1, tables, kept + 16, 0, 0, 0, 0, 0)},
+        "choose": {"sparse round 0": (margin, 1, 0, kept, 8, 0, 16, 48, 0),
+                   "pair arithmetic": (margin, 1, 0, kept, 8, 0, 24 + wide, 0, 0),
+                   "dense shuffle": (margin, 1, 0, kept, 8, 0, 0, 0, 16 + wide)},
+        "thinning": {"decode": (margin, 1, 0, kept, 16, 0, 0, 0, 0),
+                     **({"thinning uniforms": (margin, 1, 0, thinned, 25, 8, 0, 0, 0),
+                         "thinning rungs": (margin, 1, 0, thinned, 16, 16, 0, 0, 0)} if n_rungs > 1 else {})},
+        "search": {"search": (margin, 25 + 16 * n_rungs + wide, 0, 0, 20, 12, 0, 0, 0)},
+    }
+
+
+def _stage_bytes(d: int, n_rungs: int, units: tuple) -> dict:
+    """Each stage's estimate at ``units`` (one value per unit of ``_memory_table``): its largest row."""
+    return {stage: max(sum(c * u for c, u in zip(row, units)) for row in rows.values())
+            for stage, rows in _memory_table(d, n_rungs).items()}
+
+
+def _stage(name: str) -> None:
+    """Mark the start of ``_sample_rungs``'s stage ``name``, a ``_memory_table`` stage: a no-op to replace."""
 
 
 def _check_class_memory(box: Box, n_rungs: int, memory_cap_bytes: int) -> None:
     """Raise MemoryCapExceeded unless the class tables of an ``n_rungs`` ladder on ``box`` fit the cap.
 
-    The larger of what ``_displacement_classes`` holds (the d columns of the
-    canonical rows of the (2L + 1)(4L + 1)**(d - 1) row displacement mesh,
-    and past d = 1 one column of the mesh) and what ``_sample_rungs`` holds
-    up to its graph-sampling check: ``_class_table_bytes`` per class, n
-    bytes of margin, and the buffer through which a ufunc casts int64
-    class rows or pair counts to float64 (8 bytes per element of
-    ``np.getbufsize()``).  Pure arithmetic on (d, L) and the rung count.
+    Pure arithmetic on (d, L) and the rung count: the number of classes is
+    that of ``_displacement_classes``, which is not called.
     """
     grid = (4 * box.radius + 1) ** (box.d - 1)
-    raw_rows = box.side * grid
-    kept = raw_rows - grid // 2 - 1 - box.d
-    tables = _class_table_bytes(box.d, n_rungs) * kept + box.n_vertices + 8.0 * np.getbufsize()
-    _check_memory(max(8.0 * ((box.d > 1) * raw_rows + box.d * kept), tables), memory_cap_bytes,
-                  "displacement class enumeration")
+    classes = box.side * grid - grid // 2 - 1 - box.d
+    estimate = _stage_bytes(box.d, n_rungs, (1, box.n_vertices, classes, 0, 0, 0, 0, 0, 0))["class tables"]
+    _check_memory(estimate, memory_cap_bytes, "displacement class enumeration")
 
 
 def _displacement_classes(box: Box) -> np.ndarray:
@@ -454,6 +493,7 @@ def _pair_keys(box: Box, classes: np.ndarray, cls, sel: np.ndarray, out: np.ndar
         digit *= np.uint64(int(strides[i]) * (2**32 + 1))
         out += digit
         sel //= width
+        del width, digit  # so that the next axis's gather does not sit beside them
     sel = sel.view(np.uint64)
     sel *= np.uint64(int(strides[0]) * (2**32 + 1))
     out += sel
@@ -469,96 +509,6 @@ def _sort_and_decode(keys: np.ndarray) -> np.ndarray:
     np.right_shift(keys, np.uint64(32), out=edges[:, 0])
     edges[:, 1] = keys  # the low words: an assignment truncates
     return edges
-
-
-def _vertex_stage_memory(box: Box, n_rungs: int) -> float:
-    """The per-vertex bytes of ``_edge_stage_memory``'s search stage, which need no class or edge count.
-
-    The replica's annulus mask (1); every rung's row pointers and long
-    degrees (12) and distances (4), all of which a keep-every-rung
-    consumer (``distances --beta2``, ``figure1``) holds at its top rung's
-    search; and a search level's arrays, 24 per vertex in d = 1 and 32
-    past it, where each axis's digits are a copy: the unvisited
-    vertices' indices beside the last frontier's, the found mask, the
-    digits, neighbour indices, gathered distances and masks of a
-    bottom-up level's lattice checks.
-    """
-    return (1.0 + 16.0 * n_rungs + 24.0 + 8.0 * (box.d > 1)) * box.n_vertices
-
-
-def _edge_stage_memory(box: Box, n_classes: int, kept_classes: float, rung_edges: list,
-                       sparse_edges: float, max_class_pairs: float) -> float:
-    """Peak bytes of sampling plus the adjacency and BFS a consumer runs on each rung.
-
-    ``rung_edges`` are the expected edges of each rung, the top rung last,
-    ``sparse_edges`` the top rung's expected edges in classes expected to
-    be sparse, and ``kept_classes`` a bound on the expected number of
-    classes that hold edges (the sum of min(1, expected edges)).  The
-    peak is the largest of four stages, each counted by what it holds at
-    once.  The search stage holds the replica's annulus mask (1 byte per
-    vertex); the sampling stages come before the replica builds it, and
-    keep those n bytes as margin.
-
-    * Drawing the counts, over every class: the class rows, pair counts and
-      one probability per rung, then the edge counts and their sparse and
-      dense tests (8d + 8 + 8 per rung + 18 per class), or while the
-      probabilities are stacked, a second copy of them
-      (``_class_table_bytes``); and the copies of the tables cut down to the
-      classes that hold edges, with their sparse and dense positions.
-    * Choosing the pairs, over the classes that hold edges (8d + 16 + 8 per
-      rung each: rows, pair counts, edge counts, probabilities): the top
-      rung's uint64 keys (8 per edge), and the largest of sparse round 0
-      (its raw words and keys, 16 per sparse edge, and one block's mapping
-      and sorting, 48 per word of at most ``_BLOCK_WORDS`` plus the longest
-      row), the sparse keys' pair arithmetic (row and pair index, one
-      gather, past d = 1 one digit: 24 or 32 per sparse edge), a dense
-      class's partial shuffle and draw (16 per pair of the largest class,
-      24 past d = 1) and, for a ladder of one, the edge array the sorted
-      keys are split into (8 per edge).
-    * Thinning, past one rung: the kept classes' tables and lower rungs'
-      ratios (8 per class per lower rung), the keys and the uniforms (16
-      per top-rung edge), the rungs drawn so far (8 per lower-rung edge),
-      and a rung's draw: the repeated ratios and the keep mask (9 per
-      top-rung edge), then two at a time of the kept keys' positions, the
-      rung's uint64 scratch keys and its edge array (16 per kept edge, at
-      most 8 per lower-rung edge beyond the rungs drawn so far).  The top
-      rung's edge array takes the uniforms' place.
-    * The top rung's search: every rung's edges and in-half (12 per edge),
-      the per-vertex arrays of ``_vertex_stage_memory``, and 8 bytes per
-      top-rung edge for a level's row gathers (positions, neighbours and
-      their intp casts, of one half, for the rows a level reads).  This is
-      a measured budget, not a worst case: over whole-box searches at d = 1
-      to 5 with 0.3 to 209 long edges per vertex (tracemalloc, 30 inputs,
-      one to seven seeds each), no search held more than
-      (24 + 8 * (d > 1)) * n + 8 * m bytes beside its distances.  The
-      adjacency build before it (every rung's edges and the lower rungs'
-      cached halves, pointers, degrees and distances, the new pointers and
-      degrees, 13 per vertex with the mask, beside the uint64 keys and
-      uint32 in-half, 12 per top-rung edge; or before the keys, the row
-      counts and their intp column copy: 24 per vertex and 8 per top-rung
-      edge) stays below it.
-
-    The norm field and masks the replica builds after sampling, beside the
-    rungs' edges (at most 24 bytes per vertex at once), stay below the
-    search stage.  ``_UNPLANNED_BYTES`` is added for what numpy holds
-    outside these arrays.
-    """
-    n, d = box.n_vertices, box.d
-    top, lower = rung_edges[-1], sum(rung_edges[:-1])
-    n_rungs = len(rung_edges)
-    n_lower = n_rungs - 1
-    kept = (8.0 * d + 16.0 + 8.0 * n_rungs) * kept_classes
-    counts = _class_table_bytes(d, n_rungs) * n_classes + kept + 16.0 * kept_classes + n
-    block = min(sparse_edges, _BLOCK_WORDS + max_class_pairs / 64)
-    choose = kept + 8.0 * top + max(16.0 * sparse_edges + 48.0 * block,
-                                    (24.0 + 8.0 * (d > 1)) * sparse_edges,
-                                    (16.0 + 8.0 * (d > 1)) * max_class_pairs, 8.0 * top) + n
-    thinning = 0.0
-    if n_lower:
-        thinning = (kept + 8.0 * n_lower * kept_classes + 16.0 * top + 8.0 * lower
-                    + max(9.0 * top, 8.0 * lower) + n)
-    search = 20.0 * top + 12.0 * lower + _vertex_stage_memory(box, n_rungs)
-    return max(counts, choose, thinning, search) + _UNPLANNED_BYTES
 
 
 def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int) -> list:
@@ -577,6 +527,7 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     ``np.repeat(np.arange(len(K)), K)`` and is never recovered from an edge.
     """
     _check_class_memory(box, len(params_list), memory_cap_bytes)
+    _stage("class tables")
     classes = _displacement_classes(box)
     N = _class_pair_counts(box, classes)
     P = np.stack([connection_probabilities(pm, classes) for pm in params_list], axis=1)
@@ -585,12 +536,16 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     expected = N * p_top  # each class's expected top-rung edges
     sparse_edges = float(np.where(p_top * 64 <= 1, expected, 0.0).sum())  # K * 64 <= N in expectation
     kept_classes = float(np.minimum(expected, 1.0).sum())  # P(K > 0) <= min(1, E[K]) per class
-    rung_edges = [float((N * p).sum()) for p in P.T[:-1]] + [float(expected.sum())]
+    lower = sum(float((N * p).sum()) for p in P.T[:-1])  # the lower rungs' expected edges
+    largest = float(N.max(initial=0))
+    units = (1, box.n_vertices, len(classes), kept_classes, float(expected.sum()), lower, sparse_edges,
+             min(sparse_edges, _BLOCK_WORDS + largest / 64), largest)
     del expected
-    _check_memory(_edge_stage_memory(box, len(classes), kept_classes, rung_edges, sparse_edges,
-                                     float(N.max(initial=0))),
-                  memory_cap_bytes, "graph sampling")
+    estimates = _stage_bytes(box.d, len(params_list), units)  # the class tables were checked above
+    _check_memory(max(v for stage, v in estimates.items() if stage != "class tables"), memory_cap_bytes,
+                  "graph sampling")
 
+    _stage("counts")
     K = np.random.Generator(_stream(seed, _COUNTS_STREAM)).binomial(N, p_top)
     del p_top  # a view that would keep the full P alive past the cut below
     # From here on only the classes with edges count, sparse ones first and then dense
@@ -600,6 +555,7 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
     classes, N, K, P = classes[order], N[order], K[order], P[order]
     n_sparse = sparse.size
     del sparse, order
+    _stage("choose")
     keys = np.empty(int(K.sum()), dtype=np.uint64)  # built in class order, sorted and decoded last
     cls, sel = _select_sparse(N[:n_sparse], K[:n_sparse], _stream(seed, _SPARSE_STREAM))
     at = sel.size
@@ -609,6 +565,7 @@ def _sample_rungs(params_list: list, box: Box, seed: int, memory_cap_bytes: int)
         sel = _select_dense(int(N[c]), int(K[c]), np.random.Generator(_stream(seed, code)))
         _pair_keys(box, classes[c:c + 1], 0, sel, keys[at:at + sel.size])
         at += sel.size
+    _stage("thinning")
     rungs = []
     if len(params_list) > 1:
         u = (_stream(seed, _THIN_STREAM).random_raw(keys.size) >> np.uint64(11)) * 2.0**-53

@@ -105,7 +105,8 @@ class TestEstimatePhi:
     def test_refused_within_the_cap(self):
         # A cap just above the search's per-vertex arrays is refused by the sampler, which
         # holds no more than the cap by then.
-        cap = math.ceil(1.02 * lrplab.sampler._vertex_stage_memory(Box(2, 300), 1))
+        per_vertex = lrplab.sampler._memory_table(2, 1)["search"]["search"][1]
+        cap = math.ceil(1.02 * per_vertex * Box(2, 300).n_vertices)
         tracemalloc.start()
         try:
             with pytest.raises(MemoryCapExceeded) as info:

@@ -29,6 +29,7 @@ from lrplab import (
     unit_ball_volume,
 )
 
+import lrplab.metric as metric
 import lrplab.sampler as sampler
 import oracles
 
@@ -720,6 +721,93 @@ class TestDisplacementClasses:
             tracemalloc.stop()
         assert exc.value.stage == "displacement class enumeration"
         assert peak < 2**20
+
+
+STAGE_GRID = [(1, 2**14, (2.0,)), (1, 2**16, (0.5,)), (1, 2**16, (50.0,)), (1, 2**14, (1.0, 2.0, 5.0, 10.0)),
+              (2, 120, (2.0,)), (2, 120, (1.0, 4.0)), (2, 200, (0.3,)), (2, 300, (2.0,)),
+              (3, 24, (2.0,)), (3, 24, (32.0,)), (3, 24, (1.0, 32.0)), (3, 32, (2.0,)),
+              (4, 10, (8.0,)), (4, 10, (2.0, 4.0, 8.0)), (5, 5, (2.0,)), (5, 6, (4.0,))]
+
+# The class pre-flight's and the graph-sampling pre-flight's estimates on STAGE_GRID (s = 1.5 d), pinned
+# so that an edit of the stage table that moves either pre-flight is seen.
+STAGE_GRID_ESTIMATES = [
+    (1474519.0, 4252991.857468346), (5701591.0, 8458165.044801978), (5701591.0, 96362836.15853341),
+    (2719665.0, 15143107.108196324), (5907517.0, 8884951.546136336), (6832941.0, 15490438.046777755),
+    (16266237.0, 17518713.06093338), (36486637.0, 50505750.31203996), (26650499.0, 28453083.34823364),
+    (26650499.0, 115332004.48062631), (30301163.0, 142795195.25008807), (62593939.0, 65091518.05052229),
+    (93509833.0, 97284680.541095), (124593105.0, 128988354.21689388), (151337917.0, 153509393.9035502),
+    (361764547.0, 365925397.33121294),
+]
+
+
+def _grid_id(d, radius, betas):
+    return f"d{d}-L{radius}-beta{'-'.join(f'{b:g}' for b in betas)}"
+
+
+class TestStageMemory:
+    @pytest.mark.parametrize("d, radius, betas, estimates",
+                             [(*cell, pinned) for cell, pinned in zip(STAGE_GRID, STAGE_GRID_ESTIMATES)],
+                             ids=[_grid_id(*cell) for cell in STAGE_GRID])
+    def test_preflight_estimates_pinned(self, monkeypatch, d, radius, betas, estimates):
+        class Reached(Exception):
+            pass
+
+        def recorded(estimated_bytes, cap_bytes, stage):
+            seen[stage] = estimated_bytes
+            if stage == "graph sampling":
+                raise Reached
+
+        seen = {}
+        monkeypatch.setattr(sampler, "_check_memory", recorded)
+        with pytest.raises(Reached):
+            sample_graph_coupled([ModelParams(d=d, s=1.5 * d, beta=b) for b in betas], Box(d, radius), seed=1)
+        got = seen["displacement class enumeration"], seen["graph sampling"]
+        assert got == pytest.approx(estimates, rel=1e-12, abs=0)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("d, radius, betas", STAGE_GRID, ids=[_grid_id(*cell) for cell in STAGE_GRID])
+    def test_each_stage_within_its_estimate(self, monkeypatch, d, radius, betas, seed):
+        # Each stage's tracemalloc peak, from its _stage mark to the next one, against the largest
+        # of its rows at the pre-flights' units.  The search stage runs from the first rung's
+        # adjacency build to the end of the last rung's whole-box search, with every rung's sample
+        # and field kept, as `distances --beta2` and `figure1` keep them.
+        calls, peaks, current = [], {}, None
+        stage_bytes, adjacency = sampler._stage_bytes, metric._adjacency
+
+        def recorded(*args):
+            calls.append(stage_bytes(*args))
+            return calls[-1]
+
+        def stage(name):
+            nonlocal current
+            if current is not None:
+                peaks[current] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            current = name
+
+        def search_begins(sample):
+            if current != "search":
+                stage("search")
+            return adjacency(sample)
+
+        monkeypatch.setattr(sampler, "_stage_bytes", recorded)
+        monkeypatch.setattr(sampler, "_stage", stage)
+        monkeypatch.setattr(metric, "_adjacency", search_begins)
+        tracemalloc.start()
+        try:
+            samples = sample_graph_coupled([ModelParams(d=d, s=1.5 * d, beta=b) for b in betas],
+                                           Box(d, radius), seed)
+            fields = [metric.distances_from(sample, (0,) * d) for sample in samples]
+            stage(None)
+        finally:
+            tracemalloc.stop()
+        class_check, sampling_check = calls
+        estimates = dict(sampling_check, **{"class tables": class_check["class tables"]})
+        assert len(fields) == len(betas)
+        assert list(peaks) == list(estimates)
+        ratios = {name: estimates[name] / peaks[name] for name in peaks}
+        assert min(ratios.values()) >= 1, ratios
 
 
 class TestGraphFromEdges:
