@@ -5,10 +5,13 @@ collapse, selfcheck.  Options come from defaults, then a flat key=value
 config file (--config FILE), then CLI flags, in increasing precedence.
 Every option is validated before any computation.
 
-Outputs are CSV and JSON.  CSV tables have a fixed column order, LF line
-endings and one format per column: ints as decimal, floats as their
-shortest round-trip repr ('.' decimal; nan, inf, -inf), bools as 0/1,
-strings quoted by the csv module where needed.  Every output file carries the
+Outputs are CSV and JSON.  CSV tables have a fixed column order and LF line
+endings, and each block of rows is one byte matrix that takes every column.
+A numpy column's dtype decides its cells: ints as decimal, floats as their
+shortest round-trip repr ('.' decimal; nan, inf, -inf), bools as 0/1.  Any
+other column is text: bools as 0/1 and other cells as str, quoted where
+Python 3.11's csv module quotes them (a ',', '"' or LF, or an empty cell alone
+in its row; '"' doubled), and a NUL refused.  Every output file carries the
 hash of the resolved config that produced it; a manifest.json with the
 config echo, library versions, wall time, and timestamp is written last,
 so its presence marks a completed run.  Partial outputs, and an outdir the
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
 import json
@@ -67,40 +69,6 @@ def _one_line(msg: str) -> str:
 
 
 _BLOCK_ROWS = 2**15  # rows formatted per write: the writer's memory does not grow with the table
-
-
-def _cell_format(column, cells: list) -> str:
-    """The one format of a column's cells: '%d' for ints and bools, '%r' for floats,
-    '%s' (str, then csv quoting) for the rest, such as strings or ints mixed with inf.
-
-    An array's dtype decides; a list or object array (``cells``, its Python
-    values) is numeric only if all its cells are Python ints or all floats.
-    """
-    kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
-    if kind == "O":
-        types = set(map(type, cells))
-        kind = "i" if types <= {bool, int} else "f" if types == {float} else "O"
-    return {"b": "%d", "i": "%d", "u": "%d", "f": "%r"}.get(kind, "%s")
-
-
-def _numeric_array(col):
-    """One block of a column as a numpy bool, integer or float64 array, or None if it holds text.
-
-    An array's dtype decides, and narrower floats widen to float64; a list or object
-    array converts if all its cells are Python floats, or all Python ints and bools
-    that fit int64 or uint64.
-    """
-    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
-        return col.astype(np.float64, copy=False) if col.dtype.kind == "f" else col
-    cells = col.tolist() if isinstance(col, np.ndarray) else col
-    types = set(map(type, cells))
-    if types == {float}:
-        return np.array(cells, dtype=np.float64)
-    if types <= {bool, int}:
-        for dtype in (np.int64, np.uint64):
-            with contextlib.suppress(OverflowError):
-                return np.array(cells, dtype=dtype)
-    return None
 
 
 def _integer_width(col: np.ndarray) -> int:
@@ -277,20 +245,52 @@ def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
     return slow.size
 
 
-def _numeric_rows(block: list) -> bytes:
-    """The CSV rows of equal-length numpy bool, integer and float arrays, as ASCII.
+def _text_cells(col, alone: bool) -> np.ndarray:
+    """The cells of a column that is not a numpy bool, integer or float array, as a uint8
+    matrix of their UTF-8, NUL-padded to the widest.
 
-    Each column fills a fixed-width slot of one uint8 row matrix (_integer_slots,
-    _float_slots), then ',' or '\\n'.  The slots' unused bytes are NUL, which are
-    then dropped.  Columns are formatted one at a time, so the working memory is
-    the matrix and one column's arrays.
+    A bool is 0/1 and any other cell str(v).  A cell is quoted, its '"' doubled,
+    where csv.writer(lineterminator="\\n") of Python 3.11 quotes it: when it holds
+    ',', '"' or LF, or when it is empty and ``alone`` in its row.  A cell holding
+    NUL is refused, since the padding is dropped.
     """
-    kinds = [col.dtype.kind == "f" for col in block]
-    widths = [(_float_width if is_float else _integer_width)(col) for col, is_float in zip(block, kinds)]
-    rows = np.zeros((len(block[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    cells = []
+    for v in col.tolist() if isinstance(col, np.ndarray) else col:
+        text = str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v)
+        if "\0" in text:
+            raise ValueError(f"CSV cell {text!r} holds a NUL")
+        if any(c in text for c in ',"\n') or (alone and not text):
+            text = '"' + text.replace('"', '""') + '"'
+        cells.append(text.encode())
+    width = max(map(len, cells), default=0)
+    return np.frombuffer(b"".join(c.ljust(width, b"\0") for c in cells), np.uint8).reshape(len(cells), width)
+
+
+def _rows(block: list) -> bytes:
+    """The CSV rows of equal-length columns, as UTF-8.
+
+    Each column fills a fixed-width slot of one uint8 row matrix, then ',' or
+    '\\n': a numpy bool or integer array by _integer_slots, a float array by
+    _float_slots (narrower floats widened to float64), any other column by its
+    _text_cells.  The slots' unused bytes are NUL, which are then dropped.
+    Numeric columns are formatted one at a time, so the working memory is the
+    matrix, the text cells and one column's arrays.
+    """
+    slots = []  # (column, slot width, fill) per column
+    for col in block:
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+        if kind == "f":
+            col = col.astype(np.float64, copy=False)
+            slots.append((col, _float_width(col), _float_slots))
+        elif kind in "biu":
+            slots.append((col, _integer_width(col), _integer_slots))
+        else:
+            col = _text_cells(col, alone=len(block) == 1)
+            slots.append((col, col.shape[1], lambda cells, out: np.copyto(out, cells)))
+    rows = np.zeros((len(block[0]), sum(width for _, width, _ in slots) + len(slots)), dtype=np.uint8)
     end = 0
-    for col, width, is_float in zip(block, widths, kinds):
-        (_float_slots if is_float else _integer_slots)(col, rows[:, end:end + width])
+    for col, width, fill in slots:
+        fill(col, rows[:, end:end + width])
         end += width + 1
         rows[:, end - 1] = ord(",")
     rows[:, -1] = ord("\n")
@@ -304,32 +304,19 @@ def _write_csv(path: Path, columns_doc: str, config_hash: str, header, columns, 
     """Write one table given as equal-length columns.
 
     A column is a numpy array, a list, or any object with ``len`` and row
-    slicing.  Each block of _BLOCK_ROWS rows goes out in one write, by one
-    of two paths: as a byte matrix when every column is numeric (_numeric_array,
-    _numeric_rows); else through csv.writer, when some column holds text, a mix,
-    or ints past uint64 (see _cell_format).
+    slicing.  The comment lines and the header go out in one write, then each
+    block of _BLOCK_ROWS rows in one write of its _rows.
     """
     n_rows = len(columns[0]) if columns else 0
     if any(len(col) != n_rows for col in columns):
         raise ValueError(f"{path.name}: columns differ in length")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# columns: {columns_doc}\n")
-        if params_doc is not None:
-            fh.write(f"# params: {params_doc}\n")
-        fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+    params_line = f"# params: {params_doc}\n" if params_doc is not None else ""
+    with open(path, "wb") as fh:
+        created.append(path)  # listed before any write, so that main removes a partial file
+        fh.write(f"# columns: {columns_doc}\n{params_line}# config_hash={config_hash}\n".encode()
+                 + _rows([[name] for name in header]))
         for lo in range(0, n_rows, _BLOCK_ROWS):
-            block = [col[lo:lo + _BLOCK_ROWS] for col in columns]
-            arrays = [_numeric_array(col) for col in block]
-            if all(array is not None for array in arrays):
-                fh.flush()
-                fh.buffer.write(_numeric_rows(arrays))
-                continue
-            cells = [col.tolist() if isinstance(col, np.ndarray) else col for col in block]
-            formats = [_cell_format(col, c) for col, c in zip(block, cells)]
-            writer.writerows(zip(*(map(f.__mod__, col) for f, col in zip(formats, cells))))
-    created.append(path)
+            fh.write(_rows([col[lo:lo + _BLOCK_ROWS] for col in columns]))
 
 
 def _fields(records, *names) -> list:
@@ -743,15 +730,18 @@ def _cmd_distances(cfg, config_hash, outdir, created):
 
     if cfg["target"] is not None:
         target = np.asarray(cfg["target"], dtype=np.int64)
-        chain = [("ell1", int(norm_value(target - source, "ell1")))]
-        chain.append(("D", int(field.dist[box.index_of(target)])))
+        D = int(field.dist[box.index_of(target)])
+        chain = [("ell1", int(norm_value(target - source, "ell1"))), ("D", D)]
         forward = restricted_distance(sample, source, target)
         backward = restricted_distance(sample, target, source)
         chain.append(("D_restricted_forward", forward.value))
         chain.append(("D_restricted_backward", backward.value))
+        value = math.inf
         for k in range(cfg["k_max"] + 1):
-            res = restricted_k_distance(sample, source, target, k, cfg["gamma_bar"])
-            chain.append((f"D_restricted_k{k}", res.value))
+            # the k-chain never rises in k and never falls below D, so once at D it stays there
+            if value != D:
+                value = restricted_k_distance(sample, source, target, k, cfg["gamma_bar"]).value
+            chain.append((f"D_restricted_k{k}", value))
         _write_csv(outdir / "chain.csv",
                    "name (distance variant); value (hops; inf if unreachable under the constraint)",
                    config_hash, ["name", "value"],

@@ -873,6 +873,32 @@ class TestOutputPins:
         assert "D_restricted_k0,inf\n" in text
         assert data_file_digests(tmp_path)["chain.csv"] == _CHAIN_INF_PIN
 
+    def test_chain_stops_searching_once_at_D(self, tmp_path, monkeypatch):
+        # every member of the pinned chain is D = 3, so only k0 is searched
+        calls, search = [], lrplab.cli.restricted_k_distance
+
+        def member(sample, source, target, k, gamma_bar):
+            calls.append(k)
+            return search(sample, source, target, k, gamma_bar)
+
+        monkeypatch.setattr(lrplab.cli, "restricted_k_distance", member)
+        assert main([*_EXTRA_PIN_ARGV[1], "--outdir", str(tmp_path)]) == 0
+        assert calls == [0]
+        assert data_file_digests(tmp_path)["chain.csv"] == _OUTPUT_PINS[" ".join(_EXTRA_PIN_ARGV[1])]["chain.csv"]
+
+    def test_chain_searches_past_members_above_D(self, tmp_path, monkeypatch):
+        calls = []
+
+        def member(sample, source, target, k, gamma_bar):
+            calls.append(k)
+            return RestrictedDistanceResult(5 if k == 0 else 3, 0.0, False)
+
+        monkeypatch.setattr(lrplab.cli, "restricted_k_distance", member)
+        assert main([*_EXTRA_PIN_ARGV[1], "--outdir", str(tmp_path)]) == 0
+        assert calls == [0, 1]
+        _, rows = read_csv(tmp_path / "chain.csv")
+        assert rows[1] == ["D", "3"] and [row[1] for row in rows[4:]] == ["5", "3", "3", "3"]
+
 
 def reference_table(header, columns) -> str:
     """The CSV cell contract, one cell at a time: str(int) for ints, 0/1 for
@@ -915,11 +941,11 @@ _COLUMN_KINDS = {
     "float64": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()).map(np.float64),
     "float32": st.floats(width=32).map(np.float32),
     "text": _TEXT,
-    # lists hold Python values: ints of any size, floats, or a mix with strings
+    # lists hold Python values: ints of any size, floats, or a mix with bools and strings
     "int list": st.integers(),
     "bool list": st.booleans(),
     "float list": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
-    "mixed list": st.one_of(st.integers(), st.sampled_from(_SPECIAL_FLOATS), _TEXT),
+    "mixed list": st.one_of(st.integers(), st.booleans(), st.sampled_from(_SPECIAL_FLOATS), _TEXT),
 }
 
 
@@ -1025,9 +1051,29 @@ class TestWriteCsv:
                 assert out.tobytes().translate(None, b"\0").decode().split() == list(map(repr, block.tolist()))
             assert slow < 0.001 * len(column)
 
-    def test_mixed_int_and_inf_list(self, tmp_path):
-        columns = [["ell1", "D", "D_k0"], [9, 3, math.inf]]
-        assert written_table(tmp_path, ["name", "value"], columns) == "name,value\nell1,9\nD,3\nD_k0,inf\n"
+    @pytest.mark.parametrize("header, columns, expected", [
+        (["name", "value"], [["ell1", "D", "D_k0"], [9, 3, math.inf]], "name,value\nell1,9\nD,3\nD_k0,inf\n"),
+        (["a", "b"], [[True, "x"], [1, 2]], "a,b\n1,1\nx,2\n"),
+        # an empty cell alone in its row is quoted, so that the row is not blank
+        (["x"], [["", "a"]], 'x\n""\na\n'),
+        ([""], [[1]], '""\n1\n'),
+        (["x", "y"], [["", "a"], ["", ""]], "x,y\n,\na,\n"),
+        # a lone CR is written bare, as csv.writer with an LF terminator writes it
+        (["x"], [["a\rb", "\r"]], "x\na\rb\n\r\n"),
+        (["x"], [['a,b', 'say "hi"', "two\nlines", "é"]], 'x\n"a,b"\n"say ""hi"""\n"two\nlines"\né\n'),
+    ], ids=["mixed-int-and-inf", "mixed-bool", "empty-alone", "empty-header-alone", "empty-beside-others",
+            "lone-cr", "quoted"])
+    def test_literal_tables(self, tmp_path, header, columns, expected):
+        assert written_table(tmp_path, header, columns) == expected
+        assert reference_table(header, columns) == expected
+
+    def test_nul_in_a_text_cell_rejected(self, tmp_path):
+        # the writer drops its NUL padding, so a NUL in a cell would be lost silently;
+        # the partial file is listed for main to remove
+        created = []
+        with pytest.raises(ValueError, match="NUL"):
+            _write_csv(tmp_path / "t.csv", "doc", "h", ["a", "b"], [["x\0y"], [1]], created)
+        assert created == [tmp_path / "t.csv"]
 
     def test_int_list_across_the_int64_range_stays_exact(self, tmp_path):
         seeds = [2**63 - 2, 2**63 - 1, 2**63, 2**64 + 5]
@@ -1060,12 +1106,15 @@ class TestTableMemoryCap:
         assert list(tmp_path.iterdir()) == []
 
 
-# Runs in a fresh interpreter with scipy blocked, so that any import of it
-# raises ImportError: numpy is lrplab's only runtime dependency. The collapse
-# has three live cells per beta, so its rank correlation is computed.
+# Runs in a fresh interpreter with scipy and csv blocked, so that any import
+# of them raises ImportError: numpy is lrplab's only runtime dependency, and
+# every CSV byte, text cells included (chain.csv, collapse_cells.csv), comes
+# from lrplab's own writer. The collapse has three live cells per beta, so
+# its rank correlation is computed.
 _IMPORT_PROBE = """
 import sys
 sys.modules["scipy"] = None
+sys.modules["csv"] = None
 import lrplab, lrplab.cli
 outdir = sys.argv[1]
 for argv in (["exponents", "--n-max", "63"],
@@ -1082,7 +1131,7 @@ for argv in (["exponents", "--n-max", "63"],
 
 
 class TestImportPath:
-    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+    def test_every_command_runs_with_scipy_and_csv_blocked(self, tmp_path):
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
