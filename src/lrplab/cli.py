@@ -49,6 +49,7 @@ from .sampler import (DEFAULT_MEMORY_CAP, GENERATOR_TAG, Box, MemoryCapExceeded,
                       graph_from_edges, sample_graph, sample_graph_coupled, sample_z)
 from .metric import distance_pair, distances_from, restricted_distance, restricted_k_distance
 from .estimator import (
+    _ball_distances,
     _check_collapse_betas,
     _check_radii,
     _deviation_fraction,
@@ -708,7 +709,7 @@ def _cmd_distances(cfg, config_hash, outdir, created):
                *(f.dist for f in fields)]
     _write_csv(outdir / "distances.csv", doc, config_hash, header, columns, created)
 
-    ball_dists = field.dist[box.norm_field(source, params.norm) <= L].astype(np.float64)
+    ball_dists = _ball_distances(field, L)
     median = float(np.median(ball_dists))
     summary = {
         "config_hash": config_hash,

@@ -87,20 +87,18 @@ def _replica(params_list, box, shell_masks, radii, width, memory_cap_bytes, last
     The caller owns the shells: ``shell_masks(norm_field, radii, width)``, a
     module-level function so that it pickles, gives one mask per shell, and
     ``hists[j]`` is the histogram of the distances over shell j.  Each
-    search stops once what the caller reads is fixed.  A caller that gives
-    ``last_level`` reads the counts of distances up to it, and the search
-    stops at that level; with None it reads each shell's median, and the
-    search stops at the first level where every shell has more than half
-    its vertices reached.  A shell's unreached vertices go into one
-    overflow bin just above the last level searched, so ``hist.sum()``,
-    every prefix sum up to that level and ``_hist_median`` equal their
-    values over the whole box's distances.  Rungs are searched in ascending
-    order, and each rung's sample, with its cached adjacency, and its
-    distances are dropped once its histograms are taken, so a search runs
-    beside the higher rungs' edges but no other rung's adjacency.  It
-    samples before it builds the norm field, under the cap less the masks
-    past the first, which the sampler's search stage leaves out; a refusal
-    adds them back to its estimate and names the caller's cap.
+    search stops at the first level that is at least ``last_level`` and at
+    which every non-empty shell has more than half its vertices reached,
+    and the unreached vertices go into one overflow bin just above the last
+    level searched.  So each histogram's median (``_hist_median``), its
+    total and its prefix sums up to ``last_level`` equal their values over
+    the whole box's distances.  Rungs are searched in ascending order, and
+    each rung's sample, with its cached adjacency, and its distances are
+    dropped once its histograms are taken, so a search runs beside the
+    higher rungs' edges but no other rung's adjacency.  It samples before
+    it builds the norm field, under the cap less the masks past the first,
+    which the sampler's search stage leaves out; a refusal adds them back
+    to its estimate and names the caller's cap.
     """
     extra = (len(radii) - 1) * box.n_vertices
     try:
@@ -110,29 +108,21 @@ def _replica(params_list, box, shell_masks, radii, width, memory_cap_bytes, last
     except MemoryCapExceeded as exc:
         raise MemoryCapExceeded(exc.estimated_bytes + extra, memory_cap_bytes, exc.stage) from None
     masks = shell_masks(box.norm_field((0,) * box.d, params_list[0].norm), radii, width)
-    halves = [int(np.count_nonzero(mask)) // 2 for mask in masks]
+    needs = [size // 2 + (size > 0) for size in map(np.count_nonzero, masks)]  # more than half; 0 if empty
     origin = box.index_of(np.zeros(box.d, dtype=np.int64))
 
     def histograms(sample):
-        reached, last = [0] * len(masks), 0
+        reached = [0] * len(masks)
 
         def settled(level, frontier):
-            nonlocal last
-            last = level
-            if last_level is not None:
-                return level >= last_level
             for j, mask in enumerate(masks):
-                if reached[j] <= halves[j]:
+                if reached[j] < needs[j]:
                     reached[j] += int(np.count_nonzero(mask[frontier]))
-            return all(got > half for got, half in zip(reached, halves))
+            return level >= last_level and all(got >= need for got, need in zip(reached, needs))
 
         dist = _bfs(sample, origin, stop=settled)
-        hists = []
-        for mask in masks:
-            shell = dist[mask]
-            shell[shell < 0] = last + 1
-            hists.append(np.bincount(shell))
-        return hists
+        dist[dist < 0] = dist.max() + 1
+        return [np.bincount(dist[mask]) for mask in masks]
 
     # pop(0): the copy holds no rung once its search is done, so its adjacency goes with it.
     return [histograms(samples.pop(0)) for _ in range(len(samples))]
@@ -278,7 +268,7 @@ def _estimate_ladder(params_list: list, radii: list, n_replicas: int, seed0: int
     scales = _check_radii(params_list[0], radii, delta)
     box = Box(params_list[0].d, int(math.ceil(max(radii))))
     per_replica = _run_replicas(partial(_replica, params_list, box, _annulus_masks, radii, delta,
-                                        memory_cap_bytes, None), seed0, n_replicas, executor)
+                                        memory_cap_bytes, 0), seed0, n_replicas, executor)
 
     def record(i, bi, ri):
         hist = per_replica[i][bi][ri]
@@ -337,16 +327,24 @@ def theorem1_fraction(field: DistanceField, r: float, scale: float, epsilon: flo
     number of box vertices in B(source, r).  That is the lattice-point
     count |B(source, r)| only when the ball fits in the box, which an
     off-centre source can break even for r <= the box radius, and it is
-    never empty, since r must lie in [0, box radius].  The float64 norm
-    field and the ball mask (9 bytes per vertex) are checked against
-    ``DEFAULT_MEMORY_CAP`` before they are built.
+    never empty, since r must lie in [0, box radius].  The ball is checked
+    against the memory cap before it is built (``_ball_distances``).
     """
     box = field.sample.box
     if not 0 <= r <= box.radius:
         raise ValueError(f"r={r} must lie in [0, {box.radius}] (the box radius)")
+    return _deviation_fraction(_ball_distances(field, r), scale, epsilon)
+
+
+def _ball_distances(field: DistanceField, r: float) -> np.ndarray:
+    """The distances of the box vertices x with norm(x - source) <= r (kernel norm), in index order.
+
+    The float64 norm field and the ball mask (9 bytes per vertex) are
+    checked against ``DEFAULT_MEMORY_CAP`` before they are built.
+    """
+    box = field.sample.box
     _check_memory(9.0 * box.n_vertices, DEFAULT_MEMORY_CAP, "ball field and mask")
-    mask = box.norm_field(field.source, field.sample.params.norm) <= r
-    return _deviation_fraction(field.dist[mask], scale, epsilon)
+    return field.dist[box.norm_field(field.source, field.sample.params.norm) <= r]
 
 
 def _deviation_fraction(ball_dists: np.ndarray, scale: float, epsilon: float) -> float:

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import norm_value, derived_constants
-from .sampler import Box, GraphSample
+from .sampler import DEFAULT_MEMORY_CAP, Box, GraphSample, _check_memory
 
 # Measured per level on d=1 L=2**18 beta=5, d=2 L=200 beta=2 and d=1 L=16384
 # beta=10 graphs, each step timed alone: bottom-up is the faster step where the
@@ -309,6 +309,11 @@ class RestrictedDistanceResult:
 
 
 def _restricted_bfs(sample: GraphSample, x, y, radius: float, strict: bool) -> RestrictedDistanceResult:
+    """D from x to y over paths in {z : norm(z - x) < radius}, or <= radius if not ``strict``.
+
+    The float64 norm field and the admissible mask (9 bytes per vertex) are
+    checked against ``DEFAULT_MEMORY_CAP`` before they are built.
+    """
     box = sample.box
     xi = _as_index(box, x)
     yi = _as_index(box, y)
@@ -321,6 +326,7 @@ def _restricted_bfs(sample: GraphSample, x, y, radius: float, strict: bool) -> R
 
     if xi == yi:
         return RestrictedDistanceResult(value=0, constraint_radius=radius, truncated_by_box=truncated)
+    _check_memory(9.0 * box.n_vertices, DEFAULT_MEMORY_CAP, "admissible field and mask")
     admissible = box.norm_field(x_arr, sample.params.norm)
     admissible = admissible < radius if strict else admissible <= radius
     if not admissible[yi]:

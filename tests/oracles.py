@@ -214,6 +214,32 @@ def expected_edge_total(d: int, radius: int, s: float, beta: float,
 
 
 # ---------------------------------------------------------------------------
+# The two-hop law
+
+
+def two_hop_probability(d: int, s: float, beta: float, norm: str, L: int, x) -> float:
+    """P(D(0, x) <= 2) on the box of radius L, x != 0, in closed form.
+
+    D(0, x) <= 2 iff {0, x} is an edge or some z in the box other than 0
+    and x has both {0, z} and {z, x}.  Those pairs differ for different z
+    and from {0, x}, and edges are independent, so the probability is
+    1 - (1 - p(x)) prod_z (1 - p(z) p(x - z)), with p(v) = 1 at ell1
+    distance 1 and 1 - exp(-beta * norm(v)**(-s)) otherwise.
+    """
+    axis = np.arange(-L, L + 1, dtype=np.float64)
+    z = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    x = np.asarray(x, dtype=np.float64)
+    z = z[np.any(z != 0, axis=1) & np.any(z != x, axis=1)]
+
+    def p(v):
+        size = {"ell1": np.abs(v).sum(axis=-1), "ell2": np.sqrt((v * v).sum(axis=-1)),
+                "ellinf": np.abs(v).max(axis=-1)}[norm]
+        return np.where(np.abs(v).sum(axis=-1) == 1, 1.0, -np.expm1(-beta * size ** (-s)))
+
+    return float(1.0 - (1.0 - p(x)) * np.prod(1.0 - p(z) * p(x - z)))
+
+
+# ---------------------------------------------------------------------------
 # Z law oracles
 
 

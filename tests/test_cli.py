@@ -248,6 +248,17 @@ class TestDistancesCommand:
         assert err.startswith("error: config:")
         assert err.count("\n") == 1
 
+    def test_memory_cap_checked_before_the_ball_field(self, tmp_path, monkeypatch, capsys):
+        # The summary's ball: its float64 norm field and mask, 9 bytes per vertex.
+        def refuse(*args):
+            raise AssertionError("norm field built before the memory check")
+
+        monkeypatch.setattr(lrplab.estimator, "DEFAULT_MEMORY_CAP", 9 * 161 - 1)
+        monkeypatch.setattr(Box, "norm_field", refuse)
+        assert run(tmp_path, "distances", "--d", "1", "--s", "1.5", "--L", "80") == 2
+        assert "ball field and mask needs" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
+
     def test_chain_file_consistent(self, tmp_path):
         run(tmp_path, "distances", "--d", "1", "--s", "1.5", "--beta", "2.0",
             "--L", "40", "--seed", "1", "--target", "25")

@@ -33,6 +33,8 @@ from lrplab import (
 )
 from lrplab.estimator import _spearman
 
+import oracles
+
 PM = ModelParams(d=1, s=1.5, beta=1.0)
 
 NO_LONG_EDGES = ModelParams(d=1, s=1.5, beta=1.0,
@@ -63,7 +65,7 @@ class TestEstimatePhi:
         cov = phis.std(ddof=1) / phis.mean()
         assert cov < 0.5
         # Frozen on first execution; deterministic given (params, r, seeds).
-        assert est.phi_hat == pytest.approx(0.062241360432731194, rel=1e-12)
+        assert est.phi_hat == 0.062241360432731194
         # Bootstrap CI bytes, keyed [seed0, _BOOTSTRAP_TAG].
         assert (est.ci_low, est.ci_high) == (0.06059102133034816, 0.06389169953511421)
 
@@ -142,7 +144,7 @@ class TestEstimatePhi:
         tracemalloc.start()
         try:
             lrplab.estimator._replica(params_list, box, lrplab.estimator._annulus_masks, radii, 0.1,
-                                      lrplab.sampler.DEFAULT_MEMORY_CAP, None, 7)
+                                      lrplab.sampler.DEFAULT_MEMORY_CAP, 0, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -197,7 +199,7 @@ class TestEstimatePhi:
         monkeypatch.setattr(lrplab.estimator, "_bfs", counted)
         params_list = [ModelParams(d=1, s=1.5, beta=b) for b in (1.0, 2.0, 5.0, 10.0)]
         lrplab.estimator._replica(params_list, Box(1, 4096), lrplab.estimator._annulus_masks, [4096.0], 0.1,
-                                  lrplab.sampler.DEFAULT_MEMORY_CAP, None, 7)
+                                  lrplab.sampler.DEFAULT_MEMORY_CAP, 0, 7)
         assert held == [1, 1, 1, 1]
 
     def test_replica_leaves_the_sampler_list_whole(self, monkeypatch):
@@ -208,7 +210,7 @@ class TestEstimatePhi:
                             lambda *args, **kwargs: returned.append(coupled(*args, **kwargs)) or returned[-1])
         params_list = [ModelParams(d=1, s=1.5, beta=b) for b in (1.0, 5.0)]
         lrplab.estimator._replica(params_list, Box(1, 1024), lrplab.estimator._annulus_masks, [1024.0], 0.1,
-                                  lrplab.sampler.DEFAULT_MEMORY_CAP, None, 7)
+                                  lrplab.sampler.DEFAULT_MEMORY_CAP, 0, 7)
         assert [sample.params.beta for sample in returned[0]] == [1.0, 5.0]
 
     def test_annulus_too_small_rejected(self):
@@ -325,7 +327,7 @@ class TestReplicaStop:
         box = Box(d, radius)
         masks = lrplab.estimator._annulus_masks(box.norm_field((0,) * d, norm), radii, delta)
         rungs = lrplab.estimator._replica(params_list, box, lrplab.estimator._annulus_masks, radii, delta,
-                                          2**31, None, seed)
+                                          2**31, 0, seed)
         for hists, full in zip(rungs, full_search_hists(params_list, box, seed, masks), strict=True):
             for hist, full_hist in zip(hists, full, strict=True):
                 assert_overflow_bin(hist, full_hist)
@@ -347,23 +349,64 @@ class TestReplicaStop:
             assert_overflow_bin(hist, full_hist)
             assert hist.sum() == full_hist.sum()
             assert hist[:n + 1].sum() == full_hist[:n + 1].sum()
+            assert lrplab.estimator._hist_median(hist) == lrplab.estimator._hist_median(full_hist)
 
-    @pytest.mark.parametrize("last_level", [None, 2])
+    @pytest.mark.parametrize("last_level", [0, 2])
     def test_search_stops_before_the_box_is_covered(self, monkeypatch, last_level):
-        unreached = []
-        bfs = lrplab.estimator._bfs
-
-        def recorded(*args, **kwargs):
-            dist = bfs(*args, **kwargs)
-            unreached.append(int(np.count_nonzero(dist < 0)))
-            return dist
-
-        monkeypatch.setattr(lrplab.estimator, "_bfs", recorded)
+        unreached = record_unreached(monkeypatch)
         pm = ModelParams(d=1, s=1.5, beta=5.0)
         lrplab.estimator._replica([pm], Box(1, 2**14), lrplab.estimator._annulus_masks, [2.0**14], 0.1,
                                   2**31, last_level, 0)
         [count] = unreached
         assert count > 0
+
+    def test_an_empty_shell_counts_as_settled(self, monkeypatch):
+        # No integer x has | |x| - 0.3 | <= 0.06, so the first shell is empty; the search
+        # still stops once the large shell's median is fixed.
+        unreached = record_unreached(monkeypatch)
+        pm = ModelParams(d=1, s=1.5, beta=5.0)
+        box, radii, n = Box(1, 2**14), [0.3, 1.2e4], 2
+        masks = lrplab.estimator._shell_masks(box.norm_field((0,), pm.norm), radii, 0.2)
+        [hists] = lrplab.estimator._replica([pm], box, lrplab.estimator._shell_masks, radii, 0.2, 2**31, n, 0)
+        [count] = unreached
+        assert count > 0
+        [empty, full] = full_search_hists([pm], box, 0, masks)[0]
+        assert hists[0].sum() == empty.sum() == 0
+        assert_overflow_bin(hists[1], full)
+        assert hists[1][:n + 1].sum() == full[:n + 1].sum()
+        assert lrplab.estimator._hist_median(hists[1]) == lrplab.estimator._hist_median(full)
+
+
+def record_unreached(monkeypatch) -> list:
+    """Record each replica search's count of unreached vertices."""
+    unreached = []
+    bfs = lrplab.estimator._bfs
+
+    def recorded(*args, **kwargs):
+        dist = bfs(*args, **kwargs)
+        unreached.append(int(np.count_nonzero(dist < 0)))
+        return dist
+
+    monkeypatch.setattr(lrplab.estimator, "_bfs", recorded)
+    return unreached
+
+
+class TestTwoHopLaw:
+    """The sampler and the replica search against the exact law of {D(0, x) <= 2}."""
+
+    def test_d1_shell_share_matches_the_closed_form(self):
+        # d=1, s=1.5, beta=5 on Box(1, 2000), the shell 100 <= |x| <= 400: per seed, the
+        # share of the shell within two hops, read from the replica's histogram.
+        pm, box = ModelParams(d=1, s=1.5, beta=5.0), Box(1, 2000)
+        xs = [x for x in range(-400, 401) if abs(x) >= 100]
+        exact = np.mean([oracles.two_hop_probability(1, 1.5, 5.0, "ell2", 2000, (x,)) for x in xs])
+        shares = []
+        for seed in range(600):
+            [[hist]] = lrplab.estimator._replica([pm], box, lrplab.estimator._shell_masks, [250.0], 0.6,
+                                                 lrplab.sampler.DEFAULT_MEMORY_CAP, 2, seed)
+            assert hist.sum() == len(xs)
+            shares.append(hist[:3].sum() / hist.sum())
+        assert stats.ttest_1samp(shares, exact).pvalue > 0.001
 
 
 def record_replicas(monkeypatch) -> list:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from lrplab import (
     Box,
     GraphSample,
+    MemoryCapExceeded,
     ModelParams,
     distance_pair,
     distances_from,
@@ -237,6 +238,23 @@ class TestRestrictedDistance:
         g = line_graph(5, [])
         res = restricted_distance(g, np.array([1]), np.array([1]))
         assert res.value == 0
+
+    @pytest.mark.parametrize("search", [
+        lambda g, x, y: restricted_distance(g, x, y),
+        lambda g, x, y: restricted_k_distance(g, x, y, 2, 0.9),
+    ], ids=["restricted", "restricted-k"])
+    def test_memory_cap_checked_before_the_admissible_field(self, monkeypatch, search):
+        # The float64 norm field and the admissible mask, 9 bytes per vertex.
+        def refuse(*args):
+            raise AssertionError("norm field built before the memory check")
+
+        g = line_graph(20, [])
+        monkeypatch.setattr(metric, "DEFAULT_MEMORY_CAP", 9 * 41 - 1)
+        monkeypatch.setattr(Box, "norm_field", refuse)
+        with pytest.raises(MemoryCapExceeded) as info:
+            search(g, np.array([0]), np.array([5]))
+        assert info.value.stage == "admissible field and mask"
+        assert info.value.estimated_bytes == 9 * 41
 
 
 class TestRestrictedKDistance:
